@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
+from .exact import VerificationError
+
 
 class InfiniteGroup(ValueError):
     pass
@@ -263,7 +265,8 @@ def _det_unimodular(mat) -> int:
             if a[r][col] != 0:
                 f = a[r][col] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise VerificationError("determinant of an integer matrix is not an integer")
     return int(det)
 
 
@@ -279,20 +282,19 @@ def _verify_snf(matrix, factors, u, v, d) -> None:
         [sum(um[i][k] * v[k][j] for k in range(n)) for j in range(n)]
         for i in range(m)
     ]
-    assert umv == d, "U*M*V does not equal D"
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0, "D not diagonal"
+    if umv != d:
+        raise VerificationError("U*M*V does not equal D")
+    if any(d[i][j] != 0 for i in range(m) for j in range(n) if i != j):
+        raise VerificationError("D not diagonal")
     for x, y in zip(factors, factors[1:]):
-        if x != 0:
-            assert y % x == 0, "divisibility chain broken"
-        else:
-            assert y == 0, "zero factor precedes nonzero"
-    if m:
-        assert _det_unimodular(u) in (1, -1), "U not unimodular"
-    if n:
-        assert _det_unimodular(v) in (1, -1), "V not unimodular"
+        if x != 0 and y % x != 0:
+            raise VerificationError("divisibility chain broken")
+        if x == 0 and y != 0:
+            raise VerificationError("zero factor precedes nonzero")
+    if m and _det_unimodular(u) not in (1, -1):
+        raise VerificationError("U not unimodular")
+    if n and _det_unimodular(v) not in (1, -1):
+        raise VerificationError("V not unimodular")
 
 
 def decompose(presentation) -> FGAbelianGroup:

@@ -1,10 +1,13 @@
 """Finite structure-constant algebras and their doubling-algebra tensor
 products.
 
-A ``StructureAlgebra`` is a unital algebra given by a dense gamma array;
-``TensorAlgebra`` combines one with a level-r doubling algebra on the basis
-b_i (x) e_p, ordered p-major.  Centre, nucleus, classic limit and the two
-canonical factor embeddings are computed exactly over the rationals.
+Every algebra here is stored as sparse structure constants: for each basis
+pair (p, q), the nonzero ``(k, coefficient)`` pairs of b_p b_q.  One kernel,
+``structure_multiply``, turns that table into products, for the shipped
+base algebras, for their tensor products B (x) A_r with a level-r doubling
+algebra (basis b_i (x) e_p, ordered p-major) and for the conjugated
+algebras of the Cayley extension.  Centre, nucleus, classic limit and the
+two canonical factor embeddings are computed exactly over the rationals.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from .cayley_dickson import (
     DEFAULT_MAX_LEVEL,
     CDElement,
     LevelMismatch,
-    _basis_tables,
-    _check_level,
+    sparse_products,
+    structure_constants,
+    structure_multiply,
 )
-from .exact import mat_mult, nullspace, rref
+from .exact import VerificationError, mat_mult, nullspace
 
 
 class InvalidAlgebra(ValueError):
@@ -48,16 +52,15 @@ def _frac_vec(values):
 class StructureAlgebra:
     """Unital algebra from an n x n x n structure-constant array.
 
-    gamma[p][q][k] is the e_k coefficient of b_p b_q.  The unit vector is
-    verified to be a two-sided identity at construction; associativity is
-    established by checking all basis triples.
+    gamma[p][q][k] is the e_k coefficient of b_p b_q; only its nonzero
+    entries are kept, in ``products``.  The unit vector is verified to be a
+    two-sided identity at construction; associativity is established by
+    checking all basis triples.
     """
 
     def __init__(self, gamma, unit, name: str = "", classic_limit=None):
         self.dim = len(gamma)
-        self.gamma = [
-            [_frac_vec(vec) for vec in row] for row in gamma
-        ]
+        gamma = [[_frac_vec(vec) for vec in row] for row in gamma]
         self.unit = _frac_vec(unit)
         self.name = name or f"algebra(dim={self.dim})"
         self.classic_limit_functional = (
@@ -65,11 +68,12 @@ class StructureAlgebra:
         )
         if len(self.unit) != self.dim or any(
             len(row) != self.dim or any(len(vec) != self.dim for vec in row)
-            for row in self.gamma
+            for row in gamma
         ):
             raise InvalidAlgebra("gamma/unit dimensions are inconsistent")
+        self.products = sparse_products(gamma)
         self._check_unit()
-        self.associative = self._check_associative()
+        self.associative = self.basis_associative()
         if self.classic_limit_functional is not None:
             value = sum(
                 c * u for c, u in zip(self.classic_limit_functional, self.unit)
@@ -85,19 +89,22 @@ class StructureAlgebra:
         vec[i] = Fraction(1)
         return vec
 
+    def unit_vector(self):
+        return list(self.unit)
+
     def multiply(self, x, y):
-        out = self.zero_vector()
-        for p, cx in enumerate(x):
-            if cx == 0:
-                continue
-            for q, cy in enumerate(y):
-                if cy == 0:
-                    continue
-                coeff = cx * cy
-                for k, g in enumerate(self.gamma[p][q]):
-                    if g != 0:
-                        out[k] += coeff * g
-        return out
+        return structure_multiply(self.products, x, y, self.zero_vector())
+
+    def basis_product(self, n: int, m: int):
+        return self.multiply(self.basis_vector(n), self.basis_vector(m))
+
+    @property
+    def gamma(self):
+        """The dense array gamma[p][q][k], derived from the sparse table."""
+        return [
+            [self.basis_product(p, q) for q in range(self.dim)]
+            for p in range(self.dim)
+        ]
 
     def _check_unit(self) -> None:
         for i in range(self.dim):
@@ -105,15 +112,16 @@ class StructureAlgebra:
             if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
                 raise InvalidAlgebra("unit vector is not a two-sided identity")
 
-    def _check_associative(self) -> bool:
+    def basis_associative(self) -> bool:
+        """True when (b_p b_q) b_r == b_p (b_q b_r) for every basis triple."""
         basis = [self.basis_vector(i) for i in range(self.dim)]
-        for a in basis:
-            for b in basis:
-                ab = self.multiply(a, b)
-                for c in basis:
-                    if self.multiply(ab, c) != self.multiply(a, self.multiply(b, c)):
-                        return False
-        return True
+        gamma = self.gamma
+        return all(
+            self.multiply(gamma[p][q], c) == self.multiply(a, gamma[q][r])
+            for p, a in enumerate(basis)
+            for q in range(self.dim)
+            for r, c in enumerate(basis)
+        )
 
     def left_matrix(self, x):
         cols = [self.multiply(x, self.basis_vector(q)) for q in range(self.dim)]
@@ -206,25 +214,46 @@ BASE_ALGEBRAS = {
 # tensor with a doubling algebra
 # ---------------------------------------------------------------------------
 
-class TensorAlgebra:
+class TensorAlgebra(StructureAlgebra):
     """B (x) A_r on the basis b_i (x) e_p with index p * dim(B) + i.
 
-    The combined structure constants are the Kronecker combination of B's
-    gamma array with the level-r table; associativity holds exactly when B
-    is associative and r <= 2 (re-verified on basis triples for small
-    dimensions).
+    The sparse table is built once, as the Kronecker combination of B's
+    table with the level-r doubling table: (b_i (x) e_p)(b_j (x) e_q) is
+    s * (b_i b_j) (x) e_k for e_p e_q = s * e_k.  Products then run through
+    the shared kernel.  Associativity holds exactly when B is associative
+    and r <= 2; the flag is re-verified on basis triples for dimensions up
+    to 32.
     """
 
     def __init__(self, base: StructureAlgebra, level: int,
                  max_level: int = DEFAULT_MAX_LEVEL):
-        _check_level(level, max_level)
+        table = structure_constants(level, max_level)
         self.base = base
         self.level = level
-        self.cd_dim = 1 << level
+        self.cd_dim = table.dim
         self.dim = base.dim * self.cd_dim
-        self._cd_index, self._cd_sign = _basis_tables(level)
+        # the +-1 doubling table, read by the regular-representation oracle
+        self._cd_index, self._cd_sign = table.index, table.sign
+        self.name = f"{base.name} (x) A_{level}"
+        self.classic_limit_functional = None
+        nb, cd = base.dim, range(self.cd_dim)
+        # shifted[s][i][j][k]: the terms of s * (b_i b_j) (x) e_k, shared
+        # by every (p, q) with e_p e_q = s * e_k
+        shifted = {
+            s: [[[tuple((k * nb + kb, s * g) for kb, g in base.products[i][j])
+                  for k in cd] for j in range(nb)] for i in range(nb)]
+            for s in (1, -1)
+        }
+        cd_products = [[table.product(p, q) for q in cd] for p in cd]
+        self.products = [
+            [shifted[s][i][j][k] for k, s in cd_products[p] for j in range(nb)]
+            for p in cd for i in range(nb)
+        ]
+        self.unit = self.zero_vector()
+        for i, c in enumerate(base.unit):
+            self.unit[self.tensor_index(i, 0)] = c
         self.associative = base.associative and level <= 2
-        if self.dim <= 32 and self._verify_associative() != self.associative:
+        if self.dim <= 32 and self.basis_associative() != self.associative:
             raise InvalidAlgebra("associativity flag disagrees with basis check")
 
     def tensor_index(self, i: int, p: int) -> int:
@@ -232,64 +261,6 @@ class TensorAlgebra:
 
     def split_index(self, n: int) -> tuple[int, int]:
         return n % self.base.dim, n // self.base.dim
-
-    def zero_vector(self):
-        return [Fraction(0)] * self.dim
-
-    def unit_vector(self):
-        vec = self.zero_vector()
-        for i, c in enumerate(self.base.unit):
-            vec[self.tensor_index(i, 0)] = c
-        return vec
-
-    def multiply(self, x, y):
-        """Component product: blocks combine through the base gamma array
-        and the +-1 doubling table."""
-        nb = self.base.dim
-        out = self.zero_vector()
-        for n, cx in enumerate(x):
-            if cx == 0:
-                continue
-            i, p = n % nb, n // nb
-            for m, cy in enumerate(y):
-                if cy == 0:
-                    continue
-                j, q = m % nb, m // nb
-                k_cd = self._cd_index[p][q]
-                s = self._cd_sign[p][q]
-                coeff = cx * cy if s > 0 else -cx * cy
-                block = k_cd * nb
-                for k, g in enumerate(self.base.gamma[i][j]):
-                    if g != 0:
-                        out[block + k] += coeff * g
-        return out
-
-    def basis_product(self, n: int, m: int):
-        x = self.zero_vector()
-        y = self.zero_vector()
-        x[n] = Fraction(1)
-        y[m] = Fraction(1)
-        return self.multiply(x, y)
-
-    def _verify_associative(self) -> bool:
-        vecs = []
-        for n in range(self.dim):
-            v = self.zero_vector()
-            v[n] = Fraction(1)
-            vecs.append(v)
-        for a in vecs:
-            for b in vecs:
-                ab = self.multiply(a, b)
-                for c in vecs:
-                    if self.multiply(ab, c) != self.multiply(a, self.multiply(b, c)):
-                        return False
-        return True
-
-    def dense_gamma(self):
-        return [
-            [self.basis_product(n, m) for m in range(self.dim)]
-            for n in range(self.dim)
-        ]
 
     def to_json_dict(self) -> dict:
         # basis_order records the fixed (b_i (x) e_p) -> p * dim(B) + i layout
@@ -420,43 +391,23 @@ def multiply_via_regular_representation(x: TensorElement, y: TensorElement):
 # centre, nucleus, classic limit, embeddings
 # ---------------------------------------------------------------------------
 
-def _algebra_view(algebra):
-    """(dim, basis_product) for either algebra flavour."""
-    if isinstance(algebra, TensorAlgebra):
-        return algebra.dim, algebra.basis_product
-    if isinstance(algebra, StructureAlgebra):
-        def basis_product(n, m):
-            return algebra.multiply(algebra.basis_vector(n), algebra.basis_vector(m))
-        return algebra.dim, basis_product
-    raise TypeError(f"unsupported algebra {algebra!r}")
-
-
-def _multiply_general(algebra, x, y):
-    if isinstance(algebra, TensorAlgebra):
-        return algebra.multiply(x, y)
-    return algebra.multiply(x, y)
-
-
 def centre(algebra) -> list:
     """Basis of {x : xb = bx for every b}, the nullspace of all commutator
     operators; each returned vector is re-verified to commute."""
-    dim, basis_product = _algebra_view(algebra)
+    dim = algebra.dim
     rows = []
     for j in range(dim):
         # commutator with basis element j, acting on the unknown coefficients
+        left = [algebra.basis_product(n, j) for n in range(dim)]
+        right = [algebra.basis_product(j, n) for n in range(dim)]
         for k in range(dim):
-            row = []
-            for n in range(dim):
-                left = basis_product(n, j)[k]
-                right = basis_product(j, n)[k]
-                row.append(left - right)
-            rows.append(row)
+            rows.append([left[n][k] - right[n][k] for n in range(dim)])
     basis = nullspace(rows, dim)
     for vec in basis:
         for j in range(dim):
-            ej = [Fraction(int(t == j)) for t in range(dim)]
-            if _multiply_general(algebra, vec, ej) != _multiply_general(algebra, ej, vec):
-                raise AssertionError("centre vector fails to commute")
+            ej = algebra.basis_vector(j)
+            if algebra.multiply(vec, ej) != algebra.multiply(ej, vec):
+                raise VerificationError("centre vector fails to commute")
     return basis
 
 
@@ -466,11 +417,11 @@ def nucleus(algebra, cap: int = DEFAULT_NUCLEUS_CAP) -> list:
     Constraint rows are absorbed into a growing echelon so memory stays
     proportional to dim^2 even though there are 3*dim^3 constraints.
     """
-    dim, basis_product = _algebra_view(algebra)
+    dim = algebra.dim
     if dim > cap:
         raise DimTooLarge(f"nucleus capped at dimension {cap}, got {dim}")
 
-    mult_cache = [[basis_product(n, m) for m in range(dim)] for n in range(dim)]
+    mult_cache = algebra.gamma
     echelon = []  # (pivot column, normalized row)
 
     def absorb(row):
@@ -489,62 +440,36 @@ def nucleus(algebra, cap: int = DEFAULT_NUCLEUS_CAP) -> list:
                 echelon.append((col, row))
                 return
 
+    basis = [algebra.basis_vector(n) for n in range(dim)]
     for b in range(dim):
         for c in range(dim):
-            for r in _nucleus_rows(dim, mult_cache, b, c):
+            for r in _nucleus_rows(algebra.multiply, mult_cache, basis, b, c):
                 absorb(r)
 
-    constraint = [row for _, row in echelon]
-    return nullspace(constraint, dim) if constraint else nullspace([], dim)
+    return nullspace([row for _, row in echelon], dim)
 
 
-def _nucleus_rows(dim, mult_cache, b, c):
+def _nucleus_rows(mul, mult_cache, basis, b, c):
     """Constraint rows (one per output coordinate) for the three associator
-    placements of the unknown at fixed basis indices (b, c)."""
-    def mul(vec, j, left):
-        out = [Fraction(0)] * dim
-        for n, cv in enumerate(vec):
-            if cv != 0:
-                prod = mult_cache[j][n] if left else mult_cache[n][j]
-                for k, g in enumerate(prod):
-                    if g != 0:
-                        out[k] += cv * g
-        return out
-
+    placements of the unknown at fixed basis indices (b, c), built with the
+    product ``mul`` from the cached basis products."""
+    e_b, e_c = basis[b], basis[c]
     bc = mult_cache[b][c]
-    rows = []
-    cols_abc = []
-    cols_bac = []
-    cols_bca = []
-    for n in range(dim):
-        nb = mult_cache[n][b]
-        bn = mult_cache[b][n]
-        # [a, b, c] = (a b) c - a (b c)
-        a_bc = [Fraction(0)] * dim
-        for k, g in enumerate(bc):
-            if g != 0:
-                for kk, gg in enumerate(mult_cache[n][k]):
-                    if gg != 0:
-                        a_bc[kk] += g * gg
-        cols_abc.append([x - y for x, y in zip(mul(nb, c, left=False), a_bc)])
-        # [b, a, c] = (b a) c - b (a c)
-        nc = mult_cache[n][c]
-        b_ac = mul(nc, b, left=True)
-        cols_bac.append([x - y for x, y in zip(mul(bn, c, left=False), b_ac)])
-        # [b, c, a] = (b c) a - b (c a)
-        cn = mult_cache[c][n]
-        bc_a = [Fraction(0)] * dim
-        for k, g in enumerate(bc):
-            if g != 0:
-                for kk, gg in enumerate(mult_cache[k][n]):
-                    if gg != 0:
-                        bc_a[kk] += g * gg
-        b_ca = mul(cn, b, left=True)
-        cols_bca.append([x - y for x, y in zip(bc_a, b_ca)])
-    for k in range(dim):
-        rows.append([cols_abc[n][k] for n in range(dim)])
-        rows.append([cols_bac[n][k] for n in range(dim)])
-        rows.append([cols_bca[n][k] for n in range(dim)])
+
+    def diff(u, v):
+        return [x - y for x, y in zip(u, v)]
+
+    cols = []
+    for n, e_n in enumerate(basis):
+        cols.append((
+            # [a, b, c] = (a b) c - a (b c)
+            diff(mul(mult_cache[n][b], e_c), mul(e_n, bc)),
+            # [b, a, c] = (b a) c - b (a c)
+            diff(mul(mult_cache[b][n], e_c), mul(e_b, mult_cache[n][c])),
+            # [b, c, a] = (b c) a - b (c a)
+            diff(mul(bc, e_n), mul(e_b, mult_cache[c][n])),
+        ))
+    rows = [[col[t][k] for col in cols] for k in range(len(basis)) for t in range(3)]
     return [r for r in rows if any(x != 0 for x in r)]
 
 

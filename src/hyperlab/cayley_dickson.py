@@ -132,6 +132,35 @@ def structure_constants(r: int, max_level: int = DEFAULT_MAX_LEVEL) -> Multiplic
     return MultiplicationTable(level=r, index=idx, sign=sgn)
 
 
+def sparse_products(mult):
+    """Sparse form of a dense table: ``products[p][q]`` is the tuple of
+    nonzero ``(k, coefficient)`` pairs of the basis product b_p b_q."""
+    return [
+        [tuple((k, g) for k, g in enumerate(vec) if g != 0) for vec in row]
+        for row in mult
+    ]
+
+
+def structure_multiply(products, x, y, out):
+    """Add the product x y to ``out`` and return it, driven by the sparse
+    structure constants ``products`` (see ``sparse_products``).
+
+    The one product kernel of every finite algebra.  It needs only +, *
+    and != 0 of the coefficients, so polynomial entries work as well as
+    Fractions.
+    """
+    y_terms = [(q, cy) for q, cy in enumerate(y) if cy != 0]
+    for p, cx in enumerate(x):
+        if cx == 0:
+            continue
+        row = products[p]
+        for q, cy in y_terms:
+            c = cx * cy
+            for k, g in row[q]:
+                out[k] = out[k] + c * g
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -675,6 +704,7 @@ class ConjugatedAlgebra:
     def __init__(self, mult, conj, validate: bool = True):
         self.dim = len(mult)
         self.mult = [[list(vec) for vec in row] for row in mult]
+        self.products = sparse_products(self.mult)
         self.conj = [list(vec) for vec in conj]
         if validate:
             self.validate()
@@ -690,18 +720,7 @@ class ConjugatedAlgebra:
         return vec
 
     def multiply(self, x, y):
-        out = self._zero_vec()
-        for p, cx in enumerate(x):
-            if cx == 0:
-                continue
-            for q, cy in enumerate(y):
-                if cy == 0:
-                    continue
-                prod = self.mult[p][q]
-                for k in range(self.dim):
-                    if prod[k] != 0:
-                        out[k] = out[k] + cx * cy * prod[k]
-        return out
+        return structure_multiply(self.products, x, y, self._zero_vec())
 
     def conjugate_vector(self, x):
         out = self._zero_vec()

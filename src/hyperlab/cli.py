@@ -87,6 +87,8 @@ def _cmd_props(args) -> CommandResult:
     if args.mode == "exhaustive-basis":
         mode = ExhaustiveBasis()
     else:
+        if args.count < 1:
+            raise InputError("--count must be >= 1")
         mode = RandomSample(count=args.count, seed=args.seed)
     report = identity_battery(args.level, mode)
     return CommandResult(0, report.to_json_dict())
@@ -181,6 +183,8 @@ def _cmd_heyting(args) -> CommandResult:
             code = 1
     elif args.action == "quotient":
         members = [int(x) for x in args.filter.split(",")] if args.filter else []
+        if any(not 0 <= m < algebra.n for m in members):
+            raise InputError(f"--filter indices must lie in 0..{algebra.n - 1}")
         filt = hey.filter_generate(algebra, members)
         quotient, projection = hey.quotient_by_filter(algebra, filt)
         payload["filter"] = sorted(filt.members)
@@ -191,10 +195,18 @@ def _cmd_heyting(args) -> CommandResult:
 
 def _parse_matrix(args):
     if args.input:
-        return _load_json(args.input)
-    if args.matrix:
-        return json.loads(args.matrix)
-    raise InputError("need --matrix JSON or --input FILE")
+        matrix = _load_json(args.input)
+    elif args.matrix:
+        matrix = json.loads(args.matrix)
+    else:
+        raise InputError("need --matrix JSON or --input FILE")
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise InputError("matrix must be a JSON list of rows")
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise InputError("matrix rows must all have the same length")
+    if any(isinstance(x, bool) or not isinstance(x, int) for row in matrix for x in row):
+        raise InputError("matrix entries must be integers")
+    return matrix
 
 
 def _cmd_abelian(args) -> CommandResult:
@@ -207,6 +219,8 @@ def _cmd_abelian(args) -> CommandResult:
         group = ab.decompose(matrix)
         return CommandResult(0, {"group": group.to_json_dict(), "name": str(group)})
     if args.action in ("hom", "ext", "tensor"):
+        if args.g is None or args.h is None:
+            raise InputError(f"{args.action} needs --g and --h")
         g = ab.parse_group(args.g)
         h = ab.parse_group(args.h)
         fn = {"hom": ab.hom, "ext": ab.ext, "tensor": ab.tensor}[args.action]
@@ -249,6 +263,8 @@ def _load_point(raw: dict) -> dict:
 
 
 def _cmd_pde(args) -> CommandResult:
+    if args.action in ("heat", "dalembert") and args.nodes < 1:
+        raise InputError("--nodes must be >= 1")
     systems = jets.builtin_systems()
     if args.action in ("jacobian", "minors", "scan"):
         if args.system in systems:
@@ -373,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit raw JSON")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; results are identical for any value")
 
     p = sub.add_parser("table", help="structure constants of a doubling level")
     p.add_argument("--level", type=int, required=True)
@@ -468,8 +482,6 @@ def run(argv) -> CommandResult:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return CommandResult(2 if exc.code else 0, {"error": "usage"})
-    if args.threads < 1:
-        return CommandResult(2, {"error": "--threads must be >= 1"})
     try:
         return _HANDLERS[args.command](args)
     except InputError as exc:

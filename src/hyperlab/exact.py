@@ -15,6 +15,11 @@ import numpy as np
 DEFAULT_TOLERANCE = 1e-9
 
 
+class VerificationError(Exception):
+    """A computed result failed its own check: an internal fault, not bad
+    input, so it is deliberately not a ValueError."""
+
+
 def is_exact(value) -> bool:
     """True for int/Fraction scalars, False for floats."""
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)

@@ -258,8 +258,8 @@ def separable_dalembert_check(
     on a 1-d grid (analytic derivatives or central differences, caller's
     choice), likewise for g.  R vanishes identically whenever all sampled
     values and derivatives lie in one commutative associative subalgebra;
-    the report carries the commutativity diagnosis and, when R does not
-    vanish, the first offending node.
+    the report carries the commutativity diagnosis and, as witness, the
+    node with the largest residual when that residual exceeds the tolerance.
     """
     levels = {v.level for v in (*f_values, *g_values, *f_derivs, *g_derivs)}
     if len(levels) != 1:

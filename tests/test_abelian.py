@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +102,28 @@ class TestSmithNormalForm:
         matrix = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         factors, u, v, d = smith_normal_form(matrix)
         assert len(factors) == min(m, n)
+
+    def test_verification_survives_optimize_flag(self):
+        # under python -O a bare assert would vanish; the check must not
+        import hyperlab
+
+        script = (
+            "import sys\n"
+            "from hyperlab.abelian import _verify_snf, smith_normal_form\n"
+            "from hyperlab.exact import VerificationError\n"
+            "m = [[2, 0], [0, 3]]\n"
+            "factors, u, v, d = smith_normal_form(m)\n"
+            "d[1][1] += 1\n"
+            "try:\n"
+            "    _verify_snf(m, factors, u, v, d)\n"
+            "except VerificationError as exc:\n"
+            "    print(sys.flags.optimize, 'VerificationError', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperlab.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("1 VerificationError"), out.stdout
 
     def test_decompose_cokernel(self):
         assert decompose([[2, 0], [0, 3]]) == cyclic(6)

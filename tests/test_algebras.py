@@ -24,7 +24,12 @@ from hyperlab.algebras import (
     upper_triangular2_algebra,
     verify_embeddings,
 )
-from hyperlab.cayley_dickson import CDElement, cd_multiply, structure_constants
+from hyperlab.cayley_dickson import (
+    CDElement,
+    cd_multiply,
+    cd_multiply_recursive,
+    structure_constants,
+)
 
 
 def rand_element(algebra, rng):
@@ -82,17 +87,22 @@ class TestTensorAlgebra:
         assert not tensor_algebra(matrix2_algebra(), 3).associative
         assert not tensor_algebra(real_algebra(), 3).associative
 
-    def test_pure_tensor_law(self):
-        # (a (x) x)(b (x) y) = ab (x) xy on random pure tensors
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("base_name", sorted(BASE_ALGEBRAS))
+    def test_pure_tensor_law(self, base_name, level):
+        # (a (x) x)(b (x) y) = ab (x) xy on random pure tensors; the doubling
+        # factor comes from the recursive product, independent of the table
         rng = random.Random(1)
-        alg = tensor_algebra(matrix2_algebra(), 2)
+        alg = tensor_algebra(BASE_ALGEBRAS[base_name](), level)
+        nb, nc = alg.base.dim, alg.cd_dim
         for _ in range(20):
-            a = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
-            b = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
-            x = CDElement(2, [rng.randint(-2, 2) for _ in range(4)])
-            y = CDElement(2, [rng.randint(-2, 2) for _ in range(4)])
+            a = [Fraction(rng.randint(-2, 2)) for _ in range(nb)]
+            b = [Fraction(rng.randint(-2, 2)) for _ in range(nb)]
+            x = CDElement(level, [rng.randint(-2, 2) for _ in range(nc)])
+            y = CDElement(level, [rng.randint(-2, 2) for _ in range(nc)])
             lhs = qh_multiply(pure_tensor(alg, a, x), pure_tensor(alg, b, y))
-            rhs = pure_tensor(alg, alg.base.multiply(a, b), cd_multiply(x, y))
+            rhs = pure_tensor(alg, alg.base.multiply(a, b),
+                              cd_multiply_recursive(x, y))
             assert lhs == rhs
 
     def test_real_base_multiplication_is_cd(self):
@@ -151,6 +161,11 @@ class TestCentreNucleus:
 
     def test_octonion_nucleus_is_unit_line(self):
         assert len(nucleus(tensor_algebra(real_algebra(), 3))) == 1
+
+    def test_structure_algebra_nucleus(self):
+        # plain associative algebras: the nucleus is the whole algebra
+        assert len(nucleus(matrix2_algebra())) == 4
+        assert len(nucleus(upper_triangular2_algebra())) == 3
 
     def test_associative_algebra_nucleus_is_everything(self):
         alg = tensor_algebra(matrix2_algebra(), 2)

@@ -223,13 +223,18 @@ class TestDispatch:
     def test_usage_error_exit_code(self):
         assert run(["no-such-command"]).code == 2
 
-    def test_threads_flag_accepted(self):
-        a = run(["zerodiv", "--level", "4", "--threads", "1"])
-        b = run(["zerodiv", "--level", "4", "--threads", "4"])
-        assert a.payload == b.payload
-
-    def test_threads_must_be_positive(self):
-        assert run(["zerodiv", "--level", "3", "--threads", "0"]).code == 2
+    @pytest.mark.parametrize("argv", [
+        ["abelian", "snf", "--matrix", "[[1,2],[3]]"],  # ragged rows
+        ["abelian", "snf", "--matrix", "[[1.5,2]]"],  # non-integer entry
+        ["abelian", "hom", "--g", "Z4"],  # missing --h
+        ["pde", "heat", "--nodes", "0"],
+        ["heyting", "quotient", "--chain", "3", "--filter", "7"],
+        ["props", "--level", "2", "--mode", "random-sample", "--count", "-5"],
+    ])
+    def test_malformed_input_is_a_json_error(self, argv):
+        result = payload(argv)
+        assert result.code == 2
+        assert "error" in result.payload
 
     def test_main_prints_json(self, capsys):
         code = main(["abelian", "ext", "--g", "Z28", "--h", "Z2", "--json"])
