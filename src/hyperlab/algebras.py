@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cayley_dickson import (
     DEFAULT_MAX_LEVEL,
@@ -217,12 +218,12 @@ BASE_ALGEBRAS = {
 class TensorAlgebra(StructureAlgebra):
     """B (x) A_r on the basis b_i (x) e_p with index p * dim(B) + i.
 
-    The sparse table is built once, as the Kronecker combination of B's
-    table with the level-r doubling table: (b_i (x) e_p)(b_j (x) e_q) is
+    The sparse table is built on first use, as the Kronecker combination of
+    B's table with the level-r doubling table: (b_i (x) e_p)(b_j (x) e_q) is
     s * (b_i b_j) (x) e_k for e_p e_q = s * e_k.  Products then run through
     the shared kernel.  Associativity holds exactly when B is associative
     and r <= 2; the flag is re-verified on basis triples for dimensions up
-    to 32.
+    to 32, which builds the table at construction.
     """
 
     def __init__(self, base: StructureAlgebra, level: int,
@@ -232,29 +233,35 @@ class TensorAlgebra(StructureAlgebra):
         self.level = level
         self.cd_dim = table.dim
         self.dim = base.dim * self.cd_dim
-        # the +-1 doubling table, read by the regular-representation oracle
+        # the +-1 doubling table, read by the sparse table and the
+        # regular-representation oracle
         self._cd_index, self._cd_sign = table.index, table.sign
         self.name = f"{base.name} (x) A_{level}"
         self.classic_limit_functional = None
-        nb, cd = base.dim, range(self.cd_dim)
-        # shifted[s][i][j][k]: the terms of s * (b_i b_j) (x) e_k, shared
-        # by every (p, q) with e_p e_q = s * e_k
-        shifted = {
-            s: [[[tuple((k * nb + kb, s * g) for kb, g in base.products[i][j])
-                  for k in cd] for j in range(nb)] for i in range(nb)]
-            for s in (1, -1)
-        }
-        cd_products = [[table.product(p, q) for q in cd] for p in cd]
-        self.products = [
-            [shifted[s][i][j][k] for k, s in cd_products[p] for j in range(nb)]
-            for p in cd for i in range(nb)
-        ]
         self.unit = self.zero_vector()
         for i, c in enumerate(base.unit):
             self.unit[self.tensor_index(i, 0)] = c
         self.associative = base.associative and level <= 2
         if self.dim <= 32 and self.basis_associative() != self.associative:
             raise InvalidAlgebra("associativity flag disagrees with basis check")
+
+    @cached_property
+    def products(self):
+        """The sparse table, built on first use: ops that never multiply
+        (such as the classic limit) do not pay its dim^2 entries."""
+        nb, cd = self.base.dim, range(self.cd_dim)
+        # shifted[s][i][j][k]: the terms of s * (b_i b_j) (x) e_k, shared
+        # by every (p, q) with e_p e_q = s * e_k
+        shifted = {
+            s: [[[tuple((k * nb + kb, s * g) for kb, g in self.base.products[i][j])
+                  for k in cd] for j in range(nb)] for i in range(nb)]
+            for s in (1, -1)
+        }
+        return [
+            [shifted[self._cd_sign[p][q]][i][j][self._cd_index[p][q]]
+             for q in cd for j in range(nb)]
+            for p in cd for i in range(nb)
+        ]
 
     def tensor_index(self, i: int, p: int) -> int:
         return p * self.base.dim + i

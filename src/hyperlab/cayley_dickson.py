@@ -15,19 +15,31 @@ level 4.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .exact import (
+    CERTIFICATE_PRIME,
     DEFAULT_TOLERANCE,
     is_exact,
     matrix_rank_exact,
     matrix_rank_float,
+    matrix_rank_mod_p,
 )
 
 DEFAULT_MAX_LEVEL = 8
+
+# cd_multiply runs int products as int64 matvecs from this level on; below
+# it the Python loop is faster than numpy's per-call overhead
+VECTOR_MIN_LEVEL = 4
+# an int product goes through int64 only when dim * max|a| * max|b| is below
+# this, so no partial sum can overflow
+INT64_PRODUCT_BOUND = 1 << 62
 
 
 class LevelMismatch(ValueError):
@@ -94,8 +106,8 @@ class MultiplicationTable:
     """Structure constants of the level-r algebra.
 
     Each basis product e_p e_q equals sign[p][q] * e_{index[p][q]} with
-    sign +-1, so the full gamma^k_{pq} array has at most one nonzero entry
-    per (p, q); row and column 0 act as the identity.
+    sign +-1 and index[p][q] = p XOR q, so the full gamma^k_{pq} array has
+    one nonzero entry per (p, q); row and column 0 act as the identity.
     """
 
     level: int
@@ -166,11 +178,24 @@ def structure_multiply(products, x, y, out):
 # ---------------------------------------------------------------------------
 
 def _coerce_coeff(x):
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(x, (int, Fraction, float)):
+    # int and float first: an isinstance test against Fraction, an abstract
+    # base class, is slow for every other type
+    if isinstance(x, (int, float)):
+        if isinstance(x, bool):
+            raise TypeError("bool is not a scalar")
+        return x
+    if isinstance(x, Fraction):
         return x
     raise TypeError(f"unsupported coefficient {x!r}")
+
+
+def _element(level: int, coeffs: list) -> "CDElement":
+    """Wrap coefficients that arithmetic built from already validated ones,
+    skipping the per-coefficient check of the public constructor."""
+    el = object.__new__(CDElement)
+    el.level = level
+    el.coeffs = coeffs
+    return el
 
 
 class CDElement:
@@ -228,34 +253,34 @@ class CDElement:
         if not isinstance(other, CDElement):
             return NotImplemented
         self._require_same_level(other)
-        return CDElement(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _element(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, CDElement):
             return NotImplemented
         self._require_same_level(other)
-        return CDElement(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _element(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return CDElement(self.level, [-a for a in self.coeffs])
+        return _element(self.level, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, CDElement):
             return cd_multiply(self, other)
         if isinstance(other, (int, Fraction, float)) and not isinstance(other, bool):
-            return CDElement(self.level, [a * other for a in self.coeffs])
+            return _element(self.level, [a * other for a in self.coeffs])
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, float)) and not isinstance(other, bool):
-            return CDElement(self.level, [other * a for a in self.coeffs])
+            return _element(self.level, [other * a for a in self.coeffs])
         return NotImplemented
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction, float)) and not isinstance(scalar, bool):
             if is_exact(scalar):
-                return CDElement(self.level, [Fraction(a) / scalar for a in self.coeffs])
-            return CDElement(self.level, [a / scalar for a in self.coeffs])
+                return _element(self.level, [Fraction(a) / scalar for a in self.coeffs])
+            return _element(self.level, [a / scalar for a in self.coeffs])
         return NotImplemented
 
     def __eq__(self, other):
@@ -321,22 +346,55 @@ class CDElement:
 # products
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _xor_tables(r: int):
+    """int64 arrays (cols, left, right) with cols[k][j] = k ^ j, such that
+    a[cols] * left and a[cols] * right are the matrices of x -> a x and
+    x -> x a: left[k][j] is the sign of e_{k^j} e_j, right[k][j] that of
+    e_j e_{k^j}."""
+    j = np.arange(1 << r)
+    cols = j[:, None] ^ j[None, :]
+    sgn = np.array(_basis_tables(r)[1], dtype=np.int64)
+    return cols, sgn[cols, j[None, :]], sgn[j[None, :], cols]
+
+
+def _int64_product_fits(x, y) -> bool:
+    """Both vectors hold only ints and dim * max|x| * max|y| < 2^62, computed
+    exactly with Python ints: then no partial sum of the product overflows."""
+    if {*map(type, x), *map(type, y)} != {int}:
+        return False
+    return len(x) * max(map(abs, x)) * max(map(abs, y)) < INT64_PRODUCT_BOUND
+
+
 def cd_multiply(a: CDElement, b: CDElement) -> CDElement:
-    """Product at the common level, driven by the cached basis table."""
+    """Product at the common level: e_p e_q = sign[p][q] * e_{p XOR q}.
+
+    From level ``VECTOR_MIN_LEVEL`` on, when both operands hold only ints and
+    dim * max|a| * max|b| < 2^62 (``INT64_PRODUCT_BOUND``), the product is one
+    int64 gather-and-matvec, exact because no partial sum can overflow.
+    Everything else (Fractions, floats, larger ints) runs the Python loop,
+    whose summation order keeps float results bit-identical.
+    """
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: {a.level} vs {b.level}")
-    idx, sgn = _basis_tables(a.level)
-    out = [0] * (1 << a.level)
+    level = a.level
+    if level >= VECTOR_MIN_LEVEL and _int64_product_fits(a.coeffs, b.coeffs):
+        # ab is the right-multiplication matrix of b applied to a
+        cols, _, right = _xor_tables(level)
+        y = np.array(b.coeffs, dtype=np.int64)
+        out = (y[cols] * right) @ np.array(a.coeffs, dtype=np.int64)
+        return _element(level, out.tolist())
+    sgn = _basis_tables(level)[1]
+    out = [0] * (1 << level)
     for p, ca in enumerate(a.coeffs):
         if ca == 0:
             continue
-        row_idx = idx[p]
         row_sgn = sgn[p]
         for q, cb in enumerate(b.coeffs):
             if cb == 0:
                 continue
-            out[row_idx[q]] += row_sgn[q] * ca * cb
-    return CDElement(a.level, out)
+            out[p ^ q] += row_sgn[q] * ca * cb
+    return _element(level, out)
 
 
 def _conj_vec(v):
@@ -368,12 +426,12 @@ def cd_multiply_recursive(a: CDElement, b: CDElement) -> CDElement:
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: {a.level} vs {b.level}")
-    return CDElement(a.level, _mul_vec_recursive(a.coeffs, b.coeffs))
+    return _element(a.level, _mul_vec_recursive(a.coeffs, b.coeffs))
 
 
 def conjugate(a: CDElement) -> CDElement:
     """Fix e_0, negate every imaginary coefficient; an involution."""
-    return CDElement(a.level, _conj_vec(a.coeffs))
+    return _element(a.level, _conj_vec(a.coeffs))
 
 
 def trace(a: CDElement):
@@ -397,42 +455,65 @@ def inverse_quadratic(a: CDElement) -> CDElement:
 
 
 def left_multiplication_matrix(a: CDElement):
-    """Matrix of x -> a*x in the basis, as columns over the scalar field."""
-    idx, sgn = _basis_tables(a.level)
+    """Matrix of x -> a*x in the basis, as columns over the scalar field.
+
+    Entry [k][q] is the e_k coefficient of a e_q, which only e_p e_q with
+    p = k ^ q reaches."""
+    sgn = _basis_tables(a.level)[1]
     dim = 1 << a.level
-    mat = [[0] * dim for _ in range(dim)]
-    for p, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for q in range(dim):
-            mat[idx[p][q]][q] += sgn[p][q] * ca
-    return mat
+    c = a.coeffs
+    return [[sgn[k ^ q][q] * c[k ^ q] for q in range(dim)] for k in range(dim)]
 
 
 def right_multiplication_matrix(a: CDElement):
-    """Matrix of x -> x*a in the basis."""
-    idx, sgn = _basis_tables(a.level)
+    """Matrix of x -> x*a in the basis: entry [k][p] comes from e_p e_{k^p}."""
+    sgn = _basis_tables(a.level)[1]
     dim = 1 << a.level
-    mat = [[0] * dim for _ in range(dim)]
-    for q, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for p in range(dim):
-            mat[idx[p][q]][p] += sgn[p][q] * ca
-    return mat
+    c = a.coeffs
+    return [[sgn[p][k ^ p] * c[k ^ p] for p in range(dim)] for k in range(dim)]
 
 
-def is_operator_invertible(a: CDElement) -> tuple[bool, bool]:
-    """Full-rank test for the left and right multiplication operators.
+_MATRICES = {"left": left_multiplication_matrix,
+             "right": right_multiplication_matrix}
+
+
+def is_operator_invertible(
+    a: CDElement,
+    tolerance: float = DEFAULT_TOLERANCE,
+    sides: tuple = ("left", "right"),
+) -> tuple:
+    """Full-rank tests of the multiplication operators x -> a*x ("left")
+    and x -> x*a ("right"), one bool per entry of ``sides``.
 
     Separates "nonzero norm" from "cancellable": zero divisors at level 4
     have nonzero norm but rank-deficient multiplication operators.
+
+    Exact elements are scaled to integers (every row of the matrix by the
+    lcm of the denominators) and eliminated mod ``exact.CERTIFICATE_PRIME``
+    = 2^31 - 1 in int64; full rank mod p certifies full rank.  A matrix
+    that is rank-deficient mod p falls back to the exact Fraction
+    ``matrix_rank_exact``, so zero divisors are always decided exactly.
+    The zero element, whose operators are zero, needs neither.  Float
+    elements count the singular values above ``tolerance``.
     """
     dim = 1 << a.level
-    rank = matrix_rank_exact if a.is_exact else matrix_rank_float
-    left = rank(left_multiplication_matrix(a)) == dim
-    right = rank(right_multiplication_matrix(a)) == dim
-    return left, right
+    if a.is_zero():
+        return (False,) * len(sides)
+    if not a.is_exact:
+        return tuple(matrix_rank_float(_MATRICES[side](a), tolerance) == dim
+                     for side in sides)
+    scale = math.lcm(*(c.denominator for c in a.coeffs))
+    residues = np.array(
+        [c.numerator * (scale // c.denominator) % CERTIFICATE_PRIME for c in a.coeffs],
+        dtype=np.int64,
+    )
+    cols, left, right = _xor_tables(a.level)
+    signs = {"left": left, "right": right}
+    return tuple(
+        matrix_rank_mod_p(residues[cols] * signs[side]) == dim
+        or matrix_rank_exact(_MATRICES[side](a)) == dim
+        for side in sides
+    )
 
 
 def associator(a: CDElement, b: CDElement, c: CDElement) -> CDElement:

@@ -14,6 +14,9 @@ import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 
+# 2^31 - 1: residues stay below 2^31, so a product of two fits in int64
+CERTIFICATE_PRIME = 2_147_483_647
+
 
 class VerificationError(Exception):
     """A computed result failed its own check: an internal fault, not bad
@@ -69,11 +72,41 @@ def matrix_rank_exact(matrix) -> int:
     return len(rref(matrix)[1])
 
 
-def matrix_rank_float(matrix) -> int:
+def matrix_rank_float(matrix, tolerance: float) -> int:
+    """Numerical rank: the number of singular values above ``tolerance``."""
     arr = np.asarray(matrix, dtype=float)
     if arr.size == 0:
         return 0
-    return int(np.linalg.matrix_rank(arr))
+    return int(np.linalg.matrix_rank(arr, tol=tolerance))
+
+
+def matrix_rank_mod_p(matrix) -> int:
+    """Rank over GF(p), p = ``CERTIFICATE_PRIME``, of an integer matrix whose
+    entries fit in int64.
+
+    Reducing mod p can only lose rank, so the result is a lower bound on
+    ``matrix_rank_exact``: full rank mod p proves full rank.  p is below
+    2^31, so products of residues fit in int64.
+    """
+    p = CERTIFICATE_PRIME
+    m = np.array(matrix, dtype=np.int64, ndmin=2) % p
+    nrows, ncols = m.shape
+    rank = 0
+    for col in range(ncols):
+        nonzero = np.flatnonzero(m[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        row = m[rank, col:] * pow(int(m[rank, col]), -1, p) % p
+        below = m[rank + 1:, col:]
+        below -= np.outer(below[:, 0], row)
+        below %= p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def nullspace(matrix, ncols: int | None = None):

@@ -335,6 +335,9 @@ def heyting_from_chain(n: int) -> HeytingAlgebra:
     p -> q = q when p > q and 1 otherwise; Boolean only for n <= 2."""
     if n < 1:
         raise InvalidLattice("chain needs at least one element")
+    if n > MAX_LATTICE:
+        # before the n x n tables, which a huge n would not fit in memory
+        raise InvalidLattice(f"size capped at {MAX_LATTICE}")
     rng = range(n)
     meet = [[min(a, b) for b in rng] for a in rng]
     join = [[max(a, b) for b in rng] for a in rng]

@@ -252,7 +252,7 @@ def _value_invertible(value, tolerance: float):
         ok = value != 0 if is_exact(value) else abs(value) > tolerance
         return ok, repr(value)
     if isinstance(value, CDElement):
-        left, _right = is_operator_invertible(value)
+        (left,) = is_operator_invertible(value, tolerance, sides=("left",))
         return left, repr(value)
     raise AlgebraMismatch(f"unsupported point value {value!r}")
 
@@ -342,6 +342,8 @@ def classify_point(
     at the point, to a value with an invertible left-multiplication
     operator.  The point must satisfy the equations first (OffVariety
     otherwise; exact points exactly, float points within the tolerance).
+    A float algebra value's operator is invertible when all its singular
+    values exceed the tolerance.
     """
     env, one = _fill_point(system, point)
     order = system.coords.variables

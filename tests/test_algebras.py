@@ -219,6 +219,21 @@ class TestClassicLimit:
             y = rand_element(alg, rng)
             assert classic_limit(x + y) == classic_limit(x) + classic_limit(y)
 
+    def test_large_algebra_builds_its_table_on_first_product(self):
+        # mat2 (x) A_8 has dim 1024: the classic limit needs no products
+        alg = tensor_algebra(matrix2_algebra(), 8)
+        assert "products" not in vars(alg)
+        assert classic_limit(TensorElement(alg, alg.unit_vector())) == 1
+        assert "products" not in vars(alg)
+        x = alg.basis_vector(alg.tensor_index(1, 3))
+        y = alg.basis_vector(alg.tensor_index(2, 5))
+        # (b_1 (x) e_3)(b_2 (x) e_5) = (b_1 b_2) (x) e_3 e_5, e_3 e_5 = -e_6
+        expected = alg.zero_vector()
+        for k, g in alg.base.products[1][2]:
+            expected[alg.tensor_index(k, 6)] = -g
+        assert alg.multiply(x, y) == expected
+        assert "products" in vars(alg)
+
     def test_missing_functional(self):
         bare = StructureAlgebra([[[1]]], [1])
         alg = tensor_algebra(bare, 1)

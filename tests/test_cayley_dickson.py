@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab.cayley_dickson import (
+    INT64_PRODUCT_BOUND,
+    VECTOR_MIN_LEVEL,
     CDElement,
     ExhaustiveBasis,
     InvalidConjugation,
@@ -24,13 +26,17 @@ from hyperlab.cayley_dickson import (
     identity_battery,
     inverse_quadratic,
     is_operator_invertible,
+    left_multiplication_matrix,
     norm_sq,
     quadratic_algebra,
     quaternion_to_complex_matrix,
     pauli_matrices,
+    right_multiplication_matrix,
     structure_constants,
     trace,
 )
+from hyperlab.cayley_dickson import _int64_product_fits
+from hyperlab.exact import CERTIFICATE_PRIME, matrix_rank_exact, matrix_rank_mod_p
 
 
 def e(r, k, scale=1):
@@ -41,6 +47,42 @@ def rational_element(r, rng):
     return CDElement(
         r, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(1 << r)]
     )
+
+
+def table_loop_product(a, b):
+    """e_p e_q = sign * e_index summed over (p, q) in order: the reference
+    whose float summation order the kernel must keep."""
+    t = structure_constants(a.level)
+    out = [0] * t.dim
+    for p, ca in enumerate(a.coeffs):
+        if ca == 0:
+            continue
+        for q, cb in enumerate(b.coeffs):
+            if cb == 0:
+                continue
+            out[t.index[p][q]] += t.sign[p][q] * ca * cb
+    return out
+
+
+SCALARS = {
+    "int": st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)),
+    "fraction": st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    # dyadic floats: every partial sum is exact, so any summation order agrees
+    "dyadic-float": st.integers(-64, 64).map(lambda n: n / 8),
+}
+
+
+@st.composite
+def element_pair(draw, kind):
+    level = draw(st.integers(0, 7))
+    vec = st.lists(SCALARS[kind], min_size=1 << level, max_size=1 << level)
+    return CDElement(level, draw(vec)), CDElement(level, draw(vec))
+
+
+def exact_invertible(a):
+    dim = 1 << a.level
+    return (matrix_rank_exact(left_multiplication_matrix(a)) == dim,
+            matrix_rank_exact(right_multiplication_matrix(a)) == dim)
 
 
 class TestMultiplication:
@@ -74,6 +116,49 @@ class TestMultiplication:
                 x = CDElement(r, [rng.randint(-3, 3) for _ in range(1 << r)])
                 y = CDElement(r, [rng.randint(-3, 3) for _ in range(1 << r)])
                 assert cd_multiply(x, y) == cd_multiply_recursive(x, y)
+
+    @pytest.mark.parametrize("kind", sorted(SCALARS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_kernel_agrees_with_recursion(self, kind, data):
+        a, b = data.draw(element_pair(kind))
+        product = cd_multiply(a, b)
+        assert product == cd_multiply_recursive(a, b)
+        assert list(map(type, product.coeffs)) == list(
+            map(type, table_loop_product(a, b)))
+
+    @pytest.mark.parametrize("magnitude, vectorised", [(2 ** 20, True),
+                                                        (2 ** 40, False)])
+    def test_int64_bound_both_sides(self, magnitude, vectorised):
+        # level 6: 64 * (2^20)^2 = 2^46 takes int64, 64 * (2^40)^2 = 2^86
+        # would overflow it and must stay on Python ints
+        assert VECTOR_MIN_LEVEL <= 6
+        rng = random.Random(magnitude)
+        for _ in range(6):
+            a, b = (CDElement(6, [magnitude] + [rng.randint(-magnitude, magnitude)
+                                                for _ in range(63)]) for _ in range(2))
+            assert _int64_product_fits(a.coeffs, b.coeffs) == vectorised
+            assert cd_multiply(a, b) == cd_multiply_recursive(a, b)
+
+    def test_int64_bound_is_strict(self):
+        # dim * max|a| * max|b| equal to 2^62 stays on Python ints
+        assert INT64_PRODUCT_BOUND == 2 ** 62
+        below = [2 ** 28 - 1] * 64
+        at = [-(2 ** 28)] * 64
+        assert _int64_product_fits(below, at)
+        assert not _int64_product_fits(at, at)
+        assert not _int64_product_fits([1.0] * 64, [1] * 64)
+        assert not _int64_product_fits([Fraction(1)] * 64, [1] * 64)
+
+    @pytest.mark.parametrize("level", range(0, 8))
+    def test_float_products_bit_identical_to_table_loop(self, level):
+        rng = random.Random(level)
+        for _ in range(4):
+            a, b = (CDElement(level, [rng.uniform(-3, 3) if rng.random() < 0.8
+                                      else 0.0 for _ in range(1 << level)])
+                    for _ in range(2))
+            got = cd_multiply(a, b).coeffs
+            assert list(map(repr, got)) == list(map(repr, table_loop_product(a, b)))
 
     def test_bilinearity(self):
         rng = random.Random(5)
@@ -151,6 +236,52 @@ class TestInverse:
         assert is_operator_invertible(CDElement.zero(4)) == (False, False)
         assert is_operator_invertible(e(3, 1)) == (True, True)
 
+    def test_sides_select_operators(self):
+        a = e(4, 3) + e(4, 10)
+        assert is_operator_invertible(a, sides=("left",)) == (False,)
+        assert is_operator_invertible(e(4, 1), sides=("right", "left")) == (True, True)
+
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    def test_zero_divisors_agree_with_exact_rank(self, level):
+        pairs = find_zero_divisors(4)[::500]
+        assert len(pairs) >= 3
+        for a, b in pairs:
+            for x in (a, b):
+                lifted = CDElement(level, x.coeffs + [0] * ((1 << level) - 16))
+                assert is_operator_invertible(lifted) == exact_invertible(lifted)
+                assert is_operator_invertible(lifted) == (False, False)
+        # zero divisors outside the sedenion block, as the d'Alembert scans use
+        top = (1 << level) - 16
+        x = e(level, top + 3) + e(level, top + 10, -1)
+        assert is_operator_invertible(x) == exact_invertible(x)
+
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    def test_random_elements_agree_with_exact_rank(self, level):
+        # a unit part and three imaginary terms, as the d'Alembert scans use:
+        # sparse enough for the Fraction oracle at level 6
+        rng = random.Random(level)
+        for _ in range(3):
+            coeffs = [0] * (1 << level)
+            coeffs[0] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            for k in rng.sample(range(1, 1 << level), 3):
+                coeffs[k] = rng.choice([-3, -2, -1, 1, 2, 3])
+            x = CDElement(level, coeffs)
+            assert is_operator_invertible(x) == exact_invertible(x) == (True, True)
+
+    @pytest.mark.parametrize("level", [0, 4, 6])
+    def test_certificate_prime_multiple_falls_back_to_exact(self, level):
+        # p * e0 is singular mod p, so only the exact fallback can answer
+        x = CDElement(level, [CERTIFICATE_PRIME] + [0] * ((1 << level) - 1))
+        assert matrix_rank_mod_p(left_multiplication_matrix(x)) == 0
+        assert is_operator_invertible(x) == exact_invertible(x) == (True, True)
+        y = x + e(level, level and 3, CERTIFICATE_PRIME)
+        assert is_operator_invertible(y) == exact_invertible(y)
+
+    def test_fraction_scaling_keeps_rank(self):
+        # denominators are cleared before reducing mod p
+        x = CDElement(4, [Fraction(1, CERTIFICATE_PRIME)] + [Fraction(1, 3)] * 15)
+        assert is_operator_invertible(x) == exact_invertible(x)
+
 
 class TestAssociatorCommutator:
     def test_quaternions_associate(self):
@@ -209,6 +340,13 @@ class TestStructureConstants:
         structure_constants(9, max_level=9)  # configurable
         with pytest.raises(LevelTooLarge):
             structure_constants(-1)
+
+    def test_index_is_xor(self):
+        # the kernel indexes e_p e_q by p ^ q and reads only the signs
+        for r in range(0, 8):
+            t = structure_constants(r)
+            assert all(t.index[p][q] == p ^ q
+                       for p in range(t.dim) for q in range(t.dim))
 
     def test_dense_gamma_sparsity(self):
         t = structure_constants(2)
@@ -395,6 +533,18 @@ class TestSerialization:
         x = CDElement(3, [Fraction(1, 2), 0, -3, Fraction(5, 7), 0, 0, 1, 0])
         back = CDElement.from_json_dict(x.to_json_dict())
         assert back == x
+
+    def test_constructor_rejects_bad_coefficients(self):
+        with pytest.raises(TypeError):
+            CDElement(1, [True, 0])
+        with pytest.raises(TypeError):
+            CDElement(1, ["1", 0])
+        with pytest.raises(TypeError):
+            CDElement(1, [None, 0])
+        with pytest.raises(ValueError):
+            CDElement(2, [1, 2, 3])
+        with pytest.raises(ValueError):
+            CDElement.from_json_dict({"level": 1, "coeffs": ["1", "x"]})
 
     def test_table_export(self):
         t = structure_constants(3)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,14 @@ class TestDispatch:
         result = payload(argv)
         assert result.code == 2
         assert "error" in result.payload
+
+    def test_oversized_chain_rejected_before_allocation(self):
+        # 3000^2-entry tables would take seconds and hundreds of MB
+        start = time.perf_counter()
+        result = payload(["heyting", "build", "--chain", "3000"])
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert "256" in result.payload["error"]
 
     def test_main_prints_json(self, capsys):
         code = main(["abelian", "ext", "--g", "Z28", "--h", "Z2", "--json"])

@@ -167,6 +167,16 @@ class TestClassification:
         cls = classify_point(systems["dalembert"], {"u": u}, 1)
         assert cls.regular
 
+    def test_tolerance_reaches_float_operator_rank(self, systems):
+        # a float point 1e-6 away from the zero divisor e3 + e10: its left
+        # operator has six singular values of 1e-6
+        coeffs = [0.0] * 16
+        coeffs[0], coeffs[3], coeffs[10] = 1e-6, 1.0, 1.0
+        point = {"u": CDElement(4, coeffs)}
+        tight = classify_point(systems["dalembert"], point, 1, tolerance=1e-9)
+        loose = classify_point(systems["dalembert"], point, 1, tolerance=1e-3)
+        assert (tight.label, loose.label) == ("Regular", "Singular")
+
     def test_mixed_levels_rejected(self, systems):
         with pytest.raises(AlgebraMismatch):
             classify_point(

@@ -1,6 +1,8 @@
 """Source-level rules for the package itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +20,13 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is a test-only oracle; a fresh interpreter shows what the CLI loads
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hyperlab.cli; "
+            "print('sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
