@@ -1,12 +1,24 @@
 """Finite Heyting algebras: construction, laws, filters, quotients.
 
-Elements of a finite algebra are dense indices 0..n-1 with index 0 the
-bottom element; meet, join and implication are n x n index tables and the
-order is recovered as a <= b iff a /\\ b = a.  Constructors exist for
-finite topologies (implication by interior of union-with-complement),
-chains, poset up-sets, and raw lattice tables (where the implication is
-found by brute force or the construction is rejected).  Ground sets are
-capped at 16 points so subsets fit in bitmask ints.
+Elements of a finite algebra are dense indices 0..n-1; meet, join and
+implication are n x n index tables, stored as lists of rows (their JSON
+form), and the order is recovered as a <= b iff a /\\ b = a.  Constructors
+exist for finite topologies, chains, poset up-sets, and raw lattice tables
+(where the implication is found by search or the construction is
+rejected).  Ground sets are capped at 16 points so subsets fit in bitmask
+ints, and algebras at 256 elements; both caps are checked before any table
+is built.
+
+Every law is checked on all pairs and all triples, as whole-table numpy
+comparisons on int32 copies of the tables: a law in two variables is one
+n x n comparison, and a law in three runs one n x n slab of all (b, c)
+per first argument a, so no array ever holds n^3 entries.  Only the
+construction check of algebras of at most LOOP_MAX elements stays a plain
+loop, which finishes before numpy's per-call cost is paid back.  When a
+check fails, both forms name the law that the loop over a, then b, then c
+finds first.  The implication of a topology is the interior of
+(complement of a) union b; opens are closed under union, so that interior
+is the union of the opens it contains, found for all b of one a at once.
 """
 
 from __future__ import annotations
@@ -14,8 +26,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MAX_POINTS = 16
 MAX_LATTICE = 256
+# Up to this many elements construction checks the laws by plain Python
+# loops: each numpy call costs microseconds whatever the table size, and
+# below about this size the loops finish first.
+LOOP_MAX = 8
 
 
 class InvalidTopology(ValueError):
@@ -76,12 +94,14 @@ class FiniteTopology:
         return (1 << len(self.points)) - 1
 
     def interior(self, mask: int) -> int:
-        """Largest open contained in the given subset."""
-        best = 0
+        """Largest open contained in the given subset: the union of the
+        opens it contains, which is open because opens are closed under
+        union."""
+        inner = 0
         for o in self.opens:
-            if o & ~mask == 0 and _popcount(o) > _popcount(best):
-                best = o
-        return best
+            if o & ~mask == 0:
+                inner |= o
+        return inner
 
     def mask_name(self, mask: int) -> list:
         return [p for i, p in enumerate(self.points) if mask >> i & 1]
@@ -200,19 +220,67 @@ class FinitePoset:
 # the algebra
 # ---------------------------------------------------------------------------
 
+def _check_index_table(name: str, table, n: int) -> None:
+    """Reject anything but an n x n table of integer indices in 0..n-1
+    (numpy would wrap a negative index silently)."""
+    if (not isinstance(table, (list, tuple)) or len(table) != n
+            or any(not isinstance(row, (list, tuple)) or len(row) != n
+                   for row in table)):
+        raise InvalidLattice(f"{name} table must be {n} x {n}")
+    kinds = set()
+    for row in table:
+        kinds.update(map(type, row))
+    if any(kind is bool or not issubclass(kind, int) for kind in kinds):
+        raise InvalidLattice(f"{name} entries must be integers")
+    if not all(0 <= min(row) and max(row) < n for row in table):
+        raise InvalidLattice(f"{name} entries must lie in 0..{n - 1}")
+
+
+def _table_size(meet) -> int:
+    """The n of an n x n meet table, with 1 <= n <= MAX_LATTICE."""
+    if not isinstance(meet, (list, tuple)):
+        raise InvalidLattice("meet table must be a list of rows")
+    if not meet:
+        raise InvalidLattice("algebra needs at least one element")
+    if len(meet) > MAX_LATTICE:
+        raise InvalidLattice(f"size capped at {MAX_LATTICE}")
+    return len(meet)
+
+
+_PAIR_LAWS = ("idempotence fails", "bounds are not extreme",
+              "meet not commutative", "join not commutative", "absorption fails")
+_TRIPLE_LAWS = ("meet not associative", "join not associative",
+                "meet does not distribute over join",
+                "join does not distribute over meet", "residuation law fails")
+
+
 class HeytingAlgebra:
     """Finite bounded lattice with a residuated implication.
 
-    Construction verifies, over all pairs/triples: the bounded-lattice laws,
-    both distributivity identities, and the residuation law
-    a /\\ c <= b  iff  c <= (a -> b).
+    Construction first checks the shape of the input: at most MAX_LATTICE
+    elements, square tables of integer indices in range, and bounds and
+    labels in range.  With ``verify`` it then checks, over all pairs and triples, the
+    bounded-lattice laws, both distributivity identities, and the
+    residuation law a /\\ c <= b  iff  c <= (a -> b).  Above LOOP_MAX
+    elements the pair laws are whole n x n table comparisons and the five
+    triple laws run on one n x n slab of all (b, c) per a; smaller tables
+    are looped over.  A failure raises InvalidLattice with the message of
+    the first failing check in the order a, b, c, then the laws in the
+    order of ``_PAIR_LAWS`` and ``_TRIPLE_LAWS``.
     """
 
     def __init__(self, meet, join, impl, bottom: int, top: int,
                  labels=None, verify: bool = True):
-        self.n = len(meet)
-        if self.n > MAX_LATTICE:
-            raise InvalidLattice(f"size capped at {MAX_LATTICE}")
+        self.n = _table_size(meet)
+        for name, table in (("meet", meet), ("join", join), ("impl", impl)):
+            _check_index_table(name, table, self.n)
+        for name, value in (("bottom", bottom), ("top", top)):
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or not 0 <= value < self.n:
+                raise InvalidLattice(f"{name} must be an index in 0..{self.n - 1}")
+        if labels is not None and (not isinstance(labels, (list, tuple))
+                                   or len(labels) != self.n):
+            raise InvalidLattice(f"labels must be a list of {self.n} names")
         self.meet = [list(row) for row in meet]
         self.join = [list(row) for row in join]
         self.impl = [list(row) for row in impl]
@@ -233,38 +301,86 @@ class HeytingAlgebra:
     def elements(self):
         return range(self.n)
 
+    def _arrays(self):
+        """Fresh int32 copies of the meet, join and implication tables
+        (at n = 256 the slab gathers ran about twice as fast on 4-byte
+        entries as on 8-byte ones)."""
+        return tuple(np.array(t, dtype=np.int32)
+                     for t in (self.meet, self.join, self.impl))
+
     # verification ----------------------------------------------------------
 
     def _verify(self) -> None:
+        if self.n <= LOOP_MAX:
+            self._verify_loops()
+        else:
+            self._verify_slabs()
+
+    def _verify_loops(self) -> None:
+        """The laws as plain loops over a, then b, then c: the fast form
+        for small tables, and the order whose first failure both forms
+        report."""
         rng = range(self.n)
         for a in rng:
             if self.meet[a][a] != a or self.join[a][a] != a:
-                raise InvalidLattice("idempotence fails")
+                raise InvalidLattice(_PAIR_LAWS[0])
             if not self.leq(self.bottom, a) or not self.leq(a, self.top):
-                raise InvalidLattice("bounds are not extreme")
+                raise InvalidLattice(_PAIR_LAWS[1])
             for b in rng:
                 if self.meet[a][b] != self.meet[b][a]:
-                    raise InvalidLattice("meet not commutative")
+                    raise InvalidLattice(_PAIR_LAWS[2])
                 if self.join[a][b] != self.join[b][a]:
-                    raise InvalidLattice("join not commutative")
+                    raise InvalidLattice(_PAIR_LAWS[3])
                 if self.meet[a][self.join[a][b]] != a or self.join[a][self.meet[a][b]] != a:
-                    raise InvalidLattice("absorption fails")
+                    raise InvalidLattice(_PAIR_LAWS[4])
         for a in rng:
             for b in rng:
                 for c in rng:
                     if self.meet[self.meet[a][b]][c] != self.meet[a][self.meet[b][c]]:
-                        raise InvalidLattice("meet not associative")
+                        raise InvalidLattice(_TRIPLE_LAWS[0])
                     if self.join[self.join[a][b]][c] != self.join[a][self.join[b][c]]:
-                        raise InvalidLattice("join not associative")
+                        raise InvalidLattice(_TRIPLE_LAWS[1])
                     if self.meet[a][self.join[b][c]] != self.join[self.meet[a][b]][self.meet[a][c]]:
-                        raise InvalidLattice("meet does not distribute over join")
+                        raise InvalidLattice(_TRIPLE_LAWS[2])
                     if self.join[a][self.meet[b][c]] != self.meet[self.join[a][b]][self.join[a][c]]:
-                        raise InvalidLattice("join does not distribute over meet")
+                        raise InvalidLattice(_TRIPLE_LAWS[3])
                     # residuation: a /\ c <= b  iff  c <= a -> b
                     lhs = self.leq(self.meet[a][c], b)
                     rhs = self.leq(c, self.impl[a][b])
                     if lhs != rhs:
-                        raise InvalidLattice("residuation law fails")
+                        raise InvalidLattice(_TRIPLE_LAWS[4])
+
+    def _verify_slabs(self) -> None:
+        """The same laws as whole-table comparisons: the pair laws at once,
+        the triple laws on one [b, c] slab per a.  argmax over the failures,
+        laid out in loop order, finds the loop's first failure."""
+        meet, join, impl = self._arrays()
+        idx = np.arange(self.n)
+        leq = meet == idx[:, None]  # leq[a, b]: a <= b
+        leq_t = np.ascontiguousarray(leq.T)
+        # one row per a: idempotence and bounds, then commutativity (meet,
+        # join) and absorption for each b in turn
+        own = np.stack([(meet[idx, idx] != idx) | (join[idx, idx] != idx),
+                        ~leq[self.bottom] | ~leq[:, self.top]], axis=1)
+        absorption = ((np.take_along_axis(meet, join, axis=1) != idx[:, None])
+                      | (np.take_along_axis(join, meet, axis=1) != idx[:, None]))
+        pairs = np.stack([meet != meet.T, join != join.T, absorption], axis=2)
+        rows = np.concatenate([own, pairs.reshape(self.n, -1)], axis=1)
+        if rows.any():
+            k = int(np.argmax(rows)) % rows.shape[1]
+            raise InvalidLattice(_PAIR_LAWS[k if k < 2 else 2 + (k - 2) % 3])
+        for a in range(self.n):
+            ma, ja = meet[a], join[a]
+            slab = (
+                meet[ma] != ma[meet],
+                join[ja] != ja[join],
+                ma[join] != join[ma][:, ma],
+                ja[meet] != meet[ja][:, ja],
+                leq[ma].T != leq_t[impl[a]],
+            )
+            if np.logical_or.reduce(slab).any():
+                k = int(np.argmax(np.stack(slab, axis=2))) % len(slab)
+                raise InvalidLattice(_TRIPLE_LAWS[k])
 
     # serialization -----------------------------------------------------------
 
@@ -316,17 +432,24 @@ def pseudo_complement(h: HeytingAlgebra, x: int) -> int:
 # -- constructors ---------------------------------------------------------------
 
 def heyting_from_topology(topology: FiniteTopology, verify: bool = True) -> HeytingAlgebra:
-    """Elements are the open sets ordered by inclusion; implication is the
-    interior of (complement union the target)."""
+    """Elements are the open sets ordered by inclusion; a -> b is the
+    interior of (complement of a) union b, the union of the opens o with
+    o & a & ~b == 0, computed for all b of one a at a time."""
+    if len(topology.opens) > MAX_LATTICE:
+        raise InvalidLattice(f"size capped at {MAX_LATTICE}")
     opens = sorted(topology.opens, key=lambda m: (_popcount(m), m))
-    index = {m: i for i, m in enumerate(opens)}
-    full = topology.full_mask
-    n = len(opens)
-    meet = [[index[a & b] for b in opens] for a in opens]
-    join = [[index[a | b] for b in opens] for a in opens]
-    impl = [[index[topology.interior((full & ~a) | b)] for b in opens] for a in opens]
+    masks = np.array(opens, dtype=np.int64)
+    index = np.zeros(topology.full_mask + 1, dtype=np.int64)
+    index[masks] = np.arange(len(opens))  # element index of each open mask
+    column = masks[:, None]
+    impl = np.empty((len(opens), len(opens)), dtype=np.int64)
+    for i, a in enumerate(opens):
+        inside = column & (a & ~masks) == 0  # [o, b]: o lies in (~a | b)
+        impl[i] = index[np.bitwise_or.reduce(np.where(inside, column, 0), axis=0)]
     labels = ["{" + ",".join(topology.mask_name(m)) + "}" for m in opens]
-    return HeytingAlgebra(meet, join, impl, index[0], index[full],
+    return HeytingAlgebra(index[column & masks].tolist(),
+                          index[column | masks].tolist(), impl.tolist(),
+                          int(index[0]), int(index[topology.full_mask]),
                           labels=labels, verify=verify)
 
 
@@ -350,61 +473,60 @@ def heyting_from_chain(n: int) -> HeytingAlgebra:
 
 
 def heyting_from_poset_upsets(poset: FinitePoset, direction: str = "up") -> HeytingAlgebra:
-    """Up-sets (or down-sets) of a finite poset form a topology; delegate."""
+    """Up-sets (or down-sets) of a finite poset form a topology; delegate.
+
+    The sets are found by testing all 2^n subsets at once, and more than
+    MAX_LATTICE of them are rejected before the topology is built."""
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     n = len(poset.elements)
     if n > MAX_POINTS:
         raise InvalidPoset(f"at most {MAX_POINTS} elements supported")
-    opens = []
-    for mask in range(1 << n):
-        good = True
-        for i in range(n):
-            if not (mask >> i & 1):
-                continue
-            for j in range(n):
-                above = poset.le[i][j] if direction == "up" else poset.le[j][i]
-                if above and not (mask >> j & 1):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            opens.append(mask)
-    topology = FiniteTopology(poset.elements, tuple(opens))
+    subsets = np.arange(1 << n, dtype=np.int64)
+    closed = np.ones(1 << n, dtype=bool)
+    for i in range(n):
+        above = sum(1 << j for j in range(n)
+                    if (poset.le[i][j] if direction == "up" else poset.le[j][i]))
+        closed &= (subsets >> i & 1 == 0) | (subsets & above == above)
+    opens = subsets[closed]
+    if len(opens) > MAX_LATTICE:
+        raise InvalidLattice(f"size capped at {MAX_LATTICE}")
+    topology = FiniteTopology(poset.elements, tuple(opens.tolist()))
     return heyting_from_topology(topology)
 
 
 def heyting_from_lattice(meet, join, labels=None) -> HeytingAlgebra:
-    """Brute-force the implication of a bounded lattice.
+    """Search the implication of a bounded lattice.
 
-    Raises NotHeyting with a witness pair when some (a, b) has no greatest
-    c with a /\\ c <= b; on finite lattices this happens exactly when the
-    lattice is not distributive.
+    For each a, one slab finds for every b the first c with a /\\ c <= b
+    that lies above every such c (what ``implication_by_search`` returns).
+    Raises NotHeyting with the first (a, b) that has no such c; on finite
+    lattices this happens exactly when the lattice is not distributive.
     """
-    n = len(meet)
-    bottom = top = None
-    for x in range(n):
-        if all(meet[x][y] == x for y in range(n)):
-            bottom = x
-        if all(join[x][y] == x for y in range(n)):
-            top = x
-    if bottom is None or top is None:
+    n = _table_size(meet)
+    _check_index_table("meet", meet, n)
+    _check_index_table("join", join, n)
+    meet_arr = np.array(meet, dtype=np.int64)
+    join_arr = np.array(join, dtype=np.int64)
+    idx = np.arange(n)
+    leq = meet_arr == idx[:, None]  # leq[x, y]: x <= y
+    bottoms = np.flatnonzero(leq.all(axis=1))
+    tops = np.flatnonzero((join_arr == idx[:, None]).all(axis=1))
+    if not len(bottoms) or not len(tops):
         raise InvalidLattice("lattice is not bounded")
-
-    def leq(a, b):
-        return meet[a][b] == a
-
-    impl = [[0] * n for _ in range(n)]
+    not_leq = (~leq).astype(np.float32)  # counts up to 256 are exact
+    impl = np.empty((n, n), dtype=np.int64)
     for a in range(n):
-        for b in range(n):
-            c = implication_by_search(meet, leq, n, a, b)
-            if c is None:
-                raise NotHeyting(
-                    f"no greatest c with {a} /\\ c <= {b}", witness=(a, b)
-                )
-            impl[a][b] = c
-    return HeytingAlgebra(meet, join, impl, bottom, top, labels=labels)
+        below = leq[meet_arr[a]].T  # [b, c]: a /\ c <= b
+        # c is greatest when no d with a /\ d <= b lies outside c's down-set
+        greatest = below & (below.astype(np.float32) @ not_leq == 0)
+        found = greatest.any(axis=1)
+        if not found.all():
+            b = int(np.argmin(found))
+            raise NotHeyting(f"no greatest c with {a} /\\ c <= {b}", witness=(a, b))
+        impl[a] = np.argmax(greatest, axis=1)
+    return HeytingAlgebra(meet, join, impl.tolist(), int(bottoms[-1]), int(tops[-1]),
+                          labels=labels)
 
 
 def pentagon_lattice():
@@ -507,36 +629,32 @@ _AXIOM_NAMES = [
 ]
 
 
-def _intuitionistic_axioms(h: HeytingAlgebra) -> dict:
-    """The eleven propositional axioms, quantified over all tuples."""
+def _intuitionistic_axioms(h: HeytingAlgebra, meet, join, impl) -> dict:
+    """The eleven propositional axioms, quantified over all tuples: pairs
+    as whole tables indexed [x, y], triples as one [y, z] slab per x."""
     top, bot = h.top, h.bottom
-    imp, meet, join = h.impl, h.meet, h.join
+    col, row = np.arange(h.n)[:, None], np.arange(h.n)[None, :]
+    entails = impl == top  # entails[x, y]: x -> y is top
     results = {name: True for name in _AXIOM_NAMES}
-    for x in h.elements():
-        if imp[top][x] == top and x != top:
-            results["top_detection"] = False
-        if imp[bot][x] != top:
-            results["ex_falso"] = False
-        for y in h.elements():
-            if imp[x][y] == top and imp[y][x] == top and x != y:
-                results["antisymmetry"] = False
-            if imp[x][imp[y][x]] != top:
-                results["weakening"] = False
-            if imp[meet[x][y]][x] != top:
-                results["meet_left"] = False
-            if imp[meet[x][y]][y] != top:
-                results["meet_right"] = False
-            if imp[x][imp[y][meet[x][y]]] != top:
-                results["adjunction"] = False
-            if imp[x][join[x][y]] != top:
-                results["join_left"] = False
-            if imp[y][join[x][y]] != top:
-                results["join_right"] = False
-            for z in h.elements():
-                if imp[imp[x][imp[y][z]]][imp[imp[x][y]][imp[x][z]]] != top:
-                    results["distribution_of_implication"] = False
-                if imp[imp[x][z]][imp[imp[y][z]][imp[join[x][y]][z]]] != top:
-                    results["case_split"] = False
+    results["antisymmetry"] = not (entails & entails.T & (col != row)).any()
+    results["top_detection"] = not (entails[top] & (row[0] != top)).any()
+    results["weakening"] = bool(entails[col, impl.T].all())
+    results["meet_left"] = bool(entails[meet, col].all())
+    results["meet_right"] = bool(entails[meet, row].all())
+    results["adjunction"] = bool(entails[col, impl[row, meet]].all())
+    results["join_left"] = bool(entails[col, join].all())
+    results["join_right"] = bool(entails[row, join].all())
+    results["ex_falso"] = bool(entails[bot].all())
+    for x in range(h.n):
+        ix = impl[x]
+        if results["distribution_of_implication"]:
+            # (x -> (y -> z)) -> ((x -> y) -> (x -> z))
+            results["distribution_of_implication"] = bool(
+                entails[ix[impl], impl[ix][:, ix]].all())
+        if results["case_split"]:
+            # (x -> z) -> ((y -> z) -> ((x \/ y) -> z))
+            results["case_split"] = bool(
+                entails[ix[None, :], impl[impl, impl[join[x]]]].all())
     return results
 
 
@@ -575,56 +693,52 @@ def law_report(h: HeytingAlgebra) -> LawReport:
     """Exhaustive law check: the eleven axioms, both De Morgan laws and
     triple negation (all must hold in any valid algebra), plus the block of
     seven mutually equivalent stronger conditions, which passes or fails as
-    one (their agreement is itself reported)."""
-    neg, meet, join = h.neg, h.meet, h.join
-    top = h.top
-    regulars = [x for x in h.elements() if neg(neg(x)) == x]
+    one (their agreement is itself reported).  Each law in two variables is
+    one comparison over the whole table of pairs, or of the pairs of
+    regular elements; the two axioms in three variables run one slab per
+    first variable."""
+    meet, join, impl = h._arrays()
+    idx = np.arange(h.n)
+    neg = impl[:, h.bottom]
+    nn = neg[neg]
+    regulars = np.flatnonzero(nn == idx)
     witness = {}
 
-    regular_dm = True
-    weak_dm = True
-    triple = True
-    for x in h.elements():
-        if neg(neg(neg(x))) != neg(x):
-            triple = False
-        for y in h.elements():
-            if neg(join[x][y]) != meet[neg(x)][neg(y)]:
-                regular_dm = False
-            if neg(meet[x][y]) != neg(neg(join[neg(x)][neg(y)])):
-                weak_dm = False
+    def holds(same):
+        return bool(same.all())
 
-    def strong_dual(xs, ys):
-        return all(neg(meet[x][y]) == join[neg(x)][neg(y)] for x in xs for y in ys)
+    def pairs(table, xs):
+        return table[np.ix_(xs, xs)]
+
+    def strong_dual(xs):
+        return holds(neg[pairs(meet, xs)] == pairs(join, neg[xs]))
+
+    regular_dm = holds(neg[join] == pairs(meet, neg))
+    weak_dm = holds(neg[meet] == nn[pairs(join, neg)])
+    triple = holds(neg[nn] == neg)
+    dual_all = strong_dual(idx)
+    join_reg = pairs(join, regulars)
+    excluded = join[neg, nn]
 
     cond = {}
-    cond["both_de_morgan"] = regular_dm and strong_dual(h.elements(), h.elements())
-    cond["strong_dual_all"] = strong_dual(h.elements(), h.elements())
-    cond["strong_dual_regular"] = strong_dual(regulars, regulars)
-    cond["double_neg_join_all"] = all(
-        neg(neg(join[x][y])) == join[neg(neg(x))][neg(neg(y))]
-        for x in h.elements() for y in h.elements()
-    )
-    cond["join_of_regular_regular"] = all(
-        neg(neg(join[x][y])) == join[x][y] for x in regulars for y in regulars
-    )
-    cond["regular_join_formula"] = all(
-        neg(meet[neg(x)][neg(y)]) == join[x][y] for x in regulars for y in regulars
-    )
-    cond["weak_excluded_middle"] = all(
-        join[neg(x)][neg(neg(x))] == top for x in h.elements()
-    )
+    cond["both_de_morgan"] = regular_dm and dual_all
+    cond["strong_dual_all"] = dual_all
+    cond["strong_dual_regular"] = strong_dual(regulars)
+    cond["double_neg_join_all"] = holds(nn[join] == pairs(join, nn))
+    cond["join_of_regular_regular"] = holds(nn[join_reg] == join_reg)
+    cond["regular_join_formula"] = holds(
+        neg[pairs(meet, neg[regulars])] == join_reg)
+    cond["weak_excluded_middle"] = holds(excluded == h.top)
     if not cond["weak_excluded_middle"]:
-        for x in h.elements():
-            if join[neg(x)][neg(neg(x))] != top:
-                witness["weak_excluded_middle"] = {
-                    "x": h.labels[x],
-                    "value": h.labels[join[neg(x)][neg(neg(x))]],
-                }
-                break
+        x = int(np.argmax(excluded != h.top))
+        witness["weak_excluded_middle"] = {
+            "x": h.labels[x],
+            "value": h.labels[int(excluded[x])],
+        }
 
-    fixed = [h.labels[x] for x in h.elements() if neg(x) == x]
+    fixed = [h.labels[x] for x in np.flatnonzero(neg == idx).tolist()]
     return LawReport(
-        axioms=_intuitionistic_axioms(h),
+        axioms=_intuitionistic_axioms(h, meet, join, impl),
         regular_de_morgan=regular_dm,
         weak_de_morgan=weak_dm,
         seven_conditions=cond,
@@ -830,7 +944,9 @@ def boolean_ring_roundtrip(n_points: int, sample_seed: int = 0) -> BooleanRingRe
     Verifies idempotence and characteristic two on every element; the ring
     axioms, the ring <-> algebra conversions round-tripping to the
     identity, and the characteristic-function isomorphism onto bit vectors
-    are exhaustive for up to 5 points and seeded samples beyond that.
+    (both operations respected, distinct elements sent to distinct
+    vectors) are exhaustive for up to 5 points and seeded samples beyond
+    that.
     """
     if n_points > MAX_POINTS:
         raise SetTooLarge(f"at most {MAX_POINTS} points supported")
@@ -895,10 +1011,10 @@ def boolean_ring_roundtrip(n_points: int, sample_seed: int = 0) -> BooleanRingRe
     def chi(a, i):
         return a >> i & 1
 
-    pair_iter = (
-        itertools.product(elements, repeat=2)
+    pairs = (
+        list(itertools.product(elements, repeat=2))
         if exhaustive
-        else ((a & full, (a * 104729 + 7) & full) for a in range(2000))
+        else [(a & full, (a * 104729 + 7) & full) for a in range(2000)]
     )
     char_iso = all(
         all(
@@ -906,9 +1022,12 @@ def boolean_ring_roundtrip(n_points: int, sample_seed: int = 0) -> BooleanRingRe
             and chi(add(a, b), i) == (chi(a, i) ^ chi(b, i))
             for i in range(n_points)
         )
-        for a, b in pair_iter
+        for a, b in pairs
     )
-    injective = True  # chi is the bit decomposition, trivially injective
+    # distinct elements of the checked pairs have distinct chi vectors
+    checked = {x for pair in pairs for x in pair}
+    injective = len(checked) == len(
+        {tuple(chi(a, i) for i in range(n_points)) for a in checked})
     return BooleanRingReport(
         size=size,
         idempotent=idempotent,

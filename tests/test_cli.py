@@ -231,11 +231,39 @@ class TestDispatch:
         ["pde", "heat", "--nodes", "0"],
         ["heyting", "quotient", "--chain", "3", "--filter", "7"],
         ["props", "--level", "2", "--mode", "random-sample", "--count", "-5"],
+        # a dict stands for an input file holding it
+        ["heyting", "build", "--input",
+         {"meet": [[0, 0], [0]], "join": [[0, 1], [1, 1]]}],  # ragged
+        ["heyting", "build", "--input",
+         {"meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],
+          "impl": [[1, 1], [0, 1]], "bottom": 0, "top": 7}],
+        ["heyting", "laws", "--input",
+         {"meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],
+          "impl": [[1, 1], [-1, 1]], "bottom": 0, "top": 1}],
+        ["heyting", "build", "--input",
+         {"meet": [[0, 0], [0, True]], "join": [[0, 1], [1, 1]]}],
     ])
-    def test_malformed_input_is_a_json_error(self, argv):
+    def test_malformed_input_is_a_json_error(self, argv, tmp_path):
+        for i, arg in enumerate(argv):
+            if isinstance(arg, dict):
+                path = tmp_path / "input.json"
+                path.write_text(json.dumps(arg))
+                argv = argv[:i] + [str(path)] + argv[i + 1:]
         result = payload(argv)
         assert result.code == 2
         assert "error" in result.payload
+
+    @pytest.mark.parametrize("points", [9, 14])
+    def test_oversized_poset_rejected_before_the_upsets(self, points, tmp_path):
+        # 2^points up-sets, over the 256-element cap
+        path = tmp_path / "antichain.json"
+        path.write_text(json.dumps({"elements": [f"p{i}" for i in range(points)],
+                                    "le": []}))
+        start = time.perf_counter()
+        result = payload(["heyting", "build", "--input", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert "256" in result.payload["error"]
 
     def test_oversized_chain_rejected_before_allocation(self):
         # 3000^2-entry tables would take seconds and hundreds of MB

@@ -1,15 +1,25 @@
+import importlib.util
 import itertools
+import json
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab.heyting import (
+    MAX_LATTICE,
     FinitePoset,
     FiniteTopology,
     Filter,
     HeytingAlgebra,
     InvalidFilter,
+    InvalidLattice,
     InvalidPoset,
     InvalidTopology,
+    LawReport,
     NotHeyting,
     algebras_isomorphic,
     boolean_ring_roundtrip,
@@ -34,6 +44,218 @@ from hyperlab.heyting import (
     sierpinski_topology,
     verify_morphism,
 )
+
+
+# -- oracles: plain loops that the whole-table checks must agree with -----------
+# HeytingAlgebra._verify_loops is the loop form the library keeps for small
+# tables; the loops below are the forms it no longer runs.
+
+def popcount_interior(topology, mask):
+    """Largest open contained in mask, chosen as the open of most points."""
+    best = 0
+    for o in topology.opens:
+        if o & ~mask == 0 and bin(o).count("1") > bin(best).count("1"):
+            best = o
+    return best
+
+
+AXIOM_NAMES = [
+    "antisymmetry", "top_detection", "weakening", "distribution_of_implication",
+    "meet_left", "meet_right", "adjunction", "join_left", "join_right",
+    "case_split", "ex_falso",
+]
+
+
+def axioms_by_loops(h):
+    """The eleven propositional axioms, as loops over all tuples."""
+    top, bot = h.top, h.bottom
+    imp, meet, join = h.impl, h.meet, h.join
+    results = {name: True for name in AXIOM_NAMES}
+    for x in h.elements():
+        if imp[top][x] == top and x != top:
+            results["top_detection"] = False
+        if imp[bot][x] != top:
+            results["ex_falso"] = False
+        for y in h.elements():
+            if imp[x][y] == top and imp[y][x] == top and x != y:
+                results["antisymmetry"] = False
+            if imp[x][imp[y][x]] != top:
+                results["weakening"] = False
+            if imp[meet[x][y]][x] != top:
+                results["meet_left"] = False
+            if imp[meet[x][y]][y] != top:
+                results["meet_right"] = False
+            if imp[x][imp[y][meet[x][y]]] != top:
+                results["adjunction"] = False
+            if imp[x][join[x][y]] != top:
+                results["join_left"] = False
+            if imp[y][join[x][y]] != top:
+                results["join_right"] = False
+            for z in h.elements():
+                if imp[imp[x][imp[y][z]]][imp[imp[x][y]][imp[x][z]]] != top:
+                    results["distribution_of_implication"] = False
+                if imp[imp[x][z]][imp[imp[y][z]][imp[join[x][y]][z]]] != top:
+                    results["case_split"] = False
+    return results
+
+
+
+def law_report_by_loops(h):
+    """law_report as loops over all pairs."""
+    neg, meet, join = h.neg, h.meet, h.join
+    top = h.top
+    regulars = [x for x in h.elements() if neg(neg(x)) == x]
+    witness = {}
+
+    regular_dm = True
+    weak_dm = True
+    triple = True
+    for x in h.elements():
+        if neg(neg(neg(x))) != neg(x):
+            triple = False
+        for y in h.elements():
+            if neg(join[x][y]) != meet[neg(x)][neg(y)]:
+                regular_dm = False
+            if neg(meet[x][y]) != neg(neg(join[neg(x)][neg(y)])):
+                weak_dm = False
+
+    def strong_dual(xs, ys):
+        return all(neg(meet[x][y]) == join[neg(x)][neg(y)] for x in xs for y in ys)
+
+    cond = {}
+    cond["both_de_morgan"] = regular_dm and strong_dual(h.elements(), h.elements())
+    cond["strong_dual_all"] = strong_dual(h.elements(), h.elements())
+    cond["strong_dual_regular"] = strong_dual(regulars, regulars)
+    cond["double_neg_join_all"] = all(
+        neg(neg(join[x][y])) == join[neg(neg(x))][neg(neg(y))]
+        for x in h.elements() for y in h.elements()
+    )
+    cond["join_of_regular_regular"] = all(
+        neg(neg(join[x][y])) == join[x][y] for x in regulars for y in regulars
+    )
+    cond["regular_join_formula"] = all(
+        neg(meet[neg(x)][neg(y)]) == join[x][y] for x in regulars for y in regulars
+    )
+    cond["weak_excluded_middle"] = all(
+        join[neg(x)][neg(neg(x))] == top for x in h.elements()
+    )
+    if not cond["weak_excluded_middle"]:
+        for x in h.elements():
+            if join[neg(x)][neg(neg(x))] != top:
+                witness["weak_excluded_middle"] = {
+                    "x": h.labels[x],
+                    "value": h.labels[join[neg(x)][neg(neg(x))]],
+                }
+                break
+
+    fixed = [h.labels[x] for x in h.elements() if neg(x) == x]
+    return LawReport(
+        axioms=axioms_by_loops(h),
+        regular_de_morgan=regular_dm,
+        weak_de_morgan=weak_dm,
+        seven_conditions=cond,
+        seven_agree=len(set(cond.values())) == 1,
+        triple_negation=triple,
+        negation_fixed_points=fixed,
+        witness=witness,
+    )
+
+
+def lattice_outcome_by_search(meet, join):
+    """What heyting_from_lattice answered when it searched every (a, b) with
+    implication_by_search: ("ok", impl), ("NotHeyting", witness) or
+    ("InvalidLattice", message)."""
+    n = len(meet)
+    bottom = top = None
+    for x in range(n):
+        if all(meet[x][y] == x for y in range(n)):
+            bottom = x
+        if all(join[x][y] == x for y in range(n)):
+            top = x
+    if bottom is None or top is None:
+        return ("InvalidLattice", "lattice is not bounded")
+
+    def leq(a, b):
+        return meet[a][b] == a
+
+    impl = [[implication_by_search(meet, leq, n, a, b) for b in range(n)]
+            for a in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        if impl[a][b] is None:
+            return ("NotHeyting", (a, b))
+    try:
+        HeytingAlgebra(meet, join, impl, bottom, top, verify=False)._verify_loops()
+    except InvalidLattice as exc:
+        return ("InvalidLattice", str(exc))
+    return ("ok", impl)
+
+
+def lattice_outcome(meet, join):
+    try:
+        return ("ok", heyting_from_lattice(meet, join).impl)
+    except NotHeyting as exc:
+        return ("NotHeyting", exc.witness)
+    except InvalidLattice as exc:
+        return ("InvalidLattice", str(exc))
+
+
+def failure(check):
+    """The InvalidLattice message a check raises, or None."""
+    try:
+        check()
+    except InvalidLattice as exc:
+        return str(exc)
+    return None
+
+
+def antichain(n):
+    return FinitePoset.from_pairs([f"p{i}" for i in range(n)], [])
+
+
+def workload_posets():
+    """Every poset shape the benchmark's finite-structures workload draws."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return {shape: FinitePoset.from_pairs([f"p{i}" for i in range(n)],
+                                          [(f"p{a}", f"p{b}") for a, b in covers])
+            for shape, (n, covers) in module.POSET_SHAPES.items()}
+
+
+TOPOLOGIES_3 = list(enumerate_topologies(3))
+
+
+@st.composite
+def valid_algebras(draw):
+    """Chains of 1-12, up-sets of posets of up to 6 points, topologies on 3."""
+    kind = draw(st.sampled_from(["chain", "poset", "topology"]))
+    if kind == "chain":
+        return heyting_from_chain(draw(st.integers(1, 12)))
+    if kind == "topology":
+        return heyting_from_topology(draw(st.sampled_from(TOPOLOGIES_3)))
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] < p[1]), max_size=6))
+    return heyting_from_poset_upsets(FinitePoset.from_pairs(
+        [f"p{i}" for i in range(n)], [(f"p{a}", f"p{b}") for a, b in pairs]))
+
+
+@st.composite
+def mutated_tables(draw):
+    """A valid algebra's tables with one entry of meet, join or impl changed
+    (meet and join optionally at [j][i] too, so that commutativity holds and
+    the later laws are reached)."""
+    h = draw(valid_algebras())
+    tables = {name: [list(row) for row in getattr(h, name)]
+              for name in ("meet", "join", "impl")}
+    name = draw(st.sampled_from(sorted(tables)))
+    i, j, value = (draw(st.integers(0, h.n - 1)) for _ in range(3))
+    tables[name][i][j] = value
+    if name != "impl" and draw(st.booleans()):
+        tables[name][j][i] = value
+    return tables["meet"], tables["join"], tables["impl"], h.bottom, h.top
 
 
 class TestImplication:
@@ -106,6 +328,20 @@ class TestTopologyConstruction:
     def test_json_roundtrip(self):
         t = sierpinski_topology()
         assert FiniteTopology.from_json_dict(t.to_json_dict()) == t
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES_3)
+    def test_impl_is_the_popcount_interior(self, topology):
+        h = heyting_from_topology(topology)
+
+        def element(mask):
+            return h.labels.index("{" + ",".join(topology.mask_name(mask)) + "}")
+
+        full = topology.full_mask
+        for a in topology.opens:
+            for b in topology.opens:
+                expected = popcount_interior(topology, (full & ~a) | b)
+                assert topology.interior((full & ~a) | b) == expected
+                assert h.impl[element(a)][element(b)] == element(expected)
 
 
 class TestChainAndPoset:
@@ -364,6 +600,157 @@ class TestMorphisms:
         assert "implication" in rep.failures
 
 
+class TestWholeTableChecks:
+    """The numpy forms of the checks against the loops they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_tables())
+    def test_verify_fails_like_the_loops(self, tables):
+        h = HeytingAlgebra(*tables, verify=False)
+        expected = failure(h._verify_loops)
+        assert failure(h._verify_slabs) == expected
+        assert failure(lambda: HeytingAlgebra(*tables)) == expected
+
+    # commutative, idempotent, bounded and absorptive tables, each failing
+    # first at a different triple law (found by a random search)
+    TRIPLE_FAILURES = {
+        "meet not associative": (
+            [[0, 0, 0, 0, 0], [0, 1, 1, 1, 1], [0, 1, 2, 0, 2], [0, 1, 0, 3, 3], [0, 1, 2, 3, 4]],
+            [[0, 1, 2, 3, 4], [1, 1, 2, 3, 4], [2, 2, 2, 4, 4], [3, 3, 4, 3, 4], [4, 4, 4, 4, 4]],
+            [[4, 4, 4, 4, 4], [0, 4, 4, 4, 4], [3, 3, 4, 3, 4], [2, 2, 2, 4, 4], [0, 1, 2, 3, 4]]),
+        "join not associative": (
+            [[0, 0, 0, 0, 0], [0, 1, 2, 1, 1], [0, 2, 2, 0, 2], [0, 1, 0, 3, 3], [0, 1, 2, 3, 4]],
+            [[0, 1, 2, 3, 4], [1, 1, 1, 3, 4], [2, 1, 2, 4, 4], [3, 3, 4, 3, 4], [4, 4, 4, 4, 4]],
+            [[4, 4, 4, 4, 4], [0, 4, 2, 4, 4], [3, 4, 4, 3, 4], [2, 1, 2, 4, 4], [0, 1, 2, 3, 4]]),
+        "meet does not distribute over join": (
+            [[0, 0, 0, 0, 0], [0, 1, 0, 3, 1], [0, 0, 2, 0, 2], [0, 3, 0, 3, 3], [0, 1, 2, 3, 4]],
+            [[0, 1, 2, 3, 4], [1, 1, 4, 1, 4], [2, 4, 2, 4, 4], [3, 1, 4, 3, 4], [4, 4, 4, 4, 4]],
+            [[4, 4, 4, 4, 4], [2, 4, 2, 0, 4], [1, 1, 4, 1, 4], [2, 4, 2, 4, 4], [0, 1, 2, 3, 4]]),
+        "join does not distribute over meet": (
+            [[0, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 2, 0, 2], [0, 1, 0, 3, 3], [0, 1, 2, 3, 4]],
+            [[0, 1, 2, 3, 4], [1, 1, 4, 3, 4], [2, 4, 2, 4, 4], [3, 3, 4, 3, 4], [4, 4, 4, 4, 4]],
+            [[4, 4, 4, 4, 4], [2, 4, 2, 4, 4], [3, 3, 4, 3, 4], [2, 0, 2, 4, 4], [0, 1, 2, 3, 4]]),
+    }
+
+    @pytest.mark.parametrize("message", sorted(TRIPLE_FAILURES))
+    def test_each_triple_law_fails_like_the_loops(self, message):
+        h = HeytingAlgebra(*self.TRIPLE_FAILURES[message], 0, 4, verify=False)
+        assert failure(h._verify_loops) == message
+        assert failure(h._verify_slabs) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_tables())
+    def test_law_report_on_mutated_tables_matches_the_loops(self, tables):
+        # the tables need not be an algebra: every clause can fail here
+        h = HeytingAlgebra(*tables, verify=False)
+        assert (json.dumps(law_report(h).to_json_dict())
+                == json.dumps(law_report_by_loops(h).to_json_dict()))
+
+    @pytest.mark.parametrize("name", ["chain", "boolean", "poset"])
+    def test_law_report_matches_the_loops(self, name):
+        algebras = {
+            "chain": [heyting_from_chain(n) for n in (*range(1, 13), 24, 32)],
+            "boolean": [heyting_from_topology(discrete_topology("abcde"[:k]))
+                        for k in range(6)],
+            "poset": [heyting_from_poset_upsets(p) for p in workload_posets().values()],
+        }[name]
+        for h in algebras:
+            assert (json.dumps(law_report(h).to_json_dict())
+                    == json.dumps(law_report_by_loops(h).to_json_dict()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        min_size=2 * n, max_size=2 * n)), st.booleans())
+    def test_lattice_search_on_arbitrary_tables(self, rows, bounded):
+        n = len(rows) // 2
+        meet, join = rows[:n], rows[n:]
+        if bounded:  # 0 and n - 1 act as bottom and top, so the search runs
+            for x in range(n):
+                meet[0][x] = meet[x][0] = 0
+                join[n - 1][x] = join[x][n - 1] = n - 1
+                meet[n - 1][x], join[0][x] = x, x
+        assert lattice_outcome(meet, join) == lattice_outcome_by_search(meet, join)
+
+    def test_lattice_search_on_known_lattices(self):
+        cases = [pentagon_lattice(), diamond_lattice()]
+        cases += [(h.meet, h.join) for h in (heyting_from_chain(9),
+                                              *(heyting_from_topology(t) for t in TOPOLOGIES_3))]
+        cases += [(h.meet, h.join) for h in map(heyting_from_poset_upsets,
+                                                 workload_posets().values())]
+        for meet, join in cases:
+            assert lattice_outcome(meet, join) == lattice_outcome_by_search(meet, join)
+
+    def test_256_elements_within_a_pinned_bound(self):
+        # the 8-point antichain's up-sets: 256 elements, the size cap
+        start = time.perf_counter()
+        h = heyting_from_poset_upsets(antichain(8))
+        cls = classify_elements(h)
+        report = law_report(h)
+        elapsed = time.perf_counter() - start
+        assert h.n == MAX_LATTICE and cls.is_boolean
+        assert report.all_mandatory_pass() and report.seven_block_passes()
+        assert elapsed < 10.0
+
+
+class TestInputShape:
+    """Malformed tables are rejected before any law is checked."""
+
+    TWO = dict(meet=[[0, 0], [0, 1]], join=[[0, 1], [1, 1]], impl=[[1, 1], [0, 1]],
+               bottom=0, top=1)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"meet": [[0, 0], [0]]}, "meet table must be 2 x 2"),
+        ({"join": [[0, 1]]}, "join table must be 2 x 2"),
+        ({"impl": "11"}, "impl table must be 2 x 2"),
+        ({"meet": 5}, "meet table must be a list of rows"),
+        ({"meet": [[0, 0], [0, True]]}, "meet entries must be integers"),
+        ({"join": [[0, 1.0], [1, 1]]}, "join entries must be integers"),
+        ({"impl": [[1, 1], [-1, 1]]}, "impl entries must lie in 0..1"),
+        ({"impl": [[1, 2], [0, 1]]}, "impl entries must lie in 0..1"),
+        ({"top": 7}, "top must be an index in 0..1"),
+        ({"bottom": -1}, "bottom must be an index in 0..1"),
+        ({"bottom": False}, "bottom must be an index in 0..1"),
+        ({"meet": [], "join": [], "impl": []}, "algebra needs at least one element"),
+        ({"labels": 5}, "labels must be a list of 2 names"),
+        ({"labels": ["x"]}, "labels must be a list of 2 names"),
+    ])
+    def test_rejected(self, change, message):
+        with pytest.raises(InvalidLattice, match=message):
+            HeytingAlgebra(**{**self.TWO, **change}, verify=False)
+
+    def test_valid_two_element_algebra(self):
+        assert HeytingAlgebra(**self.TWO).n == 2
+
+    def test_oversized_tables_rejected(self):
+        n = MAX_LATTICE + 1
+        table = [[0] * n for _ in range(n)]
+        with pytest.raises(InvalidLattice, match="size capped"):
+            HeytingAlgebra(table, table, table, 0, 0)
+        with pytest.raises(InvalidLattice, match="size capped"):
+            heyting_from_lattice(table, table)
+
+    @pytest.mark.parametrize("meet, join, message", [
+        ([[0, 0], [0]], [[0, 1], [1, 1]], "meet table must be 2 x 2"),
+        ([[0, 0], [0, 1]], [[0, 1], [1, True]], "join entries must be integers"),
+        ([[0, 0], [0, 2]], [[0, 1], [1, 1]], "meet entries must lie in 0..1"),
+    ])
+    def test_lattice_tables_rejected(self, meet, join, message):
+        with pytest.raises(InvalidLattice, match=message):
+            heyting_from_lattice(meet, join)
+
+    @pytest.mark.parametrize("points", [9, 14])
+    def test_size_cap_before_the_upsets_are_built(self, points):
+        start = time.perf_counter()
+        with pytest.raises(InvalidLattice, match="size capped"):
+            heyting_from_poset_upsets(antichain(points))
+        assert time.perf_counter() - start < 1.0
+
+    def test_size_cap_before_the_topology_implication(self):
+        with pytest.raises(InvalidLattice, match="size capped"):
+            heyting_from_topology(discrete_topology("abcdefghi"))
+
+
 class TestBooleanRing:
     def test_singleton_is_two_element_field(self):
         rep = boolean_ring_roundtrip(1)
@@ -380,6 +767,12 @@ class TestBooleanRing:
     def test_large_ground_set_sampled(self):
         rep = boolean_ring_roundtrip(10)
         assert not rep.exhaustive and rep.all_passed()
+
+    @pytest.mark.parametrize("n_points", range(7))
+    def test_passes_including_injectivity(self, n_points):
+        rep = boolean_ring_roundtrip(n_points)
+        assert rep.all_passed() and rep.char_map_isomorphism
+        assert rep.exhaustive == (n_points <= 5)
 
     def test_cap(self):
         from hyperlab.heyting import SetTooLarge
