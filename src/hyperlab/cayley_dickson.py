@@ -333,12 +333,17 @@ class CDElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CDElement":
+        """Integral text ("3", "-1") loads as an int, so integer points take
+        the int64 product path; other exact text loads as a Fraction, the
+        rest ("inf", "nan") as a float."""
         coeffs = []
         for text in data["coeffs"]:
             try:
-                coeffs.append(Fraction(text))
+                value = Fraction(text)
             except ValueError:
                 coeffs.append(float(text))
+                continue
+            coeffs.append(value.numerator if value.denominator == 1 else value)
         return cls(int(data["level"]), coeffs)
 
 
@@ -709,56 +714,65 @@ def identity_battery(
 # zero divisors
 # ---------------------------------------------------------------------------
 
-def two_term_signed_candidates(r: int):
-    """All e_i + s*e_j and -e_i + s*e_j with 1 <= i < j, s = +-1, in a fixed
-    lexicographic order by (i, j, sign_i, sign_j)."""
-    dim = 1 << r
-    out = []
-    for i in range(1, dim):
-        for j in range(i + 1, dim):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    out.append((i, si, j, sj))
-    return out
-
-
 def find_zero_divisors(
     r: int,
     search_space="two-term-signed",
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> list[tuple[CDElement, CDElement]]:
     """All ordered pairs (a, b) from the search space with a, b nonzero and
-    ab = 0, in deterministic order.  Empty below level 4."""
+    ab = 0, in deterministic order.  Empty below level 4.
+
+    The default space holds every s_i e_i + s_j e_j with 1 <= i < j and
+    signs +-1, ordered by (i, j, s_i, s_j); pairs come in that order of a,
+    then of b.  For b = t_k e_k + t_l e_l the four terms of ab sit at the
+    indices i^k, i^l, j^k and j^l.  i^k differs from i^l and from j^k, so
+    it can cancel only against j^l: ab = 0 forces i^k == j^l, i.e.
+    l = k^i^j (and then i^l == j^k).  For each a and k the partner l is
+    therefore fixed, which makes the search O(K*dim) over the K
+    candidates rather than O(K^2).  With A..D = sign[i][k], sign[j][l],
+    sign[i][l], sign[j][k], ab = 0 exactly when
+
+        s_i t_k A + s_j t_l B == 0  and  s_i t_l C + s_j t_k D == 0,
+
+    that is when AB == CD and t_l = -s_i s_j t_k AB: one t_l per t_k.  At
+    level 4 the pairs use de Marrais's "42 assessors", 42 distinct index
+    pairs (arXiv math/0011260; see also Moreno, arXiv q-alg/9710013).
+    Pairs share their element objects.
+    """
     _check_level(r, max_level)
-    idx, sgn = _basis_tables(r)
     dim = 1 << r
 
     if search_space == "two-term-signed":
-        keys = two_term_signed_candidates(r)
+        sgn = _basis_tables(r)[1]
+        elements = {}
 
-        def prod_is_zero(a, b):
-            ai, asi, aj, asj = a
-            bi, bsi, bj, bsj = b
-            acc = [0] * dim
-            for p, sp in ((ai, asi), (aj, asj)):
-                for q, sq in ((bi, bsi), (bj, bsj)):
-                    acc[idx[p][q]] += sp * sq * sgn[p][q]
-            return not any(acc)
+        def element(i, si, j, sj):
+            key = (i, si, j, sj)
+            if key not in elements:
+                coeffs = [0] * dim
+                coeffs[i] = si
+                coeffs[j] = sj
+                elements[key] = _element(r, coeffs)
+            return elements[key]
 
         pairs = []
-        for a in keys:
-            for b in keys:
-                if prod_is_zero(a, b):
-                    pairs.append((a, b))
-
-        def build(key):
-            i, si, j, sj = key
-            coeffs = [0] * dim
-            coeffs[i] = si
-            coeffs[j] = sj
-            return CDElement(r, coeffs)
-
-        return [(build(a), build(b)) for a, b in pairs]
+        for i in range(1, dim):
+            for j in range(i + 1, dim):
+                # (k, l, AB) for every index pair of a b that can annihilate
+                partners = []
+                for k in range(1, dim):
+                    l = k ^ i ^ j
+                    sign_ab = sgn[i][k] * sgn[j][l]
+                    if l > k and sign_ab == sgn[i][l] * sgn[j][k]:
+                        partners.append((k, l, sign_ab))
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        a = element(i, si, j, sj)
+                        for k, l, sign_ab in partners:
+                            for tk in (1, -1):
+                                b = element(k, tk, l, -si * sj * tk * sign_ab)
+                                pairs.append((a, b))
+        return pairs
 
     candidates = [c for c in search_space if not c.is_zero()]
     out = []

@@ -11,13 +11,20 @@ written order inside the coefficient algebra.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cayley_dickson import CDElement
+from .cayley_dickson import CDElement, _xor_tables
+from .exact import rref
 from .jets import AlgebraMismatch, PDESystem
+
+# the float commutativity check sizes its blocks to keep each array near
+# this many entries (8 MB of float64)
+SLAB_ENTRIES = 1 << 20
 
 
 class UnstableStep(ValueError):
@@ -230,23 +237,95 @@ class SeparableReport:
         return out
 
 
-def _values_commute_associate(values, tolerance: float) -> bool:
-    def same(x, y):
-        if x.is_exact and y.is_exact:
-            return x == y
-        return x.isclose(y, tolerance)
+def _float_commute_associate(values, tolerance: float) -> bool:
+    """Is the largest per-coefficient deviation of ab from ba over all
+    sample pairs, and of (ab)c from a(bc) over all triples, within
+    tolerance?
 
-    for a in values:
-        for b in values:
-            if not same(a * b, b * a):
+    The products run as whole arrays: the commutators of one block of
+    first arguments at once, then for each a the associators of one block
+    of b with every c.  Blocks hold as many samples as keep each array
+    near ``SLAB_ENTRIES`` entries, so small inputs make one block.  Stops
+    at the first failing array.
+    """
+    level = values[0].level
+    cols, left, right = _xor_tables(level)
+    v = np.array([x.coeffs for x in values], dtype=float)
+    m, dim = v.shape
+    block = max(1, SLAB_ENTRIES // (dim * max(m, dim)))
+
+    def lmul(x):
+        # lmul(x) @ y == x y, batched over the leading axes of x
+        return x[..., cols] * left
+
+    def times_samples(mats, out=None):
+        # [(k, b), c] = (mats[b] @ c)_k for every sample c, as one 2-d
+        # matrix product
+        return np.matmul(mats.transpose(1, 0, 2).reshape(-1, dim), v.T, out=out)
+
+    def within(deviation) -> bool:
+        # in place; NaN fails, as it fails isclose
+        np.abs(deviation, out=deviation)
+        return bool(deviation.max() <= tolerance)
+
+    blocks = [v[lo:lo + block] for lo in range(0, m, block)]
+    for va in blocks:
+        # [(k, a), b] = (ab)_k - (ba)_k
+        if not within(times_samples(lmul(va)) - times_samples(va[..., cols] * right)):
+            return False
+    for vb in blocks:
+        n = len(vb)
+        # [j, (b, c)] = (bc)_j, so that one matrix product gives a(bc)
+        bc = times_samples(lmul(vb)).reshape(dim, n * m)
+        # reused for every a: fresh arrays of this size cost page faults
+        # that took longer than the products
+        abc = np.empty((dim, n * m))
+        a_bc = np.empty((dim, n * m))
+        for a in v:
+            la = lmul(a)
+            # [(k, b), c] = ((ab)c)_k, ab being row b of vb @ la.T
+            times_samples(lmul(vb @ la.T), out=abc.reshape(dim * n, m))
+            np.matmul(la, bc, out=a_bc)
+            if not within(np.subtract(abc, a_bc, out=abc)):
                 return False
-    for a in values:
-        for b in values:
+    return True
+
+
+def _exact_commute_associate(values) -> bool:
+    """Exact check on a basis of the span of the samples: commutator and
+    associator are multilinear, so they vanish on the samples exactly when
+    they vanish on the basis.  The rref rows are scaled to integers, which
+    changes no verdict."""
+    if not values:
+        return True
+    level = values[0].level
+    rows, pivots = rref([x.coeffs for x in values])
+    basis = []
+    for row in rows[:len(pivots)]:
+        scale = math.lcm(*(c.denominator for c in row))
+        basis.append(CDElement(level, [c.numerator * (scale // c.denominator)
+                                       for c in row]))
+    for a, b in itertools.combinations(basis, 2):
+        if a * b != b * a:
+            return False
+    for a in basis:
+        for b in basis:
             ab = a * b
-            for c in values:
-                if not same(ab * c, a * (b * c)):
+            for c in basis:
+                if ab * c != a * (b * c):
                     return False
     return True
+
+
+def _values_commute_associate(values, tolerance: float) -> bool:
+    """Do the samples lie in one commutative associative subalgebra?
+
+    Exact samples get an exact verdict.  When any sample is a float, every
+    sample also takes part in the float check against ``tolerance``."""
+    exact = [x for x in values if x.is_exact]
+    if len(exact) < len(values) and not _float_commute_associate(values, tolerance):
+        return False
+    return _exact_commute_associate(exact)
 
 
 def separable_dalembert_check(
@@ -259,7 +338,15 @@ def separable_dalembert_check(
     choice), likewise for g.  R vanishes identically whenever all sampled
     values and derivatives lie in one commutative associative subalgebra;
     the report carries the commutativity diagnosis and, as witness, the
-    node with the largest residual when that residual exceeds the tolerance.
+    node with the largest residual when that residual's euclidean norm
+    exceeds the tolerance.
+
+    The diagnosis is exact when every sample is exact (int/Fraction): it
+    checks commutators and associators on an exact basis of the samples'
+    span.  Otherwise it compares against the tolerance the largest
+    per-coefficient deviation |(ab - ba)_k| over all sample pairs and
+    |((ab)c - a(bc))_k| over all sample triples; exact samples among
+    floats are also checked exactly among themselves.
     """
     levels = {v.level for v in (*f_values, *g_values, *f_derivs, *g_derivs)}
     if len(levels) != 1:

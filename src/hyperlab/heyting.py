@@ -80,6 +80,11 @@ class FiniteTopology:
             raise InvalidTopology(f"at most {MAX_POINTS} points supported")
         full = (1 << len(self.points)) - 1
         opens = set(self.opens)
+        # the opens are the elements of the Heyting algebra, so the lattice
+        # cap comes before the closure check over all pairs of opens, which
+        # grows fourfold per point of a discrete topology
+        if len(opens) > MAX_LATTICE:
+            raise InvalidLattice(f"size capped at {MAX_LATTICE}")
         if 0 not in opens or full not in opens:
             raise InvalidTopology("opens must contain the empty and full sets")
         for a in opens:
@@ -434,9 +439,8 @@ def pseudo_complement(h: HeytingAlgebra, x: int) -> int:
 def heyting_from_topology(topology: FiniteTopology, verify: bool = True) -> HeytingAlgebra:
     """Elements are the open sets ordered by inclusion; a -> b is the
     interior of (complement of a) union b, the union of the opens o with
-    o & a & ~b == 0, computed for all b of one a at a time."""
-    if len(topology.opens) > MAX_LATTICE:
-        raise InvalidLattice(f"size capped at {MAX_LATTICE}")
+    o & a & ~b == 0, computed for all b of one a at a time.  A topology
+    has at most MAX_LATTICE opens."""
     opens = sorted(topology.opens, key=lambda m: (_popcount(m), m))
     masks = np.array(opens, dtype=np.int64)
     index = np.zeros(topology.full_mask + 1, dtype=np.int64)

@@ -413,7 +413,54 @@ class TestHurwitz:
             assert norm_sq(a * b) == norm_sq(a) * norm_sq(b)
 
 
+def zero_divisors_oracle(r):
+    """The O(K^2) search: every ordered pair of two-term signed candidates
+    s_i e_i + s_j e_j (1 <= i < j, ordered by (i, j, s_i, s_j)), the
+    product summed term by term from the structure constants."""
+    table = structure_constants(r)
+    dim = table.dim
+    keys = [(i, si, j, sj)
+            for i in range(1, dim) for j in range(i + 1, dim)
+            for si in (1, -1) for sj in (1, -1)]
+
+    def prod_is_zero(a, b):
+        acc = [0] * dim
+        for p, sp in ((a[0], a[1]), (a[2], a[3])):
+            for q, sq in ((b[0], b[1]), (b[2], b[3])):
+                acc[table.index[p][q]] += sp * sq * table.sign[p][q]
+        return not any(acc)
+
+    def build(key):
+        i, si, j, sj = key
+        return CDElement.basis(r, i, si) + CDElement.basis(r, j, sj)
+
+    return [(build(a), build(b)) for a in keys for b in keys if prod_is_zero(a, b)]
+
+
+def index_pairs(pairs):
+    return {tuple(k for k, c in enumerate(x.coeffs) if c) for pair in pairs for x in pair}
+
+
 class TestZeroDivisors:
+    @pytest.mark.parametrize("level", range(6))
+    def test_ordered_pairs_equal_the_quadratic_oracle(self, level):
+        assert find_zero_divisors(level) == zero_divisors_oracle(level)
+
+    @pytest.mark.parametrize("level, assessors", [(4, 42), (5, 294)])
+    def test_distinct_index_pairs(self, level, assessors):
+        # de Marrais's "42 assessors" at level 4
+        assert len(index_pairs(find_zero_divisors(level))) == assessors
+
+    def test_level4_pairs_vanish_under_the_recursive_product(self):
+        pairs = find_zero_divisors(4)
+        assert len(pairs) == 1344
+        for a, b in pairs:
+            assert cd_multiply_recursive(a, b).is_zero()
+
+    def test_pairs_hold_ints(self):
+        for a, b in find_zero_divisors(5)[::97]:
+            assert {type(c) for c in a.coeffs + b.coeffs} == {int}
+
     def test_empty_below_level_4(self):
         assert find_zero_divisors(2) == []
         assert find_zero_divisors(3) == []
@@ -533,6 +580,25 @@ class TestSerialization:
         x = CDElement(3, [Fraction(1, 2), 0, -3, Fraction(5, 7), 0, 0, 1, 0])
         back = CDElement.from_json_dict(x.to_json_dict())
         assert back == x
+
+    def test_integral_text_loads_as_int(self):
+        x = CDElement.from_json_dict(
+            {"level": 3, "coeffs": ["3", "-1", "6/2", "2.0", "1/2", "0.25", "inf", "0"]})
+        assert x.coeffs == [3, -1, 3, 2, Fraction(1, 2), Fraction(1, 4), float("inf"), 0]
+        assert [type(c) for c in x.coeffs] == [int] * 4 + [Fraction] * 2 + [float, int]
+
+    def test_loaded_integer_point_takes_the_int64_path(self, monkeypatch):
+        from hyperlab import cayley_dickson as cd
+
+        data = (e(6, 3) + e(6, 10)).to_json_dict()
+        x = CDElement.from_json_dict(data)
+        y = CDElement.from_json_dict((e(6, 6) - e(6, 15) + e(6, 0, 2)).to_json_dict())
+        real = cd._xor_tables
+        levels = []
+        monkeypatch.setattr(cd, "_xor_tables", lambda r: levels.append(r) or real(r))
+        product = x * y
+        assert levels == [6]
+        assert product == cd_multiply_recursive(x, y)
 
     def test_constructor_rejects_bad_coefficients(self):
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +216,35 @@ class TestPde:
         assert result.payload["commutative_subalgebra"] is False
         assert result.payload["max_residual"] > 0
 
+    def test_dalembert_default_nodes_within_bound(self):
+        # 64 nodes give 256 samples, so 256^3 sample triples to check
+        start = time.perf_counter()
+        result = payload(["pde", "dalembert", "--level", "3", "--f-axis", "3",
+                          "--g-axis", "3", "--json"])
+        assert time.perf_counter() - start < 30.0
+        assert result.code == 0
+        assert result.payload["nodes_checked"] == 64 * 64
+        assert result.payload["commutative_subalgebra"] is True
+
+    def test_algebra_exact_scans_match_the_benchmark_fingerprints(
+            self, monkeypatch, tmp_path):
+        # integer points load as ints; every scan payload must still equal
+        # the benchmark's reference answer byte for byte
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import checks
+        import workloads
+
+        expected = json.loads(
+            (Path(checks.__file__).parent / "fingerprints.json").read_text())
+        scans = [r for r in workloads.pool("algebra-exact") if "scan" in r.argv]
+        assert len(scans) == 31
+        path = tmp_path / "points.json"
+        for req in scans:
+            path.write_text(req.file)
+            result = run(req.command(str(path)))
+            got = checks.fingerprint(result.code, result.to_json(), result.payload, False)
+            assert got == expected[req.key]
+
     def test_unknown_system(self):
         result = payload(["pde", "jacobian", "--system", "nonesuch"])
         assert result.code == 2
@@ -264,6 +294,21 @@ class TestDispatch:
         assert time.perf_counter() - start < 1.0
         assert result.code == 2
         assert "256" in result.payload["error"]
+
+    @pytest.mark.parametrize("points", [11, 16])
+    def test_oversized_topology_rejected_before_the_closure_check(
+            self, points, tmp_path):
+        # the discrete topology: 2^points opens, over the 256-element cap
+        names = [f"p{i}" for i in range(points)]
+        opens = [[p for i, p in enumerate(names) if mask >> i & 1]
+                 for mask in range(1 << points)]
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps({"points": names, "opens": opens}))
+        start = time.perf_counter()
+        result = payload(["heyting", "build", "--input", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert result.payload == {"error": "InvalidLattice: size capped at 256"}
 
     def test_oversized_chain_rejected_before_allocation(self):
         # 3000^2-entry tables would take seconds and hundreds of MB

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperlab import grid
 from hyperlab.cayley_dickson import CDElement
 from hyperlab.grid import (
     GridField,
@@ -175,3 +178,166 @@ class TestSeparable:
 
         with pytest.raises(AlgebraMismatch):
             separable_dalembert_check(f, g, f, g)
+
+
+def commute_associate_oracle(values, tolerance):
+    """The n^3 loop: ab against ba for every pair and (ab)c against a(bc)
+    for every triple of samples, exact products compared literally and
+    the others coefficientwise within ``tolerance``."""
+    def same(x, y):
+        if x.is_exact and y.is_exact:
+            return x == y
+        return x.isclose(y, tolerance)
+
+    for a in values:
+        for b in values:
+            if not same(a * b, b * a):
+                return False
+    for a in values:
+        for b in values:
+            ab = a * b
+            for c in values:
+                if not same(ab * c, a * (b * c)):
+                    return False
+    return True
+
+
+def subalgebra_support(draw, level, kind):
+    """Basis indices of a complex, quaternion or octonion subalgebra
+    spanned by basis units, or of the whole algebra."""
+    dim = 1 << level
+    units = st.integers(1, dim - 1)
+    if kind == "complex" and level >= 1:
+        return [0, draw(units)]
+    if kind == "quaternion" and level >= 2:
+        i = draw(units)
+        j = draw(units.filter(lambda j: j != i))
+        return [0, i, j, i ^ j]
+    if kind == "octonion" and level >= 3:
+        i = draw(units)
+        j = draw(units.filter(lambda j: j != i))
+        k = draw(units.filter(lambda k: k not in (i, j, i ^ j)))
+        return sorted({0, i, j, i ^ j, k, i ^ k, j ^ k, i ^ j ^ k})
+    return list(range(dim))
+
+
+@st.composite
+def sample_sets(draw, kinds=("exact", "float", "mixed")):
+    """Samples on a subalgebra, either free or on the complex line
+    {x + y u} through one element u of it.  Coefficients are dyadic, so
+    float products round nowhere and both checks see the same values."""
+    level = draw(st.integers(0, 4))
+    dim = 1 << level
+    support = subalgebra_support(
+        draw, level, draw(st.sampled_from(["complex", "quaternion", "octonion", "generic"])))
+    dyadic = st.integers(-6, 6).map(lambda n: Fraction(n, 4))
+
+    def point():
+        coeffs = [Fraction(0)] * dim
+        for k in support:
+            coeffs[k] = draw(dyadic)
+        return CDElement(level, coeffs)
+
+    count = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        u = point()
+        one = CDElement.one(level)
+        values = [draw(dyadic) * one + draw(dyadic) * u for _ in range(count)]
+    else:
+        values = [point() for _ in range(count)]
+    kind = draw(st.sampled_from(kinds))
+    floats = [draw(st.booleans()) if kind == "mixed" else kind == "float"
+              for _ in values]
+    return [CDElement(x.level, [float(c) for c in x.coeffs]) if f else x
+            for x, f in zip(values, floats)]
+
+
+def cli_samples(level, axis, nodes):
+    """The samples ``pde dalembert`` feeds the check: f = cos t + sin t e_axis."""
+    out = []
+    for t in np.linspace(0.0, 1.0, nodes):
+        for value in ((math.cos(t), math.sin(t)), (-math.sin(t), math.cos(t))):
+            coeffs = [value[0]] + [0.0] * ((1 << level) - 1)
+            coeffs[axis] = value[1]
+            out.append(CDElement(level, coeffs))
+    return out
+
+
+class TestCommutativeSubalgebra:
+    @settings(max_examples=300, deadline=None)
+    @given(sample_sets())
+    def test_verdict_equals_the_loop_oracle(self, values):
+        assert grid._values_commute_associate(values, 1e-9) == \
+            commute_associate_oracle(values, 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sample_sets(kinds=("float", "mixed")))
+    def test_blocks_of_one_row_equal_the_oracle(self, values):
+        saved = grid.SLAB_ENTRIES
+        grid.SLAB_ENTRIES = 1
+        try:
+            assert grid._values_commute_associate(values, 1e-9) == \
+                commute_associate_oracle(values, 1e-9)
+        finally:
+            grid.SLAB_ENTRIES = saved
+
+    @pytest.mark.parametrize("slab_entries", [1, grid.SLAB_ENTRIES])
+    def test_offending_samples_in_the_last_block(self, slab_entries, monkeypatch):
+        # with one-row blocks only the last two rows hold the noncommuting
+        # pair, and only the last holds the zero divisor's associator
+        monkeypatch.setattr(grid, "SLAB_ENTRIES", slab_entries)
+        one = CDElement.one(4)
+        a = CDElement.basis(4, 3) + CDElement.basis(4, 10)
+        b = CDElement.basis(4, 6) - CDElement.basis(4, 15)
+        floats = [CDElement(4, [float(c) for c in x.coeffs])
+                  for x in (one, 2 * one, a, CDElement.basis(4, 5), b)]
+        assert grid._values_commute_associate(floats[:3], 1e-9)
+        assert not grid._values_commute_associate(floats[:4], 1e-9)
+        assert not grid._values_commute_associate(floats[:3] + floats[4:], 1e-9)
+
+    @pytest.mark.parametrize("level, f_axis, g_axis, nodes", [
+        (3, 3, 3, 5), (3, 2, 5, 4), (3, 0, 7, 4), (4, 9, 9, 4), (4, 3, 12, 3),
+        (2, 1, 1, 6),
+    ])
+    def test_cli_samples_equal_the_oracle(self, level, f_axis, g_axis, nodes):
+        values = cli_samples(level, f_axis, nodes) + cli_samples(level, g_axis, nodes)
+        verdict = grid._values_commute_associate(values, 1e-9)
+        assert verdict == commute_associate_oracle(values, 1e-9)
+        assert verdict == (f_axis == g_axis or 0 in (f_axis, g_axis))
+
+    def test_exact_commutator_of_one_trillionth_is_noncommutative(self):
+        tiny = Fraction(1, 2 * 10 ** 12)
+        a = CDElement.basis(3, 1)
+        b = CDElement.one(3) + CDElement.basis(3, 2, tiny)
+        assert a * b - b * a == CDElement.basis(3, 3, Fraction(1, 10 ** 12))
+        report = separable_dalembert_check([a], [b], [a], [b])
+        assert not report.commutative_subalgebra
+        # as floats the same samples commute within the tolerance
+        fa, fb = (CDElement(3, [float(c) for c in x.coeffs]) for x in (a, b))
+        assert separable_dalembert_check([fa], [fb], [fa], [fb]).commutative_subalgebra
+
+    def test_float_tolerance_is_the_largest_coefficient_deviation(self):
+        # ab - ba = 2 * 2^-20 e3: commutative exactly when tolerance >= 2^-19
+        a = CDElement(3, [0.0, 1.0] + [0.0] * 6)
+        b = CDElement(3, [1.0, 0.0, 2.0 ** -20] + [0.0] * 5)
+        assert grid._values_commute_associate([a, b], 2.0 ** -19)
+        assert not grid._values_commute_associate([a, b], 2.0 ** -19 * 0.99)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_commuting_zero_divisors_fail_on_the_associator(self, exact):
+        # (e3+e10)(e6-e15) = 0 = (e6-e15)(e3+e10), but (aa)b = -2b != 0 = a(ab)
+        a = CDElement.basis(4, 3) + CDElement.basis(4, 10)
+        b = CDElement.basis(4, 6) - CDElement.basis(4, 15)
+        if not exact:
+            a, b = (CDElement(4, [float(c) for c in x.coeffs]) for x in (a, b))
+        assert a * b == b * a
+        assert not grid._values_commute_associate([a, b], 1e-9)
+        assert not commute_associate_oracle([a, b], 1e-9)
+
+    def test_nan_sample_fails(self):
+        a = CDElement(2, [float("nan"), 0.0, 0.0, 0.0])
+        assert not grid._values_commute_associate([a], 1e-9)
+        assert not commute_associate_oracle([a], 1e-9)
+
+    def test_no_samples_commute(self):
+        assert grid._values_commute_associate([], 1e-9)
