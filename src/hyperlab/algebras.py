@@ -12,9 +12,12 @@ two canonical factor embeddings are computed exactly over the rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .cayley_dickson import (
     DEFAULT_MAX_LEVEL,
@@ -24,7 +27,13 @@ from .cayley_dickson import (
     structure_constants,
     structure_multiply,
 )
-from .exact import VerificationError, mat_mult, nullspace
+from .exact import (
+    INT64_PRODUCT_BOUND,
+    VerificationError,
+    certified_nullspace,
+    integer_basis,
+)
+from .grid import SLAB_ENTRIES
 
 
 class InvalidAlgebra(ValueError):
@@ -44,6 +53,9 @@ class NoFunctional(ValueError):
 
 
 DEFAULT_NUCLEUS_CAP = 64
+# the centre reads the dense integer structure tensor: dim^3 int64 entries,
+# 16 MB at dim 128
+DEFAULT_CENTRE_CAP = 128
 
 
 def _frac_vec(values):
@@ -113,20 +125,48 @@ class StructureAlgebra:
             if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
                 raise InvalidAlgebra("unit vector is not a two-sided identity")
 
-    def basis_associative(self) -> bool:
-        """True when (b_p b_q) b_r == b_p (b_q b_r) for every basis triple."""
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        gamma = self.gamma
-        return all(
-            self.multiply(gamma[p][q], c) == self.multiply(a, gamma[q][r])
-            for p, a in enumerate(basis)
-            for q in range(self.dim)
-            for r, c in enumerate(basis)
-        )
+    @cached_property
+    def integer_tensor(self):
+        """The structure constants times the lcm of their denominators (which
+        moves no nullspace), as the dense tensor T[p, q, k] and as the terms
+        of each basis product padded to one width, idx[p, q, s] and
+        val[p, q, s] (val 0 pads).  int64 while an associator entry, at most
+        2 * width * max|T|^2, stays below 2^62; Python ints beyond."""
+        dim, terms = self.dim, [t for row in self.products for t in row]
+        scale = math.lcm(*(Fraction(g).denominator for t in terms for _, g in t))
+        width = max(map(len, terms)) or 1
+        padded = [list(t) + [(0, 0)] * (width - len(t)) for t in terms]
+        idx = np.array([[k for k, _ in t] for t in padded])
+        val = integer_basis([[int(g * scale) for _, g in t] for t in padded], width)
+        if 2 * width * int(np.abs(val).max()) ** 2 >= INT64_PRODUCT_BOUND:
+            val = val.astype(object)
+        dense = np.zeros((dim * dim, dim), dtype=val.dtype)
+        np.add.at(dense, (np.arange(dim * dim)[:, None], idx), val)  # pads add 0
+        shape = (dim, dim, width)
+        return dense.reshape(dim, dim, dim), idx.reshape(shape), val.reshape(shape)
 
-    def left_matrix(self, x):
-        cols = [self.multiply(x, self.basis_vector(q)) for q in range(self.dim)]
-        return [[cols[q][k] for q in range(self.dim)] for k in range(self.dim)]
+    def associators(self, a, b, c):
+        """The scaled associators (e_a e_b) e_c - e_a (e_b e_c) for index
+        arrays a, b, c broadcast together; the last axis holds the output
+        coordinate."""
+        dense, idx, val = self.integer_tensor
+        a, b, c = map(np.asarray, (a, b, c))  # array indices: gathers copy
+        out = 0
+        for s in range(idx.shape[2]):
+            term = dense[idx[a, b, s], c]
+            term *= val[a, b, s, None]
+            inner = dense[a, idx[b, c, s]]
+            inner *= val[b, c, s, None]
+            term -= inner
+            out = out + term if s else term
+        return out
+
+    def basis_associative(self) -> bool:
+        """True when (b_p b_q) b_r == b_p (b_q b_r) for every basis triple:
+        associator slabs per first index p, stopping at the first nonzero."""
+        r = np.arange(self.dim)
+        return not any(self.associators(p, q[:, None], r).any()
+                       for p in range(self.dim) for q in _slab_blocks(self.dim))
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,8 +273,7 @@ class TensorAlgebra(StructureAlgebra):
         self.level = level
         self.cd_dim = table.dim
         self.dim = base.dim * self.cd_dim
-        # the +-1 doubling table, read by the sparse table and the
-        # regular-representation oracle
+        # the +-1 doubling table, read by the sparse table
         self._cd_index, self._cd_sign = table.index, table.sign
         self.name = f"{base.name} (x) A_{level}"
         self.classic_limit_functional = None
@@ -265,9 +304,6 @@ class TensorAlgebra(StructureAlgebra):
 
     def tensor_index(self, i: int, p: int) -> int:
         return p * self.base.dim + i
-
-    def split_index(self, n: int) -> tuple[int, int]:
-        return n % self.base.dim, n // self.base.dim
 
     def to_json_dict(self) -> dict:
         # basis_order records the fixed (b_i (x) e_p) -> p * dim(B) + i layout
@@ -361,55 +397,27 @@ def pure_tensor(algebra: TensorAlgebra, b_coeffs, cd: CDElement) -> TensorElemen
     return TensorElement(algebra, vec)
 
 
-def multiply_via_regular_representation(x: TensorElement, y: TensorElement):
-    """Oracle product through the Kronecker product of the left-regular
-    representations; valid when the algebra is associative."""
-    alg = x.algebra
-    if not alg.associative:
-        raise InvalidAlgebra("regular-representation oracle needs associativity")
-    nb, nc = alg.base.dim, alg.cd_dim
-
-    def rep(element: TensorElement):
-        mat = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-        for n, c in enumerate(element.coeffs):
-            if c == 0:
-                continue
-            i, p = alg.split_index(n)
-            lb = alg.base.left_matrix(alg.base.basis_vector(i))
-            for q in range(nc):
-                k = alg._cd_index[p][q]
-                s = alg._cd_sign[p][q]
-                for a in range(nb):
-                    for bcol in range(nb):
-                        if lb[a][bcol] != 0:
-                            mat[k * nb + a][q * nb + bcol] += c * s * lb[a][bcol]
-        return mat
-
-    unit = alg.unit_vector()
-    prod = mat_mult(rep(x), rep(y))
-    coeffs = [
-        sum(prod[row][col] * unit[col] for col in range(alg.dim))
-        for row in range(alg.dim)
-    ]
-    return TensorElement(alg, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # centre, nucleus, classic limit, embeddings
 # ---------------------------------------------------------------------------
 
+def _slab_blocks(dim: int) -> list:
+    """0..dim-1 in consecutive index blocks that keep a dim x block x dim
+    slab within ``grid.SLAB_ENTRIES`` entries."""
+    size = max(1, SLAB_ENTRIES // dim ** 2)
+    return [np.arange(dim)[i:i + size] for i in range(0, dim, size)]
+
+
 def centre(algebra) -> list:
     """Basis of {x : xb = bx for every b}, the nullspace of all commutator
-    operators; each returned vector is re-verified to commute."""
+    operators, one dim x dim slab per basis element b; each returned vector
+    is also re-verified to commute through ``multiply``."""
     dim = algebra.dim
-    rows = []
-    for j in range(dim):
-        # commutator with basis element j, acting on the unknown coefficients
-        left = [algebra.basis_product(n, j) for n in range(dim)]
-        right = [algebra.basis_product(j, n) for n in range(dim)]
-        for k in range(dim):
-            rows.append([left[n][k] - right[n][k] for n in range(dim)])
-    basis = nullspace(rows, dim)
+    if dim > DEFAULT_CENTRE_CAP:
+        raise DimTooLarge(f"centre capped at dimension {DEFAULT_CENTRE_CAP}, got {dim}")
+    dense = algebra.integer_tensor[0]
+    # [n, k]: (e_n e_j - e_j e_n)_k, the commutator rows of e_j
+    basis = certified_nullspace((dense[:, j, :] - dense[j] for j in range(dim)), dim)
     for vec in basis:
         for j in range(dim):
             ej = algebra.basis_vector(j)
@@ -421,63 +429,27 @@ def centre(algebra) -> list:
 def nucleus(algebra, cap: int = DEFAULT_NUCLEUS_CAP) -> list:
     """Basis of {a : [a,b,c] = [b,a,c] = [b,c,a] = 0 for all basis b, c}.
 
-    Constraint rows are absorbed into a growing echelon so memory stays
-    proportional to dim^2 even though there are 3*dim^3 constraints.
+    The 3 dim^3 constraint rows come as slabs, per b and placement of the
+    unknown, over every output coordinate and a block of c
+    (``_slab_blocks``), so memory stays bounded by dim^3 entries although
+    there are 3 dim^4 coefficients.
     """
     dim = algebra.dim
     if dim > cap:
         raise DimTooLarge(f"nucleus capped at dimension {cap}, got {dim}")
+    unknown = np.arange(dim)[:, None]
+    assoc = algebra.associators
 
-    mult_cache = algebra.gamma
-    echelon = []  # (pivot column, normalized row)
+    def slabs():
+        for b in range(dim):
+            for c in _slab_blocks(dim):
+                c = c[None, :]
+                # [n, (c, output coordinate)]
+                yield assoc(unknown, b, c).reshape(dim, -1)
+                yield assoc(b, unknown, c).reshape(dim, -1)
+                yield assoc(b, c, unknown).reshape(dim, -1)
 
-    def absorb(row):
-        row = list(row)
-        for pivot_col, pivot_row in echelon:
-            if row[pivot_col] != 0:
-                f = row[pivot_col]
-                row = [x - f * y for x, y in zip(row, pivot_row)]
-        for col, val in enumerate(row):
-            if val != 0:
-                row = [x / val for x in row]
-                for idx, (pc, pr) in enumerate(echelon):
-                    if pr[col] != 0:
-                        f = pr[col]
-                        echelon[idx] = (pc, [x - f * y for x, y in zip(pr, row)])
-                echelon.append((col, row))
-                return
-
-    basis = [algebra.basis_vector(n) for n in range(dim)]
-    for b in range(dim):
-        for c in range(dim):
-            for r in _nucleus_rows(algebra.multiply, mult_cache, basis, b, c):
-                absorb(r)
-
-    return nullspace([row for _, row in echelon], dim)
-
-
-def _nucleus_rows(mul, mult_cache, basis, b, c):
-    """Constraint rows (one per output coordinate) for the three associator
-    placements of the unknown at fixed basis indices (b, c), built with the
-    product ``mul`` from the cached basis products."""
-    e_b, e_c = basis[b], basis[c]
-    bc = mult_cache[b][c]
-
-    def diff(u, v):
-        return [x - y for x, y in zip(u, v)]
-
-    cols = []
-    for n, e_n in enumerate(basis):
-        cols.append((
-            # [a, b, c] = (a b) c - a (b c)
-            diff(mul(mult_cache[n][b], e_c), mul(e_n, bc)),
-            # [b, a, c] = (b a) c - b (a c)
-            diff(mul(mult_cache[b][n], e_c), mul(e_b, mult_cache[n][c])),
-            # [b, c, a] = (b c) a - b (c a)
-            diff(mul(bc, e_n), mul(e_b, mult_cache[c][n])),
-        ))
-    rows = [[col[t][k] for col in cols] for k in range(len(basis)) for t in range(3)]
-    return [r for r in rows if any(x != 0 for x in r)]
+    return certified_nullspace(slabs(), dim)
 
 
 def classic_limit(x: TensorElement):

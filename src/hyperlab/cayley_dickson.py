@@ -15,7 +15,6 @@ level 4.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,8 @@ import numpy as np
 from .exact import (
     CERTIFICATE_PRIME,
     DEFAULT_TOLERANCE,
+    INT64_PRODUCT_BOUND,
+    integer_vector,
     is_exact,
     matrix_rank_exact,
     matrix_rank_float,
@@ -37,9 +38,6 @@ DEFAULT_MAX_LEVEL = 8
 # cd_multiply runs int products as int64 matvecs from this level on; below
 # it the Python loop is faster than numpy's per-call overhead
 VECTOR_MIN_LEVEL = 4
-# an int product goes through int64 only when dim * max|a| * max|b| is below
-# this, so no partial sum can overflow
-INT64_PRODUCT_BOUND = 1 << 62
 
 
 class LevelMismatch(ValueError):
@@ -496,10 +494,11 @@ def is_operator_invertible(
     Exact elements are scaled to integers (every row of the matrix by the
     lcm of the denominators) and eliminated mod ``exact.CERTIFICATE_PRIME``
     = 2^31 - 1 in int64; full rank mod p certifies full rank.  A matrix
-    that is rank-deficient mod p falls back to the exact Fraction
-    ``matrix_rank_exact``, so zero divisors are always decided exactly.
-    The zero element, whose operators are zero, needs neither.  Float
-    elements count the singular values above ``tolerance``.
+    that is rank-deficient mod p goes to ``matrix_rank_exact``, whose
+    reduced form is certified (the matrix exactly annihilates the lifted
+    nullspace basis, see ``exact``), so zero divisors are always decided
+    exactly.  The zero element, whose operators are zero, needs neither.
+    Float elements count the singular values above ``tolerance``.
     """
     dim = 1 << a.level
     if a.is_zero():
@@ -507,11 +506,8 @@ def is_operator_invertible(
     if not a.is_exact:
         return tuple(matrix_rank_float(_MATRICES[side](a), tolerance) == dim
                      for side in sides)
-    scale = math.lcm(*(c.denominator for c in a.coeffs))
-    residues = np.array(
-        [c.numerator * (scale // c.denominator) % CERTIFICATE_PRIME for c in a.coeffs],
-        dtype=np.int64,
-    )
+    residues = np.array([c % CERTIFICATE_PRIME for c in integer_vector(a.coeffs)],
+                        dtype=np.int64)
     cols, left, right = _xor_tables(a.level)
     signs = {"left": left, "right": right}
     return tuple(

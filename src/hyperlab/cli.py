@@ -264,8 +264,11 @@ def _load_point(raw: dict) -> dict:
 
 
 def _cmd_pde(args) -> CommandResult:
-    if args.action in ("heat", "dalembert") and args.nodes < 1:
-        raise InputError("--nodes must be >= 1")
+    if args.action in ("heat", "dalembert"):
+        if args.nodes < 1:
+            raise InputError("--nodes must be >= 1")
+        # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
+        structure_constants(args.level)
     systems = jets.builtin_systems()
     if args.action in ("jacobian", "minors", "scan"):
         if args.system in systems:

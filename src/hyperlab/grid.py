@@ -12,14 +12,13 @@ written order inside the coefficient algebra.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cayley_dickson import CDElement, _xor_tables
-from .exact import rref
+from .exact import integer_vector, rref
 from .jets import AlgebraMismatch, PDESystem
 
 # the float commutativity check sizes its blocks to keep each array near
@@ -300,11 +299,7 @@ def _exact_commute_associate(values) -> bool:
         return True
     level = values[0].level
     rows, pivots = rref([x.coeffs for x in values])
-    basis = []
-    for row in rows[:len(pivots)]:
-        scale = math.lcm(*(c.denominator for c in row))
-        basis.append(CDElement(level, [c.numerator * (scale // c.denominator)
-                                       for c in row]))
+    basis = [CDElement(level, integer_vector(row)) for row in rows[:len(pivots)]]
     for a, b in itertools.combinations(basis, 2):
         if a * b != b * a:
             return False

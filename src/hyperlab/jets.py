@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .cayley_dickson import CDElement, is_operator_invertible
-from .exact import DEFAULT_TOLERANCE, is_exact
+from .exact import DEFAULT_TOLERANCE, is_exact, matrix_rank_float
 from .polynomials import Poly, poly_matrix_determinant
 
 
@@ -372,15 +372,6 @@ def classify_point(
 
 def numeric_jacobian_rank(system: PDESystem, point: dict, tolerance: float = 1e-8) -> int:
     """Oracle for real points: numeric rank of the evaluated Jacobian."""
-    import numpy as np
-
     env, _ = _fill_point(system, point)
-    jac = formal_jacobian(system)
-    rows = [
-        [float(entry.evaluate(env)) for entry in row]
-        for row in jac
-    ]
-    arr = np.asarray(rows, dtype=float)
-    if not arr.size:
-        return 0
-    return int(np.linalg.matrix_rank(arr, tol=tolerance))
+    return matrix_rank_float([[float(entry.evaluate(env)) for entry in row]
+                              for row in formal_jacobian(system)], tolerance)

@@ -1,10 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
+import oracles
 import pytest
 
+from hyperlab import exact
 from hyperlab.algebras import (
     BASE_ALGEBRAS,
+    DEFAULT_CENTRE_CAP,
     DimTooLarge,
     InvalidAlgebra,
     NoFunctional,
@@ -15,7 +19,6 @@ from hyperlab.algebras import (
     complex_algebra,
     embed_factors,
     matrix2_algebra,
-    multiply_via_regular_representation,
     nucleus,
     pure_tensor,
     qh_multiply,
@@ -30,6 +33,46 @@ from hyperlab.cayley_dickson import (
     cd_multiply_recursive,
     structure_constants,
 )
+from hyperlab.exact import VerificationError
+
+
+def multiply_via_regular_representation(x: TensorElement, y: TensorElement):
+    """Oracle product through the Kronecker product of the left-regular
+    representations; valid when the algebra is associative."""
+    alg = x.algebra
+    assert alg.associative
+    nb, base = alg.base.dim, alg.base
+
+    def rep(element: TensorElement):
+        mat = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
+        for n, c in enumerate(element.coeffs):
+            if c == 0:
+                continue
+            i, p = n % nb, n // nb
+            # column bcol of b_i's left-regular matrix is b_i b_bcol
+            cols = [base.multiply(base.basis_vector(i), base.basis_vector(bcol))
+                    for bcol in range(nb)]
+            for q in range(alg.cd_dim):
+                k, s = alg._cd_index[p][q], alg._cd_sign[p][q]
+                for a in range(nb):
+                    for bcol in range(nb):
+                        if cols[bcol][a] != 0:
+                            mat[k * nb + a][q * nb + bcol] += c * s * cols[bcol][a]
+        return mat
+
+    rx, ry, unit = rep(x), rep(y), alg.unit_vector()
+    # (rep(x) rep(y)) applied to the unit
+    ry_unit = [sum(r * u for r, u in zip(row, unit)) for row in ry]
+    return TensorElement(alg, [sum(r * v for r, v in zip(row, ry_unit)) for row in rx])
+
+
+def rescaled(algebra, scales):
+    """The algebra on the basis f_i = scales[i] e_i: its structure constants
+    scales[p] scales[q] / scales[k] gamma[p][q][k] are rational."""
+    d = [Fraction(x) for x in scales]
+    gamma = [[[g * d[p] * d[q] / d[k] for k, g in enumerate(vec)]
+              for q, vec in enumerate(row)] for p, row in enumerate(algebra.gamma)]
+    return StructureAlgebra(gamma, [u / d[k] for k, u in enumerate(algebra.unit)])
 
 
 def rand_element(algebra, rng):
@@ -197,6 +240,54 @@ class TestCentreNucleus:
     def test_nucleus_cap(self):
         with pytest.raises(DimTooLarge):
             nucleus(tensor_algebra(matrix2_algebra(), 3), cap=16)
+
+    def test_centre_cap_is_checked_before_any_table(self):
+        alg = tensor_algebra(matrix2_algebra(), 6)
+        assert alg.dim > DEFAULT_CENTRE_CAP
+        with pytest.raises(DimTooLarge):
+            centre(alg)
+        assert "products" not in vars(alg) and "integer_tensor" not in vars(alg)
+
+    @pytest.mark.parametrize("base_name", list(BASE_ALGEBRAS))
+    @pytest.mark.parametrize("level", range(4))
+    def test_slabs_match_the_loop_oracles(self, base_name, level):
+        alg = tensor_algebra(BASE_ALGEBRAS[base_name](), level)
+        assert centre(alg) == oracles.centre(alg)
+        assert nucleus(alg) == oracles.nucleus(alg)
+
+    @pytest.mark.parametrize("algebra, scales", [
+        (tensor_algebra(real_algebra(), 3), [1, 2, "1/3", 5, "-1/7", 2, 3, "1/2"]),
+        (tensor_algebra(upper_triangular2_algebra(), 1), ["1/2", 3, 1, "2/5", 7, "-1/3"]),
+        (matrix2_algebra(), [3, "1/2", "2/3", 1]),
+        # constants up to 2^80: the integer tensor holds Python ints
+        (tensor_algebra(complex_algebra(), 2), [1, 2**40, 1, 3, 2**-40, 1, 5, 1]),
+    ])
+    def test_rational_structure_constants(self, algebra, scales):
+        alg = rescaled(algebra, scales)
+        assert alg.basis_associative() == algebra.associative
+        assert centre(alg) == oracles.centre(alg)
+        assert nucleus(alg) == oracles.nucleus(alg)
+        huge = max(abs(Fraction(x)) for x in scales) > 2**20
+        assert (alg.integer_tensor[0].dtype == object) == huge
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # a basis vector that misses a constraint row must not get through
+        alg = tensor_algebra(real_algebra(), 3)
+
+        def nullspace_with_extra(rows, dim):
+            return oracles.nullspace(rows, dim) + [[Fraction(int(k == 1)) for k in range(dim)]]
+
+        monkeypatch.setattr(exact, "nullspace", nullspace_with_extra)
+        with pytest.raises(VerificationError):
+            nucleus(alg)
+        with pytest.raises(VerificationError):
+            centre(alg)
+
+    def test_mat2_a4_nucleus(self):
+        # dim 64, the largest algebra under the default nucleus cap
+        start = time.perf_counter()
+        assert len(nucleus(tensor_algebra(matrix2_algebra(), 4))) == 4
+        assert time.perf_counter() - start < 30
 
 
 class TestClassicLimit:

@@ -106,6 +106,18 @@ class TestQalg:
         result = payload(["qalg", "--base", "nonesuch", "--op", "centre"])
         assert result.code == 2
 
+    def test_centre_cap(self):
+        # mat2 (x) A5 (dim 128) is the largest centre; A6 (dim 256) is refused
+        # before any table is built
+        result = payload(["qalg", "--base", "mat2", "--level", "5", "--op", "centre"])
+        assert result.code == 0 and result.payload["centre_dimension"] == 1
+        start = time.perf_counter()
+        result = payload(["qalg", "--base", "mat2", "--level", "6", "--op", "centre"])
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert result.payload == {
+            "error": "DimTooLarge: centre capped at dimension 128, got 256"}
+
 
 class TestHeyting:
     def test_build_chain(self):
@@ -248,6 +260,14 @@ class TestPde:
     def test_unknown_system(self):
         result = payload(["pde", "jacobian", "--system", "nonesuch"])
         assert result.code == 2
+
+    @pytest.mark.parametrize("action", ["heat", "dalembert"])
+    def test_level_cap(self, action):
+        # the same cap as zerodiv, checked before any sample array is built
+        result = payload(["pde", action, "--level", "9", "--nodes", "2"])
+        assert result.code == 2
+        assert result.payload == {"error": "LevelTooLarge: level 9 exceeds cap 8 (dim 512)"}
+        assert run(["zerodiv", "--level", "9"]).payload == result.payload
 
 
 class TestDispatch:
