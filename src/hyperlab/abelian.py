@@ -4,7 +4,19 @@ sphere homology / Euler characteristic lookup tables.
 
 A group is stored in canonical form: free rank plus the invariant-factor
 chain d1 | d2 | ... | ds with every di >= 2, so isomorphism testing is
-plain equality.  All matrix work uses Python's arbitrary-precision ints.
+plain equality.  The chain comes from gcd/lcm swaps (Z/a + Z/b is
+Z/gcd(a, b) + Z/lcm(a, b)), never from factoring.  All matrix work uses
+Python's arbitrary-precision ints.
+
+``smith_normal_form`` carries U^-1 and V^-1 through the elementary
+operations it applies to U and V, and certifies its answer exactly:
+
+- D is diagonal and its diagonal is a divisibility chain;
+- U * U^-1 = I and V^-1 * V = I.  All four are integer matrices, so
+  det U * det U^-1 = 1 with both determinants integers, hence
+  det U = +-1 and U is unimodular; likewise V;
+- U * M = D * V^-1, which with V^-1 * V = I gives U * M * V = D.  D is
+  diagonal, so the right side only scales rows of V^-1.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 
 from .exact import VerificationError
 
@@ -31,6 +44,42 @@ def _factorint(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _invariant_factors(divisors) -> tuple:
+    """The chain c1 | c2 | ... (each >= 2) of the direct sum of Z/d over the
+    positive ``divisors``, with no factoring.
+
+    Each Z/d is inserted from the top of the chain: Z/c + Z/d is
+    Z/lcm(c, d) + Z/gcd(c, d), and the gcd moves down.  The chain is kept as
+    ascending runs [value, count]; a value the moving divisor divides stays
+    as it is, so each insertion costs one step per run, not per entry.
+    """
+    runs: list[list[int]] = []
+
+    def add(k, value):  # one more entry of value, at run index k
+        if k < len(runs) and runs[k][0] == value:
+            runs[k][1] += 1
+        else:
+            runs.insert(k, [value, 1])
+
+    for d in divisors:
+        k = len(runs) - 1
+        while d > 1 and k >= 0:
+            c, count = runs[k]
+            if c % d:
+                g = gcd(c, d)
+                if count == 1:
+                    del runs[k]
+                    add(k, c // g * d)
+                else:
+                    runs[k][1] -= 1
+                    add(k + 1, c // g * d)
+                d = g
+            k -= 1
+        if d > 1:
+            add(0, d)
+    return tuple(c for c, count in runs for _ in range(count))
 
 
 @dataclass(frozen=True)
@@ -63,24 +112,8 @@ class FGAbelianGroup:
         >>> print(FGAbelianGroup.from_divisors(0, 30, 4))
         Z + Z2 + Z60
         """
-        rank = 0
-        primary: dict[int, list[int]] = {}
-        for d in divisors:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-            elif d > 1:
-                for p, e in _factorint(d).items():
-                    primary.setdefault(p, []).append(e)
-        chains = {p: sorted(es, reverse=True) for p, es in primary.items()}
-        length = max((len(c) for c in chains.values()), default=0)
-        factors = []
-        for i in range(length):
-            factors.append(
-                prod(p ** chain[i] for p, chain in chains.items() if i < len(chain))
-            )
-        factors.reverse()  # ascending divisibility chain
-        return cls(rank, tuple(factors))
+        divisors = [abs(int(d)) for d in divisors]
+        return cls(divisors.count(0), _invariant_factors(d for d in divisors if d))
 
     # -- basic structure ------------------------------------------------------
 
@@ -165,136 +198,132 @@ def smith_normal_form(matrix):
     """U * M * V = D with d1 | d2 | ... and U, V unimodular.
 
     Returns (factors, U, V, D); ``factors`` is the full diagonal of D
-    including zeros.  The transforms are rebuilt and verified before
-    returning.
+    including zeros.  U^-1 and V^-1 are carried through the same
+    elementary operations and the result is certified before returning
+    (see ``_verify_snf``).
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     a = [[int(x) for x in row] for row in matrix]
     u = _identity(m)
-    v = _identity(n)
+    u_inv_t = _identity(m)  # columns of U^-1
+    v_t = _identity(n)  # columns of V
+    v_inv = _identity(n)
 
+    # Each operation on U or V is paired with its inverse on U^-1 or V^-1:
+    # E U has inverse U^-1 E^-1, V E has inverse E^-1 V^-1.
     def row_op(i, j, k):  # row_i -= k * row_j
         a[i] = [x - k * y for x, y in zip(a[i], a[j])]
         u[i] = [x - k * y for x, y in zip(u[i], u[j])]
+        u_inv_t[j] = [x + k * y for x, y in zip(u_inv_t[j], u_inv_t[i])]
 
-    def col_op(i, j, k):  # col_i -= k * col_j
-        for row in a:
+    def col_op(i, j, k, rows):  # col_i -= k * col_j; rows: those with row[j] != 0
+        for row in rows:
             row[i] -= k * row[j]
-        for row in v:
-            row[i] -= k * row[j]
+        v_t[i] = [x - k * y for x, y in zip(v_t[i], v_t[j])]
+        v_inv[j] = [x + k * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for mat in (a, u, u_inv_t):
+            mat[i], mat[j] = mat[j], mat[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        for mat in (v_t, v_inv):
+            mat[i], mat[j] = mat[j], mat[i]
 
     def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for mat in (a, u, u_inv_t):
+            mat[i] = [-x for x in mat[i]]
 
     t = 0
     while t < min(m, n):
-        # find a pivot of least absolute value in the remaining block
-        pivot = None
+        # find a pivot of least absolute value in the remaining block, the
+        # first one in row-major order; nothing beats an entry of absolute value 1
+        pivot, least = None, None
         for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+            rest = a[i][t:]
+            low = min(map(abs, filter(None, rest)), default=None)
+            if low is not None and (least is None or low < least):
+                least = low
+                pivot = (i, t + next(j for j, x in enumerate(rest) if abs(x) == low))
+                if low == 1:
+                    break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
         if a[t][t] < 0:
             negate_row(t)
+        p = a[t][t]
         dirty = False
         for i in range(t + 1, m):
             if a[i][t] != 0:
-                row_op(i, t, a[i][t] // a[t][t])
+                row_op(i, t, a[i][t] // p)
                 if a[i][t] != 0:
                     dirty = True
+        # column operations leave column t alone, so the rows they touch are fixed
+        rows = [row for row in a if row[t]]
         for j in range(t + 1, n):
             if a[t][j] != 0:
-                col_op(j, t, a[t][j] // a[t][t])
+                col_op(j, t, a[t][j] // p, rows)
                 if a[t][j] != 0:
                     dirty = True
         if dirty:
             continue
         # force divisibility: a[t][t] must divide every later entry
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
+        if p != 1:
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # adds the offending row, creating smaller remainders
-            continue
+                row_op(t, offender, -1)  # adds the offending row, creating smaller remainders
+                continue
         t += 1
 
     factors = [a[i][i] for i in range(min(m, n))]
-    d = [[a[i][j] for j in range(n)] for i in range(m)]
-    _verify_snf(matrix, factors, u, v, d)
-    return factors, u, v, d
+    v = [list(row) for row in zip(*v_t)]
+    u_inv = [list(row) for row in zip(*u_inv_t)]
+    _verify_snf(matrix, factors, u, u_inv, v, v_inv, a)
+    return factors, u, v, a
 
 
-def _det_unimodular(mat) -> int:
-    # integer determinant by fraction-free Bareiss elimination
-    from fractions import Fraction
-
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    if det.denominator != 1:
-        raise VerificationError("determinant of an integer matrix is not an integer")
-    return int(det)
+def _is_identity(rows, cols) -> bool:
+    """rows * cols == I, where ``cols`` holds the columns of the right factor."""
+    return all(
+        sum(map(mul, row, col)) == (i == j)
+        for i, row in enumerate(rows)
+        for j, col in enumerate(cols)
+    )
 
 
-def _verify_snf(matrix, factors, u, v, d) -> None:
+def _verify_snf(matrix, factors, u, u_inv, v, v_inv, d) -> None:
+    """Certify U * M * V = D with U, V unimodular, D diagonal and the
+    factors a divisibility chain, from U * M = D * V^-1, U * U^-1 = I and
+    V^-1 * V = I (see the module docstring)."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    # U M V == D, recomputed exactly
-    um = [
-        [sum(u[i][k] * matrix[k][j] for k in range(m)) for j in range(n)]
-        for i in range(m)
-    ]
-    umv = [
-        [sum(um[i][k] * v[k][j] for k in range(n)) for j in range(n)]
-        for i in range(m)
-    ]
-    if umv != d:
-        raise VerificationError("U*M*V does not equal D")
     if any(d[i][j] != 0 for i in range(m) for j in range(n) if i != j):
         raise VerificationError("D not diagonal")
+    if factors != [d[i][i] for i in range(min(m, n))]:
+        raise VerificationError("factors are not the diagonal of D")
     for x, y in zip(factors, factors[1:]):
         if x != 0 and y % x != 0:
             raise VerificationError("divisibility chain broken")
         if x == 0 and y != 0:
             raise VerificationError("zero factor precedes nonzero")
-    if m and _det_unimodular(u) not in (1, -1):
-        raise VerificationError("U not unimodular")
-    if n and _det_unimodular(v) not in (1, -1):
-        raise VerificationError("V not unimodular")
+    columns = [list(col) for col in zip(*matrix)]
+    um = [[sum(map(mul, row, col)) for col in columns] for row in u]
+    # D is diagonal, so D * V^-1 scales row i of V^-1 by d_i
+    dv = [[f * x for x in row] for f, row in zip(factors, v_inv)]
+    dv += [[0] * n] * (m - len(dv))
+    if um != dv:
+        raise VerificationError("U*M does not equal D*V^-1")
+    if not _is_identity(u, [list(col) for col in zip(*u_inv)]):
+        raise VerificationError("U*U^-1 is not the identity")
+    if not _is_identity(v_inv, [list(col) for col in zip(*v)]):
+        raise VerificationError("V^-1*V is not the identity")
 
 
 def decompose(presentation) -> FGAbelianGroup:

@@ -194,6 +194,13 @@ def _cmd_heyting(args) -> CommandResult:
     return CommandResult(code, payload)
 
 
+# Rows and columns `abelian snf` and `decompose` accept.  The transforms U
+# and V grow with the size: a 40x40 matrix with entries in [-9, 9] gets
+# entries of about 1200 digits and takes well under a second; at 60x60 they
+# pass the 4300 digits Python will print.
+SNF_MAX_DIM = 40
+
+
 def _parse_matrix(args):
     if args.input:
         matrix = _load_json(args.input)
@@ -205,15 +212,28 @@ def _parse_matrix(args):
         raise InputError("matrix must be a JSON list of rows")
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise InputError("matrix rows must all have the same length")
+    if len(matrix) > SNF_MAX_DIM or (matrix and len(matrix[0]) > SNF_MAX_DIM):
+        raise InputError(f"matrix is {len(matrix)}x{len(matrix[0])}; at most "
+                         f"{SNF_MAX_DIM} rows and {SNF_MAX_DIM} columns are accepted")
     if any(isinstance(x, bool) or not isinstance(x, int) for row in matrix for x in row):
         raise InputError("matrix entries must be integers")
     return matrix
+
+
+def _check_printable(*matrices):
+    """Reject integers longer than the interpreter will print, which would
+    otherwise fail only when the payload is serialized."""
+    limit = sys.get_int_max_str_digits()
+    bound = 10 ** limit
+    if limit and any(abs(x) >= bound for mat in matrices for row in mat for x in row):
+        raise InputError(f"SNF entries exceed {limit} decimal digits")
 
 
 def _cmd_abelian(args) -> CommandResult:
     if args.action == "snf":
         matrix = _parse_matrix(args)
         factors, u, v, d = ab.smith_normal_form(matrix)
+        _check_printable(u, v, d)
         return CommandResult(0, {"factors": factors, "U": u, "V": v, "D": d})
     if args.action == "decompose":
         matrix = _parse_matrix(args)

@@ -2,7 +2,9 @@
 
 Plain Fraction elimination and the loop-based centre and nucleus: slow,
 but independent of the modular kernel, the integer structure tensor and
-its slabs.
+its slabs.  The Smith normal form with its determinant check, and
+invariant factors by prime factoring: independent of the carried inverses
+and the gcd/lcm chain in ``hyperlab.abelian``.
 """
 
 from fractions import Fraction
@@ -117,3 +119,137 @@ def _nucleus_rows(mul, mult_cache, basis, b, c):
         ))
     rows = [[col[t][k] for col in cols] for k in range(len(basis)) for t in range(3)]
     return [r for r in rows if any(x != 0 for x in r)]
+
+
+def smith_normal_form(matrix):
+    """The row/column elimination behind ``abelian.smith_normal_form``, with
+    the same pivot rule and operation order, checked by determinants:
+    (factors, U, V, D) with U * M * V = D."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    a = [[int(x) for x in row] for row in matrix]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, k):  # row_i -= k * row_j
+        a[i] = [x - k * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - k * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, k):  # col_i -= k * col_j
+        for row in a:
+            row[i] -= k * row[j]
+        for row in v:
+            row[i] -= k * row[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        if a[t][t] < 0:
+            negate_row(t)
+        dirty = False
+        for i in range(t + 1, m):
+            if a[i][t] != 0:
+                row_op(i, t, a[i][t] // a[t][t])
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if a[t][j] != 0:
+                col_op(j, t, a[t][j] // a[t][t])
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % a[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_op(t, offender, -1)
+            continue
+        t += 1
+
+    factors = [a[i][i] for i in range(min(m, n))]
+    d = [[a[i][j] for j in range(n)] for i in range(m)]
+    um = [[sum(u[i][k] * matrix[k][j] for k in range(m)) for j in range(n)]
+          for i in range(m)]
+    umv = [[sum(um[i][k] * v[k][j] for k in range(n)) for j in range(n)]
+           for i in range(m)]
+    if umv != d:
+        raise AssertionError("U*M*V does not equal D")
+    if m and det(u) not in (1, -1):
+        raise AssertionError("U not unimodular")
+    if n and det(v) not in (1, -1):
+        raise AssertionError("V not unimodular")
+    return factors, u, v, d
+
+
+def det(mat):
+    """Determinant of a square integer matrix by Fraction elimination."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            result = -result
+        result *= a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return int(result)
+
+
+def invariant_factors(divisors):
+    """(rank, torsion chain) of the direct sum of Z/d, d = 0 meaning Z, by
+    factoring every divisor and stacking prime powers."""
+    from hyperlab.abelian import _factorint
+
+    rank = 0
+    primary = {}
+    for d in divisors:
+        d = abs(int(d))
+        if d == 0:
+            rank += 1
+        elif d > 1:
+            for p, e in _factorint(d).items():
+                primary.setdefault(p, []).append(e)
+    chains = {p: sorted(es, reverse=True) for p, es in primary.items()}
+    length = max((len(c) for c in chains.values()), default=0)
+    factors = []
+    for i in range(length):
+        factor = 1
+        for p, chain in chains.items():
+            if i < len(chain):
+                factor *= p ** chain[i]
+        factors.append(factor)
+    return rank, tuple(reversed(factors))

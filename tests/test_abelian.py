@@ -5,6 +5,7 @@ import sys
 from math import gcd
 from pathlib import Path
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,19 @@ class TestCanonicalForm:
         random.Random(0).shuffle(divisors)
         assert FGAbelianGroup.from_divisors(*divisors) == g
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, 2, 4, 8, 12, 36]),
+                              st.integers(min_value=-5000, max_value=5000)),
+                    max_size=10))
+    def test_gcd_lcm_matches_factoring_oracle(self, divisors):
+        g = FGAbelianGroup.from_divisors(*divisors)
+        assert (g.rank, g.torsion) == oracles.invariant_factors(divisors)
+
+    def test_large_prime_needs_no_factoring(self):
+        p = 1000000000000000003
+        assert FGAbelianGroup.from_divisors(p, 2, 0).torsion == (2 * p,)
+        assert FGAbelianGroup.from_divisors(p * p, p, 2 * p).torsion == (p, p, 2 * p * p)
+
 
 class TestSmithNormalForm:
     def test_already_diagonal(self):
@@ -103,33 +117,95 @@ class TestSmithNormalForm:
         factors, u, v, d = smith_normal_form(matrix)
         assert len(factors) == min(m, n)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=8),
+           st.integers())
+    def test_matches_determinant_oracle(self, m, n, rank, seed):
+        # a product of m x r and r x n factors has rank at most r; r = 0
+        # gives the zero matrix
+        rng = random.Random(seed)
+        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(m)]
+        right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)]
+        matrix = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                  if rank else [0] * n for row in left]
+        assert smith_normal_form(matrix) == oracles.smith_normal_form(matrix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6),
+           st.integers())
+    def test_factors_match_sympy(self, m, n, seed):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(seed)
+        matrix = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(m)]
+        factors, *_ = smith_normal_form(matrix)
+        d = sympy_snf(sympy.Matrix(matrix), domain=sympy.ZZ)
+        assert factors == [abs(int(d[i, i])) for i in range(min(m, n))]
+
     def test_verification_survives_optimize_flag(self):
         # under python -O a bare assert would vanish; the check must not
-        import hyperlab
+        out = _verify_under_optimize([[2, 0], [0, 3]], "d[1][1] += 1")
+        assert out.startswith("1 VerificationError"), out
 
-        script = (
-            "import sys\n"
-            "from hyperlab.abelian import _verify_snf, smith_normal_form\n"
-            "from hyperlab.exact import VerificationError\n"
-            "m = [[2, 0], [0, 3]]\n"
-            "factors, u, v, d = smith_normal_form(m)\n"
-            "d[1][1] += 1\n"
-            "try:\n"
-            "    _verify_snf(m, factors, u, v, d)\n"
-            "except VerificationError as exc:\n"
-            "    print(sys.flags.optimize, 'VerificationError', exc)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(hyperlab.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("1 VerificationError"), out.stdout
+    @pytest.mark.parametrize("tamper, message", [
+        # U^-1 that is not U's inverse; U * M = D * V^-1 still holds
+        ("u_inv[0][1] += 1", "U*U^-1 is not the identity"),
+        # det U = 2 with D scaled to match, so U * M * V = D still holds
+        ("u[2] = [2 * x for x in u[2]]; d[2][2] *= 2; factors[2] *= 2",
+         "U*U^-1 is not the identity"),
+        # V enters only V^-1 * V = I
+        ("v[0][1] += 1", "V^-1*V is not the identity"),
+        # D and its factors changed together, so only U * M = D * V^-1 sees it
+        ("d[2][2] += factors[1]; factors[2] = d[2][2]", "U*M does not equal D*V^-1"),
+    ])
+    def test_tampered_certificate_rejected(self, tamper, message):
+        matrix = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+        out = _verify_under_optimize(matrix, tamper)
+        assert out == f"1 VerificationError {message}\n", out
 
     def test_decompose_cokernel(self):
         assert decompose([[2, 0], [0, 3]]) == cyclic(6)
         # rows are relations among column generators
         assert decompose([[0, 0, 0], [0, 0, 0]]) == FGAbelianGroup(rank=3)
         assert decompose([[28]]) == cyclic(28)
+
+
+def _inverse(mat):
+    """Exact inverse of a unimodular matrix from the Fraction oracle."""
+    n = len(mat)
+    rows, _ = oracles.rref([row + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(mat)])
+    return [[int(x) for x in row[n:]] for row in rows]
+
+
+def _verify_under_optimize(matrix, tamper):
+    """Run ``_verify_snf`` under python -O on the SNF of ``matrix`` with its
+    inverses, after the statement ``tamper``; return what it printed."""
+    import hyperlab
+
+    factors, u, v, d = smith_normal_form(matrix)
+    script = (
+        "import sys\n"
+        "from hyperlab.abelian import _verify_snf\n"
+        "from hyperlab.exact import VerificationError\n"
+        f"m, factors, u, v, d = {(matrix, factors, u, v, d)!r}\n"
+        f"u_inv, v_inv = {(_inverse(u), _inverse(v))!r}\n"
+        "_verify_snf(m, factors, u, u_inv, v, v_inv, d)\n"
+        f"{tamper}\n"
+        "try:\n"
+        "    _verify_snf(m, factors, u, u_inv, v, v_inv, d)\n"
+        "except VerificationError as exc:\n"
+        "    print(sys.flags.optimize, 'VerificationError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 class TestHomExtTensor:

@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 import time
 from pathlib import Path
 
@@ -186,6 +188,22 @@ class TestAbelian:
         result = payload(["abelian", "snf", "--matrix", "not json"])
         assert result.code == 2
 
+    @pytest.mark.parametrize("argv, key, expected", [
+        (["ext", "--g", "Z1000000000000000003", "--h", "Z2"], "ext",
+         {"rank": 0, "torsion": []}),
+        (["homology", "--order", "1000000000000000003", "--degree", "1"], "group",
+         {"rank": 0, "torsion": [1000000000000000003]}),
+        (["extension-count", "--base", "Z1000000000000000003", "--fiber", "Z2"],
+         "ext_group", {"rank": 0, "torsion": []}),
+    ])
+    def test_large_prime_order_needs_no_factoring(self, argv, key, expected):
+        # trial division of the 19-digit prime would run for minutes
+        start = time.perf_counter()
+        result = payload(["abelian", *argv])
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 0
+        assert result.payload[key] == expected
+
 
 class TestPde:
     def test_jacobian(self):
@@ -337,6 +355,43 @@ class TestDispatch:
         assert time.perf_counter() - start < 1.0
         assert result.code == 2
         assert "256" in result.payload["error"]
+
+    @pytest.mark.parametrize("action", ["snf", "decompose"])
+    @pytest.mark.parametrize("rows, cols", [(60, 60), (41, 1), (1, 41)])
+    def test_oversized_matrix_rejected_before_elimination(
+            self, action, rows, cols, tmp_path):
+        # 60x60 with entries in [-9, 9] used to run for 16 s, then fail to
+        # print transforms of more than 4300 digits
+        rng = random.Random(0)
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps([[rng.randint(-9, 9) for _ in range(cols)]
+                                    for _ in range(rows)]))
+        start = time.perf_counter()
+        result = payload(["abelian", action, "--input", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert result.payload == {"error": f"matrix is {rows}x{cols}; at most 40 "
+                                           "rows and 40 columns are accepted"}
+
+    def test_unprintable_snf_entry_is_a_json_error(self, capsys):
+        # 100-digit entries give transforms of about 12,000 digits, past
+        # Python's default limit of 4300 for printing an int
+        rng = random.Random(1)
+        matrix = [[rng.randrange(10 ** 99, 10 ** 100) for _ in range(3)]
+                  for _ in range(3)]
+        argv = ["abelian", "snf", "--matrix", json.dumps(matrix), "--json"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert elapsed < 1.0
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "SNF entries exceed 4300 decimal digits"}
 
     def test_main_prints_json(self, capsys):
         code = main(["abelian", "ext", "--g", "Z28", "--h", "Z2", "--json"])
