@@ -134,13 +134,6 @@ class FGAbelianGroup:
             divisors += [0] * g.rank + list(g.torsion)
         return FGAbelianGroup.from_divisors(*divisors)
 
-    def primary_decomposition(self) -> list[int]:
-        """Elementary divisors (prime powers), ascending."""
-        out = []
-        for d in self.torsion:
-            out.extend(p ** e for p, e in _factorint(d).items())
-        return sorted(out)
-
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
@@ -161,8 +154,15 @@ def cyclic(n: int) -> FGAbelianGroup:
     return FGAbelianGroup.from_divisors(n)
 
 
+# summands a parsed group may have: Hom, Ext and tensor of two such groups
+# have up to MAX_SUMMANDS^2 of them
+MAX_SUMMANDS = 100
+
+
 def parse_group(text: str) -> FGAbelianGroup:
-    """Parse compact names like 'Z28+Z2', 'Z^2+Z4', 'Z', '0'.
+    """Parse compact names like 'Z28+Z2', 'Z^2+Z4', 'Z', '0'.  Exponents
+    must be nonnegative and the summands at most ``MAX_SUMMANDS``, checked
+    before any divisor list is built.
 
     >>> print(parse_group("Z^2+Z4"))
     Z + Z + Z4
@@ -170,20 +170,21 @@ def parse_group(text: str) -> FGAbelianGroup:
     text = text.strip()
     if text in ("0", "1", "trivial"):
         return TRIVIAL
-    divisors = []
+    terms = []
     for part in text.replace(" ", "").split("+"):
-        if "^" in part:
-            base, power = part.split("^")
-            count = int(power)
-        else:
-            base, count = part, 1
+        base, caret, power = part.partition("^")
+        count = int(power) if caret else 1
+        if count < 0:
+            raise ValueError(f"negative exponent in group summand {part!r}")
         if base == "Z":
-            divisors += [0] * count
+            terms.append((0, count))
         elif base.startswith("Z"):
-            divisors += [int(base[1:])] * count
+            terms.append((int(base[1:]), count))
         else:
             raise ValueError(f"cannot parse group summand {part!r}")
-    return FGAbelianGroup.from_divisors(*divisors)
+    if sum(count for _, count in terms) > MAX_SUMMANDS:
+        raise ValueError(f"at most {MAX_SUMMANDS} cyclic summands are accepted")
+    return FGAbelianGroup.from_divisors(*(d for d, count in terms for _ in range(count)))
 
 
 # ---------------------------------------------------------------------------

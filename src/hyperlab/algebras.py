@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .cayley_dickson import (
-    DEFAULT_MAX_LEVEL,
     CDElement,
     LevelMismatch,
     sparse_products,
@@ -266,15 +265,14 @@ class TensorAlgebra(StructureAlgebra):
     to 32, which builds the table at construction.
     """
 
-    def __init__(self, base: StructureAlgebra, level: int,
-                 max_level: int = DEFAULT_MAX_LEVEL):
-        table = structure_constants(level, max_level)
+    def __init__(self, base: StructureAlgebra, level: int):
+        table = structure_constants(level)
         self.base = base
         self.level = level
         self.cd_dim = table.dim
         self.dim = base.dim * self.cd_dim
         # the +-1 doubling table, read by the sparse table
-        self._cd_index, self._cd_sign = table.index, table.sign
+        self._cd_sign = table.sign
         self.name = f"{base.name} (x) A_{level}"
         self.classic_limit_functional = None
         self.unit = self.zero_vector()
@@ -290,14 +288,14 @@ class TensorAlgebra(StructureAlgebra):
         (such as the classic limit) do not pay its dim^2 entries."""
         nb, cd = self.base.dim, range(self.cd_dim)
         # shifted[s][i][j][k]: the terms of s * (b_i b_j) (x) e_k, shared
-        # by every (p, q) with e_p e_q = s * e_k
+        # by every (p, q) with e_p e_q = s * e_k, k = p ^ q
         shifted = {
             s: [[[tuple((k * nb + kb, s * g) for kb, g in self.base.products[i][j])
                   for k in cd] for j in range(nb)] for i in range(nb)]
             for s in (1, -1)
         }
         return [
-            [shifted[self._cd_sign[p][q]][i][j][self._cd_index[p][q]]
+            [shifted[self._cd_sign[p][q]][i][j][p ^ q]
              for q in cd for j in range(nb)]
             for p in cd for i in range(nb)
         ]
@@ -314,9 +312,8 @@ class TensorAlgebra(StructureAlgebra):
         return f"TensorAlgebra({self.base.name} (x) A_{self.level}, dim={self.dim})"
 
 
-def tensor_algebra(base: StructureAlgebra, level: int,
-                   max_level: int = DEFAULT_MAX_LEVEL) -> TensorAlgebra:
-    return TensorAlgebra(base, level, max_level=max_level)
+def tensor_algebra(base: StructureAlgebra, level: int) -> TensorAlgebra:
+    return TensorAlgebra(base, level)
 
 
 @dataclass
@@ -426,17 +423,18 @@ def centre(algebra) -> list:
     return basis
 
 
-def nucleus(algebra, cap: int = DEFAULT_NUCLEUS_CAP) -> list:
+def nucleus(algebra) -> list:
     """Basis of {a : [a,b,c] = [b,a,c] = [b,c,a] = 0 for all basis b, c}.
 
     The 3 dim^3 constraint rows come as slabs, per b and placement of the
     unknown, over every output coordinate and a block of c
     (``_slab_blocks``), so memory stays bounded by dim^3 entries although
-    there are 3 dim^4 coefficients.
+    there are 3 dim^4 coefficients.  Refuses dimensions above
+    ``DEFAULT_NUCLEUS_CAP`` before reading any table.
     """
     dim = algebra.dim
-    if dim > cap:
-        raise DimTooLarge(f"nucleus capped at dimension {cap}, got {dim}")
+    if dim > DEFAULT_NUCLEUS_CAP:
+        raise DimTooLarge(f"nucleus capped at dimension {DEFAULT_NUCLEUS_CAP}, got {dim}")
     unknown = np.arange(dim)[:, None]
     assoc = algebra.associators
 

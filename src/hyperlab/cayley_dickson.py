@@ -56,11 +56,11 @@ class InvalidConjugation(ValueError):
     """Doubling seed violates the conjugation axioms."""
 
 
-def _check_level(r: int, max_level: int) -> None:
+def _check_level(r: int) -> None:
     if r < 0:
         raise LevelTooLarge(f"level must be nonnegative, got {r}")
-    if r > max_level:
-        raise LevelTooLarge(f"level {r} exceeds cap {max_level} (dim {2 ** r})")
+    if r > DEFAULT_MAX_LEVEL:
+        raise LevelTooLarge(f"level {r} exceeds cap {DEFAULT_MAX_LEVEL} (dim {2 ** r})")
 
 
 # ---------------------------------------------------------------------------
@@ -69,47 +69,36 @@ def _check_level(r: int, max_level: int) -> None:
 
 @lru_cache(maxsize=None)
 def _basis_tables(r: int):
-    """(index, sign) matrices with e_p e_q = sign[p][q] * e_{index[p][q]}."""
+    """The sign table: e_p e_q = sign[p][q] * e_{p ^ q}.
+
+    The doubling formula sends the product of two basis units to +-e_{p ^ q}
+    at every level, so only the signs need the recursion; conj(e_k) = -e_k
+    except for k = 0."""
     if r == 0:
-        return ((0,),), ((1,),)
-    idx_prev, sgn_prev = _basis_tables(r - 1)
-    h = 1 << (r - 1)
-    dim = h * 2
-    idx = [[0] * dim for _ in range(dim)]
-    sgn = [[0] * dim for _ in range(dim)]
-    for p in range(dim):
-        for q in range(dim):
-            if p < h and q < h:
-                idx[p][q] = idx_prev[p][q]
-                sgn[p][q] = sgn_prev[p][q]
-            elif p < h:
-                qq = q - h
-                idx[p][q] = h + idx_prev[qq][p]
-                sgn[p][q] = sgn_prev[qq][p]
-            elif q < h:
-                pp = p - h
-                conj_sign = 1 if q == 0 else -1
-                idx[p][q] = h + idx_prev[pp][q]
-                sgn[p][q] = conj_sign * sgn_prev[pp][q]
-            else:
-                pp, qq = p - h, q - h
-                conj_sign = 1 if qq == 0 else -1
-                idx[p][q] = idx_prev[qq][pp]
-                sgn[p][q] = -conj_sign * sgn_prev[qq][pp]
-    return tuple(map(tuple, idx)), tuple(map(tuple, sgn))
+        return ((1,),)
+    prev = _basis_tables(r - 1)
+    h = len(prev)
+    conj = (1,) + (-1,) * (h - 1)
+    # e_p e_q for p < h: q < h keeps the level-(r-1) sign, q = h + qq is
+    # e_qq e_p in the second half
+    top = [row + tuple(prev[qq][p] for qq in range(h)) for p, row in enumerate(prev)]
+    # p = h + pp: e_pp conj(e_q) for q < h, -conj(e_qq) e_pp for q = h + qq
+    bottom = [tuple(conj[q] * prev[pp][q] for q in range(h))
+              + tuple(-conj[qq] * prev[qq][pp] for qq in range(h)) for pp in range(h)]
+    return tuple(top + bottom)
 
 
 @dataclass(frozen=True)
 class MultiplicationTable:
     """Structure constants of the level-r algebra.
 
-    Each basis product e_p e_q equals sign[p][q] * e_{index[p][q]} with
-    sign +-1 and index[p][q] = p XOR q, so the full gamma^k_{pq} array has
-    one nonzero entry per (p, q); row and column 0 act as the identity.
+    Each basis product is e_p e_q = sign[p][q] * e_{p XOR q} with sign
+    +-1, so the sign table is the whole table: the full gamma^k_{pq} array
+    has one nonzero entry per (p, q), at k = p ^ q.  Row and column 0 act
+    as the identity.
     """
 
     level: int
-    index: tuple
     sign: tuple
 
     @property
@@ -117,29 +106,26 @@ class MultiplicationTable:
         return 1 << self.level
 
     def product(self, p: int, q: int) -> tuple[int, int]:
-        return self.index[p][q], self.sign[p][q]
-
-    def gamma(self, p: int, q: int, k: int) -> int:
-        return self.sign[p][q] if self.index[p][q] == k else 0
+        """(k, s) with e_p e_q = s * e_k."""
+        return p ^ q, self.sign[p][q]
 
     def dense_gamma(self):
         n = self.dim
         out = [[[0] * n for _ in range(n)] for _ in range(n)]
         for p in range(n):
             for q in range(n):
-                out[p][q][self.index[p][q]] = self.sign[p][q]
+                out[p][q][p ^ q] = self.sign[p][q]
         return out
 
     def to_json_dict(self) -> dict:
         return {"kind": "cayley_dickson", "level": self.level}
 
 
-def structure_constants(r: int, max_level: int = DEFAULT_MAX_LEVEL) -> MultiplicationTable:
-    """Full multiplication table at level r, generated by the doubling
-    recursion and cached."""
-    _check_level(r, max_level)
-    idx, sgn = _basis_tables(r)
-    return MultiplicationTable(level=r, index=idx, sign=sgn)
+def structure_constants(r: int) -> MultiplicationTable:
+    """Full multiplication table at level r (at most ``DEFAULT_MAX_LEVEL``),
+    generated by the doubling recursion and cached."""
+    _check_level(r)
+    return MultiplicationTable(level=r, sign=_basis_tables(r))
 
 
 def sparse_products(mult):
@@ -357,7 +343,7 @@ def _xor_tables(r: int):
     e_j e_{k^j}."""
     j = np.arange(1 << r)
     cols = j[:, None] ^ j[None, :]
-    sgn = np.array(_basis_tables(r)[1], dtype=np.int64)
+    sgn = np.array(_basis_tables(r), dtype=np.int64)
     return cols, sgn[cols, j[None, :]], sgn[j[None, :], cols]
 
 
@@ -387,7 +373,7 @@ def cd_multiply(a: CDElement, b: CDElement) -> CDElement:
         y = np.array(b.coeffs, dtype=np.int64)
         out = (y[cols] * right) @ np.array(a.coeffs, dtype=np.int64)
         return _element(level, out.tolist())
-    sgn = _basis_tables(level)[1]
+    sgn = _basis_tables(level)
     out = [0] * (1 << level)
     for p, ca in enumerate(a.coeffs):
         if ca == 0:
@@ -457,29 +443,6 @@ def inverse_quadratic(a: CDElement) -> CDElement:
     return conjugate(a) / n
 
 
-def left_multiplication_matrix(a: CDElement):
-    """Matrix of x -> a*x in the basis, as columns over the scalar field.
-
-    Entry [k][q] is the e_k coefficient of a e_q, which only e_p e_q with
-    p = k ^ q reaches."""
-    sgn = _basis_tables(a.level)[1]
-    dim = 1 << a.level
-    c = a.coeffs
-    return [[sgn[k ^ q][q] * c[k ^ q] for q in range(dim)] for k in range(dim)]
-
-
-def right_multiplication_matrix(a: CDElement):
-    """Matrix of x -> x*a in the basis: entry [k][p] comes from e_p e_{k^p}."""
-    sgn = _basis_tables(a.level)[1]
-    dim = 1 << a.level
-    c = a.coeffs
-    return [[sgn[p][k ^ p] * c[k ^ p] for p in range(dim)] for k in range(dim)]
-
-
-_MATRICES = {"left": left_multiplication_matrix,
-             "right": right_multiplication_matrix}
-
-
 def is_operator_invertible(
     a: CDElement,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -491,28 +454,32 @@ def is_operator_invertible(
     Separates "nonzero norm" from "cancellable": zero divisors at level 4
     have nonzero norm but rank-deficient multiplication operators.
 
-    Exact elements are scaled to integers (every row of the matrix by the
-    lcm of the denominators) and eliminated mod ``exact.CERTIFICATE_PRIME``
-    = 2^31 - 1 in int64; full rank mod p certifies full rank.  A matrix
-    that is rank-deficient mod p goes to ``matrix_rank_exact``, whose
-    reduced form is certified (the matrix exactly annihilates the lifted
-    nullspace basis, see ``exact``), so zero divisors are always decided
-    exactly.  The zero element, whose operators are zero, needs neither.
-    Float elements count the singular values above ``tolerance``.
+    Both matrices are one gather of the coefficients through the
+    ``_xor_tables``: entry [k][j] of the left one is the e_k coefficient of
+    a e_j, which only the term of e_{k^j} reaches.  Exact elements are
+    scaled to integers (by the lcm of their denominators, which keeps the
+    rank) and eliminated mod ``exact.CERTIFICATE_PRIME`` = 2^31 - 1 in
+    int64; full rank mod p certifies full rank.  Only a matrix that is
+    rank-deficient mod p goes to ``matrix_rank_exact``, whose reduced form
+    is certified (the matrix exactly annihilates the lifted nullspace
+    basis, see ``exact``), so zero divisors are always decided exactly.
+    The zero element, whose operators are zero, needs neither.  Float
+    elements count the singular values above ``tolerance``.
     """
     dim = 1 << a.level
     if a.is_zero():
         return (False,) * len(sides)
-    if not a.is_exact:
-        return tuple(matrix_rank_float(_MATRICES[side](a), tolerance) == dim
-                     for side in sides)
-    residues = np.array([c % CERTIFICATE_PRIME for c in integer_vector(a.coeffs)],
-                        dtype=np.int64)
     cols, left, right = _xor_tables(a.level)
     signs = {"left": left, "right": right}
+    if not a.is_exact:
+        coeffs = np.array(a.coeffs, dtype=float)
+        return tuple(matrix_rank_float(coeffs[cols] * signs[side], tolerance) == dim
+                     for side in sides)
+    ints = np.array(integer_vector(a.coeffs), dtype=object)
+    residues = (ints % CERTIFICATE_PRIME).astype(np.int64)
     return tuple(
         matrix_rank_mod_p(residues[cols] * signs[side]) == dim
-        or matrix_rank_exact(_MATRICES[side](a)) == dim
+        or matrix_rank_exact((ints[cols] * signs[side]).tolist()) == dim
         for side in sides
     )
 
@@ -545,11 +512,11 @@ class ExhaustiveBasis:
 
 @dataclass(frozen=True)
 class RandomSample:
-    """Check identities on seeded random small-integer coefficient vectors."""
+    """Check identities on seeded random coefficient vectors with integer
+    entries in -3..3."""
 
     count: int = 200
     seed: int = 0
-    span: int = 3
 
     def describe(self) -> dict:
         return {"mode": "random-sample", "count": self.count, "seed": self.seed}
@@ -663,7 +630,6 @@ def zero_divisor_probe(level: int) -> tuple[CDElement, CDElement] | None:
 def identity_battery(
     r: int,
     mode: ExhaustiveBasis | RandomSample = ExhaustiveBasis(),
-    max_level: int = DEFAULT_MAX_LEVEL,
 ) -> PropertyReport:
     """Verdicts for the standard identity ladder at level r.
 
@@ -672,7 +638,7 @@ def identity_battery(
     canonical zero-divisor pair) are probed ahead of random sampling so
     failing identities report a stable witness.
     """
-    _check_level(r, max_level)
+    _check_level(r)
     dim = 1 << r
     basis = [CDElement.basis(r, k) for k in range(dim)]
     probe = zero_divisor_probe(r)
@@ -688,7 +654,7 @@ def identity_battery(
                 yield tuple(
                     CDElement(
                         r,
-                        [rng.randint(-mode.span, mode.span) for _ in range(dim)],
+                        [rng.randint(-3, 3) for _ in range(dim)],
                     )
                     for _ in range(arity)
                 )
@@ -710,17 +676,13 @@ def identity_battery(
 # zero divisors
 # ---------------------------------------------------------------------------
 
-def find_zero_divisors(
-    r: int,
-    search_space="two-term-signed",
-    max_level: int = DEFAULT_MAX_LEVEL,
-) -> list[tuple[CDElement, CDElement]]:
-    """All ordered pairs (a, b) from the search space with a, b nonzero and
-    ab = 0, in deterministic order.  Empty below level 4.
+def find_zero_divisors(r: int) -> list[tuple[CDElement, CDElement]]:
+    """All ordered pairs (a, b) of two-term signed elements with ab = 0, in
+    deterministic order.  Empty below level 4.
 
-    The default space holds every s_i e_i + s_j e_j with 1 <= i < j and
-    signs +-1, ordered by (i, j, s_i, s_j); pairs come in that order of a,
-    then of b.  For b = t_k e_k + t_l e_l the four terms of ab sit at the
+    The candidates are every s_i e_i + s_j e_j with 1 <= i < j and signs
+    +-1, ordered by (i, j, s_i, s_j); pairs come in that order of a, then
+    of b.  For b = t_k e_k + t_l e_l the four terms of ab sit at the
     indices i^k, i^l, j^k and j^l.  i^k differs from i^l and from j^k, so
     it can cancel only against j^l: ab = 0 forces i^k == j^l, i.e.
     l = k^i^j (and then i^l == j^k).  For each a and k the partner l is
@@ -735,48 +697,38 @@ def find_zero_divisors(
     pairs (arXiv math/0011260; see also Moreno, arXiv q-alg/9710013).
     Pairs share their element objects.
     """
-    _check_level(r, max_level)
+    _check_level(r)
     dim = 1 << r
+    sgn = _basis_tables(r)
+    elements = {}
 
-    if search_space == "two-term-signed":
-        sgn = _basis_tables(r)[1]
-        elements = {}
+    def element(i, si, j, sj):
+        key = (i, si, j, sj)
+        if key not in elements:
+            coeffs = [0] * dim
+            coeffs[i] = si
+            coeffs[j] = sj
+            elements[key] = _element(r, coeffs)
+        return elements[key]
 
-        def element(i, si, j, sj):
-            key = (i, si, j, sj)
-            if key not in elements:
-                coeffs = [0] * dim
-                coeffs[i] = si
-                coeffs[j] = sj
-                elements[key] = _element(r, coeffs)
-            return elements[key]
-
-        pairs = []
-        for i in range(1, dim):
-            for j in range(i + 1, dim):
-                # (k, l, AB) for every index pair of a b that can annihilate
-                partners = []
-                for k in range(1, dim):
-                    l = k ^ i ^ j
-                    sign_ab = sgn[i][k] * sgn[j][l]
-                    if l > k and sign_ab == sgn[i][l] * sgn[j][k]:
-                        partners.append((k, l, sign_ab))
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        a = element(i, si, j, sj)
-                        for k, l, sign_ab in partners:
-                            for tk in (1, -1):
-                                b = element(k, tk, l, -si * sj * tk * sign_ab)
-                                pairs.append((a, b))
-        return pairs
-
-    candidates = [c for c in search_space if not c.is_zero()]
-    out = []
-    for a in candidates:
-        for b in candidates:
-            if cd_multiply(a, b).is_zero():
-                out.append((a, b))
-    return out
+    pairs = []
+    for i in range(1, dim):
+        for j in range(i + 1, dim):
+            # (k, l, AB) for every index pair of a b that can annihilate
+            partners = []
+            for k in range(1, dim):
+                l = k ^ i ^ j
+                sign_ab = sgn[i][k] * sgn[j][l]
+                if l > k and sign_ab == sgn[i][l] * sgn[j][k]:
+                    partners.append((k, l, sign_ab))
+            for si in (1, -1):
+                for sj in (1, -1):
+                    a = element(i, si, j, sj)
+                    for k, l, sign_ab in partners:
+                        for tk in (1, -1):
+                            b = element(k, tk, l, -si * sj * tk * sign_ab)
+                            pairs.append((a, b))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -789,16 +741,16 @@ class ConjugatedAlgebra:
     ``mult[p][q]`` is the coefficient vector of the basis product b_p b_q
     and ``conj[p]`` the vector of the conjugate of b_p.  The unit is always
     the first basis vector.  Entries may be Fractions or polynomials, so
-    the doubling below can run with symbolic parameters.
+    the doubling below can run with symbolic parameters.  Construction
+    checks the conjugation axioms (``validate``).
     """
 
-    def __init__(self, mult, conj, validate: bool = True):
+    def __init__(self, mult, conj):
         self.dim = len(mult)
         self.mult = [[list(vec) for vec in row] for row in mult]
         self.products = sparse_products(self.mult)
         self.conj = [list(vec) for vec in conj]
-        if validate:
-            self.validate()
+        self.validate()
 
     # vector helpers -------------------------------------------------------
 
@@ -885,23 +837,23 @@ class ConjugatedAlgebra:
     # conversions -------------------------------------------------------------
 
     def as_table(self) -> MultiplicationTable:
-        """Convert to a sparse +-1 table; only valid when every basis
-        product is a signed basis vector."""
+        """Convert to a +-1 sign table; only valid when every basis product
+        b_p b_q is +-b_{p XOR q}, the form every doubling level has."""
         n = self.dim
         level = n.bit_length() - 1
         if 1 << level != n:
             raise ValueError("dimension is not a power of two")
-        idx = [[0] * n for _ in range(n)]
         sgn = [[0] * n for _ in range(n)]
         for p in range(n):
             for q in range(n):
-                vec = self.mult[p][q]
-                nz = [(k, c) for k, c in enumerate(vec) if c != 0]
+                nz = [(k, c) for k, c in enumerate(self.mult[p][q]) if c != 0]
                 if len(nz) != 1 or nz[0][1] not in (1, -1):
                     raise ValueError("table entry is not a signed basis vector")
-                idx[p][q], sgn[p][q] = nz[0][0], int(nz[0][1])
-        return MultiplicationTable(level=level, index=tuple(map(tuple, idx)),
-                                   sign=tuple(map(tuple, sgn)))
+                if nz[0][0] != p ^ q:
+                    raise ValueError(f"product of basis {p} and {q} is not "
+                                     f"indexed by {p} XOR {q}")
+                sgn[p][q] = int(nz[0][1])
+        return MultiplicationTable(level=level, sign=tuple(map(tuple, sgn)))
 
 
 def real_conjugated() -> ConjugatedAlgebra:
@@ -987,9 +939,9 @@ def quaternion_type_algebra(alpha, beta, gamma) -> ConjugatedAlgebra:
     return cayley_extension(quadratic_algebra(alpha, beta), gamma)
 
 
-def conjugated_from_level(r: int, max_level: int = DEFAULT_MAX_LEVEL) -> ConjugatedAlgebra:
+def conjugated_from_level(r: int) -> ConjugatedAlgebra:
     """The level-r table packaged with its standard conjugation."""
-    table = structure_constants(r, max_level)
+    table = structure_constants(r)
     n = table.dim
     zero = Fraction(0)
     mult = [[None] * n for _ in range(n)]

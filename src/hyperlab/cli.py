@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,7 @@ from . import heyting as hey
 from . import jets
 from . import reference_tables as ref
 from .cayley_dickson import (
+    DEFAULT_MAX_LEVEL,
     CDElement,
     ExhaustiveBasis,
     RandomSample,
@@ -44,12 +46,37 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str):
+def _load_json(path: str, kind: type):
+    """The JSON value in ``path``, which must be a ``kind``: dict or list."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, kind):
+        raise InputError(f"{path} must hold a JSON {'object' if kind is dict else 'list'}")
+    return data
+
+
+def _numbers(values, what: str) -> list:
+    """``values`` if it lists finite numbers or strings (text that is no
+    number is a ValueError later)."""
+    if not isinstance(values, list) or not all(
+            isinstance(v, str) or isinstance(v, (int, float)) and math.isfinite(v)
+            for v in values):
+        raise InputError(f"{what} must be a list of finite numbers or numeric strings")
+    return values
+
+
+def _bounded(value: int, flag: str, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise InputError(f"{flag} must lie in {low}..{high}, got {value}")
+
+
+# caps checked before any work; README.md gives the measured cost at each
+MAX_SAMPLE_COUNT = 1000
+MAX_NODES = {"heat": 1024, "dalembert": 64}
+MAX_STEPS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +114,7 @@ def _cmd_props(args) -> CommandResult:
     if args.mode == "exhaustive-basis":
         mode = ExhaustiveBasis()
     else:
-        if args.count < 1:
-            raise InputError("--count must be >= 1")
+        _bounded(args.count, "--count", 1, MAX_SAMPLE_COUNT)
         mode = RandomSample(count=args.count, seed=args.seed)
     report = identity_battery(args.level, mode)
     return CommandResult(0, report.to_json_dict())
@@ -139,7 +165,8 @@ def _cmd_qalg(args) -> CommandResult:
         payload["nucleus_basis"] = [[str(c) for c in vec] for vec in basis]
     elif args.op == "classic-limit":
         if args.input:
-            coeffs = [Fraction(c) for c in _load_json(args.input)["coeffs"]]
+            data = _load_json(args.input, dict)
+            coeffs = [Fraction(c) for c in _numbers(data.get("coeffs"), "coeffs")]
         else:
             coeffs = algebra.unit_vector()
         element = qa.TensorElement(algebra, coeffs)
@@ -151,7 +178,7 @@ def _heyting_from_args(args) -> hey.HeytingAlgebra:
     if args.chain:
         return hey.heyting_from_chain(args.chain)
     if args.input:
-        data = _load_json(args.input)
+        data = _load_json(args.input, dict)
         if "opens" in data:
             return hey.heyting_from_topology(hey.FiniteTopology.from_json_dict(data))
         if "le" in data:
@@ -203,7 +230,7 @@ SNF_MAX_DIM = 40
 
 def _parse_matrix(args):
     if args.input:
-        matrix = _load_json(args.input)
+        matrix = _load_json(args.input, list)
     elif args.matrix:
         matrix = json.loads(args.matrix)
     else:
@@ -229,7 +256,17 @@ def _check_printable(*matrices):
         raise InputError(f"SNF entries exceed {limit} decimal digits")
 
 
+# the options each abelian action reads
+_ABELIAN_NEEDS = {"hom": ("g", "h"), "ext": ("g", "h"), "tensor": ("g", "h"),
+                  "homology": ("order", "degree"), "sphere": ("n",),
+                  "extension-count": ("base", "fiber")}
+
+
 def _cmd_abelian(args) -> CommandResult:
+    missing = [f"--{name}" for name in _ABELIAN_NEEDS.get(args.action, ())
+               if getattr(args, name) is None]
+    if missing:
+        raise InputError(f"{args.action} needs {' and '.join(missing)}")
     if args.action == "snf":
         matrix = _parse_matrix(args)
         factors, u, v, d = ab.smith_normal_form(matrix)
@@ -240,8 +277,6 @@ def _cmd_abelian(args) -> CommandResult:
         group = ab.decompose(matrix)
         return CommandResult(0, {"group": group.to_json_dict(), "name": str(group)})
     if args.action in ("hom", "ext", "tensor"):
-        if args.g is None or args.h is None:
-            raise InputError(f"{args.action} needs --g and --h")
         g = ab.parse_group(args.g)
         h = ab.parse_group(args.h)
         fn = {"hom": ab.hom, "ext": ab.ext, "tensor": ab.tensor}[args.action]
@@ -271,22 +306,35 @@ def _cmd_abelian(args) -> CommandResult:
     raise InputError(f"unknown abelian action {args.action!r}")
 
 
-def _load_point(raw: dict) -> dict:
+def _load_point(raw) -> dict:
+    """A scan point: each value an algebra element ``{"level", "coeffs"}``,
+    an exact number as a string, or a float."""
+    if not isinstance(raw, dict):
+        raise InputError(f"a point must be a JSON object, got {raw!r}")
     point = {}
     for name, value in raw.items():
         if isinstance(value, dict):
+            if type(value.get("level")) is not int or value["level"] > DEFAULT_MAX_LEVEL:
+                raise InputError(f"{name}: level must be an integer up to {DEFAULT_MAX_LEVEL}")
+            _numbers(value.get("coeffs"), f"{name}: coeffs")
             point[name] = CDElement.from_json_dict(value)
         elif isinstance(value, str):
             point[name] = Fraction(value)
-        else:
+        elif isinstance(value, (int, float)):
             point[name] = float(value)
+        else:
+            raise InputError(f"{name}: {value!r} is not a number or an element")
     return point
 
 
 def _cmd_pde(args) -> CommandResult:
     if args.action in ("heat", "dalembert"):
-        if args.nodes < 1:
-            raise InputError("--nodes must be >= 1")
+        _bounded(args.nodes, "--nodes", 1, MAX_NODES[args.action])
+        _bounded(args.steps, "--steps", 0, MAX_STEPS)
+        if min(args.f_axis, args.g_axis) < 0:
+            raise InputError("--f-axis and --g-axis must be >= 0")
+        if args.dt is not None and not args.dt > 0:
+            raise InputError(f"--dt must be positive, got {args.dt}")
         # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
         structure_constants(args.level)
     systems = jets.builtin_systems()
@@ -294,7 +342,7 @@ def _cmd_pde(args) -> CommandResult:
         if args.system in systems:
             system = systems[args.system]
         elif args.input:
-            system = jets.PDESystem.from_json_dict(_load_json(args.input))
+            system = jets.PDESystem.from_json_dict(_load_json(args.input, dict))
         else:
             raise InputError(
                 f"unknown system {args.system!r}; builtins: {sorted(systems)}"
@@ -321,7 +369,9 @@ def _cmd_pde(args) -> CommandResult:
             "nonzero": sum(1 for _, det in minors if not det.is_zero()),
         })
     if args.action == "scan":
-        raw_points = _load_json(args.points)
+        if args.points is None:
+            raise InputError("scan needs --points")
+        raw_points = _load_json(args.points, list)
         results = []
         code = 0
         for raw in raw_points:

@@ -70,14 +70,6 @@ class GridField:
             raise AlgebraMismatch("field has no doubling level")
         return CDElement(self.level, list(self.values[node]))
 
-    @classmethod
-    def from_elements(cls, elements, spacing) -> "GridField":
-        level = elements[0].level
-        exact = all(e.is_exact for e in elements)
-        dtype = object if exact else float
-        values = np.array([list(e.coeffs) for e in elements], dtype=dtype)
-        return cls(values, spacing, level=level)
-
     def to_json_dict(self) -> dict:
         return {
             "spacing": str(self.spacing),
@@ -127,15 +119,15 @@ def _as_object_grid(values):
     return arr
 
 
-def residual(system: PDESystem, fields: dict, spacings, origins=None):
+def residual(system: PDESystem, fields: dict, spacings):
     """Central-difference residual of each equation at every interior node.
 
     ``fields`` maps each dependent name to a 2-d array (nested lists are
     fine) of scalars or algebra elements indexed along the system's two
-    independents; ``spacings`` gives the step per independent.  Returns one
-    interior-shaped nested list per equation.  Monomials evaluate
-    left-to-right in the coordinate order, so noncommutative coefficients
-    multiply exactly as written.
+    independents, node (0, 0) at the origin; ``spacings`` gives the step per
+    independent.  Returns one interior-shaped nested list per equation.
+    Monomials evaluate left-to-right in the coordinate order, so
+    noncommutative coefficients multiply exactly as written.
     """
     coords = system.coords
     if len(coords.independents) != 2:
@@ -152,8 +144,6 @@ def residual(system: PDESystem, fields: dict, spacings, origins=None):
         raise ResolutionTooSmall("need at least 3 nodes per axis")
     h1, h2 = spacings
     x_name, y_name = coords.independents
-    if origins is None:
-        origins = (0, 0)
 
     sample = next(iter(grids.values()))[0, 0]
     algebra_valued = isinstance(sample, CDElement)
@@ -162,8 +152,7 @@ def residual(system: PDESystem, fields: dict, spacings, origins=None):
     def env_at(i, j):
         # base coordinates enter as multiples of the unit so that mixed
         # monomials stay inside the algebra
-        env = {x_name: (origins[0] + i * h1) * one,
-               y_name: (origins[1] + j * h2) * one}
+        env = {x_name: i * h1 * one, y_name: j * h2 * one}
         for dep, g in grids.items():
             u = g[i, j]
             env[dep] = u

@@ -2,12 +2,16 @@
 
 Plain Fraction elimination and the loop-based centre and nucleus: slow,
 but independent of the modular kernel, the integer structure tensor and
-its slabs.  The Smith normal form with its determinant check, and
-invariant factors by prime factoring: independent of the carried inverses
-and the gcd/lcm chain in ``hyperlab.abelian``.
+its slabs.  The multiplication-operator matrices from the recursive
+product: independent of the sign table and its XOR gathers.  The Smith
+normal form with its determinant check, and invariant factors by prime
+factoring: independent of the carried inverses and the gcd/lcm chain in
+``hyperlab.abelian``.
 """
 
 from fractions import Fraction
+
+from hyperlab.cayley_dickson import CDElement, cd_multiply_recursive
 
 
 def rref(matrix):
@@ -53,6 +57,23 @@ def nullspace(matrix, ncols=None):
             vec[pcol] = -rows[r][free]
         basis.append(vec)
     return basis
+
+
+def _multiplication_matrix(a, product):
+    """Entry [k][q] is the e_k coefficient of product(e_q)."""
+    dim = 1 << a.level
+    columns = [product(CDElement.basis(a.level, q)).coeffs for q in range(dim)]
+    return [[col[k] for col in columns] for k in range(dim)]
+
+
+def left_multiplication_matrix(a):
+    """Matrix of x -> a x in the basis, column q being a e_q."""
+    return _multiplication_matrix(a, lambda unit: cd_multiply_recursive(a, unit))
+
+
+def right_multiplication_matrix(a):
+    """Matrix of x -> x a in the basis, column q being e_q a."""
+    return _multiplication_matrix(a, lambda unit: cd_multiply_recursive(unit, a))
 
 
 def centre(algebra):

@@ -53,7 +53,7 @@ def multiply_via_regular_representation(x: TensorElement, y: TensorElement):
             cols = [base.multiply(base.basis_vector(i), base.basis_vector(bcol))
                     for bcol in range(nb)]
             for q in range(alg.cd_dim):
-                k, s = alg._cd_index[p][q], alg._cd_sign[p][q]
+                k, s = p ^ q, alg._cd_sign[p][q]
                 for a in range(nb):
                     for bcol in range(nb):
                         if cols[bcol][a] != 0:
@@ -238,8 +238,11 @@ class TestCentreNucleus:
                 assert matrix_rank_exact(c + [uv]) == len(c)
 
     def test_nucleus_cap(self):
+        # dimension 128, over the default cap of 64: refused before any table
+        alg = tensor_algebra(matrix2_algebra(), 5)
         with pytest.raises(DimTooLarge):
-            nucleus(tensor_algebra(matrix2_algebra(), 3), cap=16)
+            nucleus(alg)
+        assert "products" not in vars(alg) and "integer_tensor" not in vars(alg)
 
     def test_centre_cap_is_checked_before_any_table(self):
         alg = tensor_algebra(matrix2_algebra(), 6)

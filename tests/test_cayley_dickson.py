@@ -27,12 +27,10 @@ from hyperlab.cayley_dickson import (
     identity_battery,
     inverse_quadratic,
     is_operator_invertible,
-    left_multiplication_matrix,
     norm_sq,
     quadratic_algebra,
     quaternion_to_complex_matrix,
     pauli_matrices,
-    right_multiplication_matrix,
     structure_constants,
     trace,
 )
@@ -51,7 +49,7 @@ def rational_element(r, rng):
 
 
 def table_loop_product(a, b):
-    """e_p e_q = sign * e_index summed over (p, q) in order: the reference
+    """e_p e_q = sign * e_{p ^ q} summed over (p, q) in order: the reference
     whose float summation order the kernel must keep."""
     t = structure_constants(a.level)
     out = [0] * t.dim
@@ -61,7 +59,7 @@ def table_loop_product(a, b):
         for q, cb in enumerate(b.coeffs):
             if cb == 0:
                 continue
-            out[t.index[p][q]] += t.sign[p][q] * ca * cb
+            out[p ^ q] += t.sign[p][q] * ca * cb
     return out
 
 
@@ -83,8 +81,8 @@ def element_pair(draw, kind):
 def exact_invertible(a):
     # the Fraction oracle, independent of the certified modular kernel
     dim = 1 << a.level
-    return (len(oracles.rref(left_multiplication_matrix(a))[1]) == dim,
-            len(oracles.rref(right_multiplication_matrix(a))[1]) == dim)
+    return (len(oracles.rref(oracles.left_multiplication_matrix(a))[1]) == dim,
+            len(oracles.rref(oracles.right_multiplication_matrix(a))[1]) == dim)
 
 
 class TestMultiplication:
@@ -274,7 +272,7 @@ class TestInverse:
     def test_certificate_prime_multiple_falls_back_to_exact(self, level):
         # p * e0 is singular mod p, so only the exact fallback can answer
         x = CDElement(level, [CERTIFICATE_PRIME] + [0] * ((1 << level) - 1))
-        assert matrix_rank_mod_p(left_multiplication_matrix(x)) == 0
+        assert matrix_rank_mod_p(oracles.left_multiplication_matrix(x)) == 0
         assert is_operator_invertible(x) == exact_invertible(x) == (True, True)
         y = x + e(level, level and 3, CERTIFICATE_PRIME)
         assert is_operator_invertible(y) == exact_invertible(y)
@@ -339,16 +337,21 @@ class TestStructureConstants:
     def test_level_cap(self):
         with pytest.raises(LevelTooLarge):
             structure_constants(9)
-        structure_constants(9, max_level=9)  # configurable
         with pytest.raises(LevelTooLarge):
             structure_constants(-1)
 
-    def test_index_is_xor(self):
-        # the kernel indexes e_p e_q by p ^ q and reads only the signs
+    def test_sign_table_matches_recursion(self):
+        # e_p e_q = sign[p][q] e_{p ^ q} for every basis pair, against the
+        # recursive product, which reads no table: e_p x for x = sum of
+        # (q + 1) e_q has coefficient (q + 1) sign[p][q] at p ^ q
         for r in range(0, 8):
             t = structure_constants(r)
-            assert all(t.index[p][q] == p ^ q
-                       for p in range(t.dim) for q in range(t.dim))
+            x = CDElement(r, [q + 1 for q in range(t.dim)])
+            for p in range(t.dim):
+                expected = [0] * t.dim
+                for q in range(t.dim):
+                    expected[p ^ q] = (q + 1) * t.sign[p][q]
+                assert cd_multiply_recursive(e(r, p), x).coeffs == expected
 
     def test_dense_gamma_sparsity(self):
         t = structure_constants(2)
@@ -429,7 +432,7 @@ def zero_divisors_oracle(r):
         acc = [0] * dim
         for p, sp in ((a[0], a[1]), (a[2], a[3])):
             for q, sq in ((b[0], b[1]), (b[2], b[3])):
-                acc[table.index[p][q]] += sp * sq * table.sign[p][q]
+                acc[p ^ q] += sp * sq * table.sign[p][q]
         return not any(acc)
 
     def build(key):
@@ -480,13 +483,6 @@ class TestZeroDivisors:
     def test_deterministic_order(self):
         assert find_zero_divisors(4) == find_zero_divisors(4)
 
-    def test_explicit_candidate_list(self):
-        a = e(4, 3) + e(4, 10)
-        b = e(4, 6) - e(4, 15)
-        found = find_zero_divisors(4, search_space=[a, b, CDElement.one(4)])
-        # this particular pair annihilates in both orders
-        assert found == [(a, b), (b, a)]
-
 
 class TestCayleyExtension:
     def test_hamiltonian_quaternions(self):
@@ -498,14 +494,13 @@ class TestCayleyExtension:
         assert H.multiply(i, j) == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
         assert H.multiply(j, i) == [Fraction(0), Fraction(0), Fraction(0), Fraction(-1)]
         assert H.multiply(i, i)[0] == -1
-        assert H.as_table().index == structure_constants(2).index
+        assert H.as_table().sign == structure_constants(2).sign
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
     def test_doubling_reproduces_next_level(self, r):
         doubled = cayley_extension(conjugated_from_level(r), Fraction(-1))
         table = doubled.as_table()
         expected = structure_constants(r + 1)
-        assert table.index == expected.index
         assert table.sign == expected.sign
 
     def test_iterated_doubling_from_reals(self):
@@ -516,8 +511,14 @@ class TestCayleyExtension:
             algebra = cayley_extension(algebra, Fraction(-1))
             table = algebra.as_table()
             expected = structure_constants(r)
-            assert table.index == expected.index
             assert table.sign == expected.sign
+
+    def test_as_table_needs_the_xor_index(self):
+        # i^2 = +i: every entry is a signed basis vector, but e_1 e_1 lands
+        # on e_1, not on e_{1 XOR 1} = e_0
+        algebra = quadratic_algebra(Fraction(0), Fraction(1))
+        with pytest.raises(ValueError, match="XOR"):
+            algebra.as_table()
 
     def test_type_111_trace(self):
         F = cayley_extension(quadratic_algebra(Fraction(1), Fraction(1)), Fraction(1))

@@ -310,16 +310,66 @@ class TestDispatch:
           "impl": [[1, 1], [-1, 1]], "bottom": 0, "top": 1}],
         ["heyting", "build", "--input",
          {"meet": [[0, 0], [0, True]], "join": [[0, 1], [1, 1]]}],
+        # a list stands for an input file too
+        ["pde", "scan", "--system", "r1", "--points", [1]],
+        ["pde", "scan", "--system", "r1", "--points", [{"u": [1, 2]}]],
+        ["pde", "scan", "--system", "r1", "--points",
+         [{"u": {"level": 1, "coeffs": [None, 1]}}]],
+        ["pde", "scan", "--system", "r1"],  # missing --points
+        ["qalg", "--op", "classic-limit", "--input", [1, 2]],
+        ["abelian", "sphere", "--p", "1"],  # missing --n
+        ["abelian", "homology", "--order", "3"],  # missing --degree
+        ["abelian", "extension-count", "--base", "Z2"],  # missing --fiber
+        # integer point names
+        ["heyting", "build", "--input", {"points": [1, 2], "opens": [[], [1], [1, 2]]}],
+        ["heyting", "build", "--input", {"elements": [1, 2], "le": [[1, 2]]}],
     ])
     def test_malformed_input_is_a_json_error(self, argv, tmp_path):
         for i, arg in enumerate(argv):
-            if isinstance(arg, dict):
+            if isinstance(arg, (dict, list)):
                 path = tmp_path / "input.json"
                 path.write_text(json.dumps(arg))
                 argv = argv[:i] + [str(path)] + argv[i + 1:]
         result = payload(argv)
         assert result.code == 2
         assert "error" in result.payload
+
+    @pytest.mark.parametrize("argv", [
+        ["abelian", "hom", "--g", "Z2^-1", "--h", "Z2"],
+        ["abelian", "tensor", "--g", "Z2^1000", "--h", "Z2^1000"],
+        ["abelian", "tensor", "--g", "Z2^1000000000000", "--h", "Z2"],
+        ["abelian", "hom", "--g", "Z^60+Z3^41", "--h", "Z2"],
+        ["pde", "heat", "--steps", "-1"],
+        ["pde", "heat", "--steps", "1001"],
+        ["pde", "heat", "--steps", "1000000000000"],
+        ["pde", "heat", "--dt", "-1"],
+        ["pde", "heat", "--dt", "0"],
+        ["pde", "heat", "--dt", "nan"],
+        ["pde", "heat", "--nodes", "1025"],
+        ["pde", "heat", "--nodes", "1000000000000"],
+        ["pde", "dalembert", "--nodes", "65"],
+        ["pde", "dalembert", "--f-axis", "-1"],
+        ["pde", "dalembert", "--g-axis", "-2"],
+        ["props", "--level", "2", "--mode", "random-sample", "--count", "1001"],
+        ["props", "--level", "2", "--mode", "random-sample", "--count",
+         "1000000000000"],
+    ])
+    def test_caps_and_signs_checked_before_any_work(self, argv):
+        start = time.perf_counter()
+        result = payload(argv)
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert "error" in result.payload
+
+    @pytest.mark.parametrize("argv", [
+        ["abelian", "tensor", "--g", "Z2^100", "--h", "Z2^100"],
+        ["props", "--level", "0", "--mode", "random-sample", "--count", "1000"],
+        ["pde", "heat", "--level", "0", "--nodes", "1024", "--steps", "1000"],
+    ])
+    def test_values_at_the_caps_are_accepted(self, argv):
+        start = time.perf_counter()
+        assert payload(argv).code == 0
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("points", [9, 14])
     def test_oversized_poset_rejected_before_the_upsets(self, points, tmp_path):

@@ -98,5 +98,4 @@ class TestQuaternionTypeSymbolic:
 
 def test_hamiltonian_type_is_level2_table():
     H = quaternion_type_algebra(Fraction(-1), Fraction(0), Fraction(-1))
-    assert H.as_table().index == structure_constants(2).index
     assert H.as_table().sign == structure_constants(2).sign
