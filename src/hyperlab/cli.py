@@ -10,6 +10,7 @@ short text summary of the same data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,8 +338,8 @@ def _cmd_pde(args) -> CommandResult:
             raise InputError(f"--dt must be positive, got {args.dt}")
         # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
         structure_constants(args.level)
-    systems = jets.builtin_systems()
     if args.action in ("jacobian", "minors", "scan"):
+        systems = jets.builtin_systems()
         if args.system in systems:
             system = systems[args.system]
         elif args.input:
@@ -417,8 +418,6 @@ def _cmd_pde(args) -> CommandResult:
         }
         return CommandResult(0 if decoupled else 1, payload)
     if args.action == "dalembert":
-        import math
-
         import numpy as np
 
         ts = list(np.linspace(0.0, 1.0, args.nodes))
@@ -550,10 +549,19 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.  Parsing leaves it
+    unchanged: each call fills a fresh namespace, and every default is
+    immutable (a number, a string, False or None)."""
+    return build_parser()
+
+
 def run(argv) -> CommandResult:
-    parser = build_parser()
+    """Parse ``argv`` and dispatch; safe to call repeatedly in one
+    process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return CommandResult(2 if exc.code else 0, {"error": "usage"})
     try:

@@ -68,6 +68,11 @@ def _popcount(x: int) -> int:
     return bin(x).count("1")
 
 
+def _is_name_list(value) -> bool:
+    """Whether a JSON value is a list of names (strings)."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass(frozen=True)
 class FiniteTopology:
     """Open-set family on a small named point set, opens as bitmasks."""
@@ -133,7 +138,12 @@ class FiniteTopology:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteTopology":
-        return cls.from_subsets(data["points"], data["opens"])
+        points, opens = data["points"], data["opens"]
+        if not _is_name_list(points):
+            raise InvalidTopology("point names must be strings")
+        if not isinstance(opens, list) or not all(map(_is_name_list, opens)):
+            raise InvalidTopology("opens must be a list of lists of point names")
+        return cls.from_subsets(points, opens)
 
 
 def discrete_topology(points) -> FiniteTopology:
@@ -221,7 +231,13 @@ class FinitePoset:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FinitePoset":
-        return cls.from_pairs(data["elements"], [tuple(p) for p in data["le"]])
+        elements, le = data["elements"], data["le"]
+        if not _is_name_list(elements):
+            raise InvalidPoset("element names must be strings")
+        if not isinstance(le, list) or not all(
+                _is_name_list(pair) and len(pair) == 2 for pair in le):
+            raise InvalidPoset("le must be a list of [lower, upper] element-name pairs")
+        return cls.from_pairs(elements, [tuple(p) for p in le])
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperlab import cli, jets
 from hyperlab.abelian import FGAbelianGroup
+from hyperlab.algebras import BASE_ALGEBRAS
 from hyperlab.cayley_dickson import CDElement
 from hyperlab.cli import main, run
-from hyperlab.heyting import FiniteTopology
+from hyperlab.heyting import FiniteTopology, pentagon_lattice
 
 
 def payload(argv):
@@ -279,6 +283,17 @@ class TestPde:
         result = payload(["pde", "jacobian", "--system", "nonesuch"])
         assert result.code == 2
 
+    def test_heat_and_dalembert_build_no_systems(self, monkeypatch):
+        def refuse():
+            raise RuntimeError("builtin systems built")
+
+        monkeypatch.setattr(jets, "builtin_systems", refuse)
+        assert run(["pde", "heat", "--nodes", "8", "--steps", "2",
+                    "--level", "1"]).code == 0
+        assert run(["pde", "dalembert", "--nodes", "4", "--level", "1"]).code == 0
+        with pytest.raises(RuntimeError, match="builtin systems built"):
+            run(["pde", "jacobian", "--system", "r1"])
+
     @pytest.mark.parametrize("action", ["heat", "dalembert"])
     def test_level_cap(self, action):
         # the same cap as zerodiv, checked before any sample array is built
@@ -323,6 +338,16 @@ class TestDispatch:
         # integer point names
         ["heyting", "build", "--input", {"points": [1, 2], "opens": [[], [1], [1, 2]]}],
         ["heyting", "build", "--input", {"elements": [1, 2], "le": [[1, 2]]}],
+        # order pairs and opens of the wrong shape
+        ["heyting", "build", "--input", {"elements": ["a"], "le": 5}],
+        ["heyting", "build", "--input", {"elements": ["a"], "le": [5]}],
+        ["heyting", "build", "--input", {"elements": ["a", "b"], "le": [["a"]]}],
+        ["heyting", "build", "--input", {"elements": ["a", "b"], "le": [[["a"], "b"]]}],
+        ["heyting", "build", "--input", {"elements": [["a"]], "le": []}],
+        ["heyting", "build", "--input", {"points": ["a"], "opens": 5}],
+        ["heyting", "build", "--input", {"points": ["a"], "opens": [5]}],
+        ["heyting", "build", "--input", {"points": ["a"], "opens": [[["a"]]]}],
+        ["heyting", "build", "--input", {"points": 5, "opens": []}],
     ])
     def test_malformed_input_is_a_json_error(self, argv, tmp_path):
         for i, arg in enumerate(argv):
@@ -454,3 +479,192 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert code == 0
         assert "seven_conditions" in out
+
+
+def _write_inputs(directory: Path) -> dict:
+    """Input files the CLI reads, by the token that stands for them in an
+    argv; "@missing" names a file that does not exist."""
+    meet, join = pentagon_lattice()
+    files = {
+        "@n5": {"meet": meet, "join": join},
+        "@topology": {"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]},
+        "@poset": {"elements": ["a", "b", "c"], "le": [["a", "b"], ["a", "c"]]},
+        "@points": [{"u1_x": 0.0, "u1_y": 0.0, "u2_x": 0.0, "u2_y": 0.0},
+                    {"u1_x": 1.0, "u2_y": 1.0}],
+        "@element": {"level": 1, "coeffs": ["1", "2"]},
+        "@matrix": [[2, 0], [0, 3]],
+        "@badshape": {"elements": ["a"], "le": 5},
+    }
+    paths = {"@missing": str(directory / "missing.json"),
+             "@notjson": str(directory / "notjson.json")}
+    (directory / "notjson.json").write_text("{")
+    for token, data in files.items():
+        path = directory / f"{token[1:]}.json"
+        path.write_text(json.dumps(data))
+        paths[token] = str(path)
+    return paths
+
+
+def _resolve(argv, paths):
+    return [paths.get(arg, arg) for arg in argv]
+
+
+class TestRepeatedRuns:
+    # one success per subcommand, an exit-1 witness, an unknown command,
+    # --help, a usage error inside a subcommand, an InputError and a
+    # ValueError
+    MIXED = [
+        ["table", "--level", "3", "--compare"],
+        ["props", "--level", "2", "--mode", "random-sample", "--count", "5"],
+        ["zerodiv", "--level", "3", "--json"],
+        ["qalg", "--base", "complex", "--level", "1", "--op", "centre"],
+        ["heyting", "laws", "--input", "@poset"],
+        ["abelian", "ext", "--g", "Z28", "--h", "Z2"],
+        ["pde", "minors", "--system", "r1", "--size", "2"],
+        ["pde", "heat", "--nodes", "8", "--steps", "3", "--level", "2"],
+        ["heyting", "build", "--input", "@n5"],
+        ["no-such-command"],
+        ["--help"],
+        ["pde", "heat", "--nodes", "x"],
+        ["abelian", "hom", "--g", "Z4"],
+        ["heyting", "quotient", "--chain", "3", "--filter", "x"],
+    ]
+
+    def test_one_parser_answers_every_order_alike(
+            self, monkeypatch, capsys, tmp_path):
+        paths = _write_inputs(tmp_path)
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        answers = {}
+        for order in (self.MIXED, self.MIXED[::-1], self.MIXED[1::2] + self.MIXED[::2]):
+            for argv in order:
+                result = run(_resolve(argv, paths))
+                out = capsys.readouterr()
+                answers.setdefault(tuple(argv), []).append(
+                    (result.code, result.to_json(), out.out, out.err))
+        assert len(built) == 1
+        for argv, seen in answers.items():
+            assert len(seen) == 3 and seen.count(seen[0]) == 3, argv
+        codes = {argv: seen[0][0] for argv, seen in answers.items()}
+        assert sorted(codes.values()) == [0] * 9 + [1] + [2] * 4
+        assert codes[("heyting", "build", "--input", "@n5")] == 1
+        assert answers[("pde", "heat", "--nodes", "x")][0][3].startswith(
+            "usage: hyperlab pde")
+        assert answers[("--help",)][0][2].startswith("usage: hyperlab")
+
+    def test_cached_parser_parses_like_a_fresh_one(self):
+        for argv in self.MIXED[:8]:
+            assert vars(cli._parser().parse_args(argv)) == \
+                vars(cli.build_parser().parse_args(argv))
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+
+# The subcommand grammar, with cheap values: each command's positional
+# actions and, per option, a strategy for its value (None for a switch).
+# Unknown actions, bad values and input files of every kind are part of it.
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+_LEVEL = _ints(-1, 3)
+_FILES = st.sampled_from(["@n5", "@topology", "@poset", "@points", "@element",
+                          "@matrix", "@badshape", "@missing", "@notjson"])
+_GROUPS = st.sampled_from(["Z28", "Z2", "Z^2+Z4", "Z", "0", "Z2^3", "Z2^-1",
+                           "Zx", "Z0", "+", ""])
+_FLOATS = st.sampled_from(["1e-9", "0.001", "0", "-1", "nan", "inf", "x"])
+_GRAMMAR = {
+    "table": ((), {"--level": _LEVEL, "--compare": None, "--dense": None}),
+    "props": ((), {"--level": _LEVEL,
+                   "--mode": st.sampled_from(["exhaustive-basis", "random-sample"]),
+                   "--count": _ints(-1, 20), "--seed": _ints(0, 9)}),
+    "zerodiv": ((), {"--level": _LEVEL}),
+    "qalg": ((), {"--base": st.sampled_from(sorted(BASE_ALGEBRAS) + ["quux"]),
+                  "--level": _ints(-1, 2),
+                  "--op": st.sampled_from(["tensor", "centre", "nucleus",
+                                           "classic-limit"]),
+                  "--input": _FILES}),
+    "heyting": (("build", "laws", "quotient"),
+                {"--chain": _ints(-1, 6), "--input": _FILES,
+                 "--direction": st.sampled_from(["up", "down"]),
+                 "--filter": st.sampled_from(["0", "1", "0,2", "9", "-1", "x", ""])}),
+    "abelian": (("snf", "decompose", "hom", "ext", "tensor", "homology",
+                 "sphere", "extension-count"),
+                {"--matrix": st.sampled_from(["[[2,0],[0,3]]", "[[4]]", "[]", "[[]]",
+                                              "[[1],[2,3]]", "[[1.5]]", "{", "5"]),
+                 "--input": _FILES, "--g": _GROUPS, "--h": _GROUPS,
+                 "--base": _GROUPS, "--fiber": _GROUPS, "--order": _ints(-2, 30),
+                 "--degree": _ints(-1, 4), "--n": _ints(-1, 5), "--p": _ints(-1, 5)}),
+    "pde": (("jacobian", "minors", "scan", "heat", "dalembert"),
+            {"--system": st.sampled_from(sorted(jets.builtin_systems()) + ["nonesuch"]),
+             "--input": _FILES, "--size": _ints(-1, 3), "--minor-size": _ints(-1, 3),
+             "--points": _FILES, "--tolerance": _FLOATS, "--nodes": _ints(-1, 8),
+             "--steps": _ints(-1, 20), "--dt": _FLOATS, "--level": _LEVEL,
+             "--seed": _ints(0, 9), "--f-axis": _ints(-1, 9),
+             "--g-axis": _ints(-1, 9)}),
+}
+_JUNK = st.sampled_from(["--json", "--level", "-1", "x", "--", "--nodes=3",
+                         "[[1]]", "", "-h", "table", "--no-such-flag"])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR) + ["bogus"]))
+    actions, options = _GRAMMAR.get(command, ((), {}))
+    argv = [command]
+    if actions:
+        argv.append(draw(st.sampled_from(actions + ("bogus",))))
+    if "--level" in options and command != "pde" and draw(st.booleans()):
+        argv += ["--level", draw(_LEVEL)]  # required there
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=4)) \
+            if options else ():
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _names_its_failure(payload: dict) -> bool:
+    """Whether an exit-1 payload carries the witness or verdict that
+    failed."""
+    return bool(
+        payload.get("accepted") is False and payload.get("witness")
+        or payload.get("mismatches")
+        or payload.get("laws", {}).get("witness")
+        or not all(payload.get("embeddings", {}).values())
+        or any(p["satisfied"] is False for p in payload.get("scan", []))
+        or payload.get("componentwise_decoupling") is False)
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    return _write_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argvs())
+    def test_run_answers_every_argv(self, argv, input_files):
+        start = time.perf_counter()
+        result = run(_resolve(argv, input_files))
+        elapsed = time.perf_counter() - start
+        assert result.code in (0, 1, 2)
+        json.loads(result.to_json())
+        if result.code == 1:
+            assert _names_its_failure(result.payload), result.payload
+        if result.code == 2:
+            assert "error" in result.payload
+        assert elapsed < 5.0
