@@ -14,7 +14,6 @@ level 4.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .exact import (
     CERTIFICATE_PRIME,
     DEFAULT_TOLERANCE,
     INT64_PRODUCT_BOUND,
+    VerificationError,
     integer_vector,
     is_exact,
     matrix_rank_exact,
@@ -510,6 +510,10 @@ class ExhaustiveBasis:
         return {"mode": "exhaustive-basis"}
 
 
+# random samples have integer entries in -SAMPLE_BOUND..SAMPLE_BOUND
+SAMPLE_BOUND = 3
+
+
 @dataclass(frozen=True)
 class RandomSample:
     """Check identities on seeded random coefficient vectors with integer
@@ -559,63 +563,68 @@ class PropertyReport:
         }
 
 
-def _identity_checks(level: int):
-    one = CDElement.one(level)
+# Each identity takes a batch form (``_MonomialBatch`` or ``_DenseBatch``)
+# and one batch per operand, and returns one bool per sample.  ``degree`` is
+# the largest number of sample entries multiplied into one coefficient
+# (a norm squares its argument), which bounds every int64 value formed.
 
-    def associative(t):
-        a, b, c = t
-        return (a * b) * c == a * (b * c)
+def _associative(m, a, b, c):
+    return m.eq(m.mul(m.mul(a, b), c), m.mul(a, m.mul(b, c)))
 
-    def left_alternative(t):
-        a, b = t
-        return (a * a) * b == a * (a * b)
 
-    def right_alternative(t):
-        a, b = t
-        return (a * b) * b == a * (b * b)
+def _left_alternative(m, a, b):
+    return m.eq(m.mul(m.mul(a, a), b), m.mul(a, m.mul(a, b)))
 
-    def flexible(t):
-        a, b = t
-        return a * (b * a) == (a * b) * a
 
-    def moufang_a(t):
-        a, x, y = t
-        return a * (x * (a * y)) == ((a * x) * a) * y
+def _right_alternative(m, a, b):
+    return m.eq(m.mul(m.mul(a, b), b), m.mul(a, m.mul(b, b)))
 
-    def moufang_b(t):
-        a, x, y = t
-        return ((x * a) * y) * a == x * ((a * y) * a)
 
-    def moufang_c(t):
-        a, x, y = t
-        return (a * x) * (y * a) == (a * (x * y)) * a
+def _flexible(m, a, b):
+    return m.eq(m.mul(a, m.mul(b, a)), m.mul(m.mul(a, b), a))
 
-    def power_associative(t):
-        (z,) = t
-        powers = [one, z]
-        for _ in range(5):
-            powers.append(powers[-1] * z)
-        for total in range(2, 7):
-            for n in range(1, total):
-                if powers[n] * powers[total - n] != powers[total]:
-                    return False
-        return True
 
-    def norm_multiplicative(t):
-        a, b = t
-        return norm_sq(a * b) == norm_sq(a) * norm_sq(b)
+def _moufang_a(m, a, x, y):
+    return m.eq(m.mul(a, m.mul(x, m.mul(a, y))), m.mul(m.mul(m.mul(a, x), a), y))
 
-    return [
-        ("associative", 3, associative),
-        ("left_alternative", 2, left_alternative),
-        ("right_alternative", 2, right_alternative),
-        ("flexible", 2, flexible),
-        ("moufang_a", 3, moufang_a),
-        ("moufang_b", 3, moufang_b),
-        ("moufang_c", 3, moufang_c),
-        ("power_associative", 1, power_associative),
-        ("norm_multiplicative", 2, norm_multiplicative),
-    ]
+
+def _moufang_b(m, a, x, y):
+    return m.eq(m.mul(m.mul(m.mul(x, a), y), a), m.mul(x, m.mul(m.mul(a, y), a)))
+
+
+def _moufang_c(m, a, x, y):
+    return m.eq(m.mul(m.mul(a, x), m.mul(y, a)), m.mul(m.mul(a, m.mul(x, y)), a))
+
+
+def _power_associative(m, z):
+    """z^n z^(total-n) == z^total for 1 <= n < total <= 6, with z^k built
+    as z^(k-1) z."""
+    powers = [None, z]
+    for _ in range(5):
+        powers.append(m.mul(powers[-1], z))
+    ok = True
+    for total in range(2, 7):
+        for n in range(1, total):
+            ok = ok & m.eq(m.mul(powers[n], powers[total - n]), powers[total])
+    return ok
+
+
+def _norm_multiplicative(m, a, b):
+    return m.norm(m.mul(a, b)) == m.norm(a) * m.norm(b)
+
+
+_IDENTITIES = [
+    # (name, arity, degree, check)
+    ("associative", 3, 3, _associative),
+    ("left_alternative", 2, 3, _left_alternative),
+    ("right_alternative", 2, 3, _right_alternative),
+    ("flexible", 2, 3, _flexible),
+    ("moufang_a", 3, 4, _moufang_a),
+    ("moufang_b", 3, 4, _moufang_b),
+    ("moufang_c", 3, 4, _moufang_c),
+    ("power_associative", 1, 6, _power_associative),
+    ("norm_multiplicative", 2, 4, _norm_multiplicative),
+]
 
 
 def zero_divisor_probe(level: int) -> tuple[CDElement, CDElement] | None:
@@ -627,47 +636,155 @@ def zero_divisor_probe(level: int) -> tuple[CDElement, CDElement] | None:
     return a, b
 
 
+class _MonomialBatch:
+    """Exhaustive mode: signed basis units s e_i as (index, sign) int64
+    arrays, so a product is one XOR and one sign lookup,
+    (s e_i)(t e_j) = s t sign[i][j] e_{i^j}, and every norm is 1.  Tuples
+    are numbered in ``itertools.product`` order over the basis; slabs run
+    from 2^10 to 2^16 tuples."""
+
+    entry = 1
+    first, cap = 1 << 10, 1 << 16
+
+    def __init__(self, r: int):
+        self.r = r
+        # left[i ^ j][j] = sign[i][j]
+        _, self.left, _ = _xor_tables(r)
+
+    def total(self, arity: int) -> int:
+        return 1 << (self.r * arity)
+
+    def _indices(self, t, arity: int):
+        """Basis indices of the tuple numbered t (an int or an array)."""
+        mask = (1 << self.r) - 1
+        return [(t >> (self.r * (arity - 1 - j))) & mask for j in range(arity)]
+
+    def slab(self, arity: int, start: int, stop: int):
+        t = np.arange(start, stop)
+        ones = np.ones_like(t)
+        return [(idx, ones) for idx in self._indices(t, arity)]
+
+    def witness(self, arity: int, pos: int) -> tuple:
+        return tuple(CDElement.basis(self.r, k) for k in self._indices(pos, arity))
+
+    def mul(self, a, b):
+        (ia, sa), (ib, sb) = a, b
+        k = ia ^ ib
+        return k, sa * sb * self.left[k, ib]
+
+    @staticmethod
+    def eq(a, b):
+        return (a[0] == b[0]) & (a[1] == b[1])
+
+    @staticmethod
+    def norm(a):
+        return np.ones_like(a[1])
+
+
+class _DenseBatch:
+    """Random-sample mode: samples as (N, dim) int64 coefficient rows, with
+    (ab)_k = sum_q left[k][q] a_{k^q} b_q read from the ``_xor_tables``
+    gather.  Slabs start near N dim^2 = 2^10 and stop growing at
+    N dim^2 = 2^14: beyond that the batched gather misses the cache and is
+    slower than one matvec per sample, which a slab of one sample uses."""
+
+    entry = SAMPLE_BOUND
+
+    def __init__(self, r: int, mode: RandomSample):
+        self.r = r
+        self.cols, self.left, _ = _xor_tables(r)
+        self.first = max(1, (1 << 10) >> (2 * r))
+        self.cap = max(1, (1 << 14) >> (2 * r))
+        self.mode = mode
+        self.probe = zero_divisor_probe(r)
+        # arity -> (generator, drawn tuples as an (arity, n, dim) array)
+        self.drawn = {}
+
+    def total(self, arity: int) -> int:
+        return self.mode.count + (arity == 2 and self.probe is not None)
+
+    def _tuples(self, arity: int, stop: int):
+        """The first ``stop`` tuples of the arity's sample stream: the probe
+        pair first for arity 2, then tuples of ``arity`` vectors of ``dim``
+        draws of randint(-3, 3) from Random(seed * 7919 + arity).  Every
+        identity of one arity reads the same stream, so it is drawn once,
+        and only as far as a slab has reached."""
+        dim = 1 << self.r
+        if arity not in self.drawn:
+            head = [[x.coeffs for x in self.probe]] if arity == 2 and self.probe else []
+            rows = np.array(head, dtype=np.int64).reshape(-1, arity, dim)
+            self.drawn[arity] = (random.Random(self.mode.seed * 7919 + arity),
+                                 rows.transpose(1, 0, 2))
+        rng, tuples = self.drawn[arity]
+        missing = stop - tuples.shape[1]
+        if missing > 0:
+            new = np.array([rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+                            for _ in range(missing * arity * dim)], dtype=np.int64)
+            tuples = np.concatenate(
+                [tuples, new.reshape(missing, arity, dim).transpose(1, 0, 2)], axis=1)
+            self.drawn[arity] = (rng, tuples)
+        return tuples
+
+    def slab(self, arity: int, start: int, stop: int):
+        return list(self._tuples(arity, stop)[:, start:stop])
+
+    def witness(self, arity: int, pos: int) -> tuple:
+        return tuple(_element(self.r, row.tolist()) for row in self.drawn[arity][1][:, pos])
+
+    def mul(self, a, b):
+        if len(a) == 1:
+            return ((a[0][self.cols] * self.left) @ b[0])[None]
+        return (a.take(self.cols, axis=1) * self.left @ b[:, :, None])[:, :, 0]
+
+    @staticmethod
+    def eq(a, b):
+        return (a == b).all(axis=1)
+
+    @staticmethod
+    def norm(a):
+        return (a * a).sum(axis=1)
+
+
 def identity_battery(
     r: int,
     mode: ExhaustiveBasis | RandomSample = ExhaustiveBasis(),
 ) -> PropertyReport:
     """Verdicts for the standard identity ladder at level r.
 
-    Every failure carries a concrete witness tuple that re-checks against
-    the corresponding operation.  Known counterexample candidates (the
-    canonical zero-divisor pair) are probed ahead of random sampling so
-    failing identities report a stable witness.
+    Each identity is checked on whole slabs of sample tuples at once, one
+    array product per ``*``, in one of two batch forms: signed basis units
+    as (index, sign) arrays in exhaustive mode (``_MonomialBatch``), and
+    (N, dim) integer rows in random-sample mode (``_DenseBatch``).  Slabs
+    double in size up to a cap, and random tuples are drawn only up to the
+    end of the slab being checked.  The witness is the first failing tuple
+    in loop order: ``itertools.product`` order over the basis, or the
+    seeded sample order with the canonical zero-divisor pair probed first
+    for two-operand identities, so failing identities report a stable
+    witness that re-checks against ``CDElement`` arithmetic.  ``checked``
+    counts the tuples up to and including it.
+
+    Every value is exact in int64: entries are at most ``entry`` in size
+    (1 for basis units, 3 for samples), so an identity of degree D forms
+    no value beyond entry^D * dim^(D-1), which must lie below
+    ``INT64_PRODUCT_BOUND`` (``VerificationError`` otherwise).
     """
     _check_level(r)
-    dim = 1 << r
-    basis = [CDElement.basis(r, k) for k in range(dim)]
-    probe = zero_divisor_probe(r)
-
-    def tuples(arity: int):
-        if isinstance(mode, ExhaustiveBasis):
-            yield from itertools.product(basis, repeat=arity)
-        else:
-            rng = random.Random(mode.seed * 7919 + arity)
-            if probe is not None and arity == 2:
-                yield probe
-            for _ in range(mode.count):
-                yield tuple(
-                    CDElement(
-                        r,
-                        [rng.randint(-3, 3) for _ in range(dim)],
-                    )
-                    for _ in range(arity)
-                )
-
+    batch = _MonomialBatch(r) if isinstance(mode, ExhaustiveBasis) else _DenseBatch(r, mode)
     verdicts = {}
-    for name, arity, check in _identity_checks(r):
-        witness = None
-        checked = 0
-        for t in tuples(arity):
-            checked += 1
-            if not check(t):
-                witness = t
-                break
+    for name, arity, degree, check in _IDENTITIES:
+        if batch.entry ** degree << (r * (degree - 1)) >= INT64_PRODUCT_BOUND:
+            raise VerificationError(f"{name} may overflow int64 at level {r}")
+        total = batch.total(arity)
+        start, size, witness = 0, batch.first, None
+        while start < total and witness is None:
+            stop = min(total, start + size)
+            ok = check(batch, *batch.slab(arity, start, stop))
+            if not ok.all():
+                start += int(ok.argmin())
+                witness = batch.witness(arity, start)
+            else:
+                start, size = stop, min(2 * size, batch.cap)
+        checked = total if witness is None else start + 1
         verdicts[name] = IdentityVerdict(name, witness is None, witness, checked)
     return PropertyReport(level=r, mode=mode, verdicts=verdicts)
 

@@ -329,6 +329,8 @@ def _load_point(raw) -> dict:
 
 
 def _cmd_pde(args) -> CommandResult:
+    if not 0 <= args.tolerance < math.inf:
+        raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.action in ("heat", "dalembert"):
         _bounded(args.nodes, "--nodes", 1, MAX_NODES[args.action])
         _bounded(args.steps, "--steps", 0, MAX_STEPS)
@@ -563,7 +565,8 @@ def run(argv) -> CommandResult:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return CommandResult(2 if exc.code else 0, {"error": "usage"})
+        # argparse has printed the usage error, or the help for --help
+        return CommandResult(2, {"error": "usage"}) if exc.code else CommandResult(0, {})
     try:
         return _HANDLERS[args.command](args)
     except InputError as exc:
@@ -596,7 +599,8 @@ def _render_text(payload, indent=0):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     result = run(argv)
-    if "--json" in argv or result.code == 2:
+    # the --help payload is empty: argparse has printed the help
+    if result.payload and ("--json" in argv or result.code == 2):
         print(result.to_json())
     else:
         _render_text(result.payload)

@@ -6,12 +6,26 @@ its slabs.  The multiplication-operator matrices from the recursive
 product: independent of the sign table and its XOR gathers.  The Smith
 normal form with its determinant check, and invariant factors by prime
 factoring: independent of the carried inverses and the gcd/lcm chain in
-``hyperlab.abelian``.
+``hyperlab.abelian``.  The identity battery as a loop of ``CDElement``
+products, one sample tuple at a time: independent of the batch forms and
+slabs of ``hyperlab.cayley_dickson.identity_battery``.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
-from hyperlab.cayley_dickson import CDElement, cd_multiply_recursive
+from hyperlab.cayley_dickson import (
+    CDElement,
+    ExhaustiveBasis,
+    IdentityVerdict,
+    PropertyReport,
+    RandomSample,
+    _check_level,
+    cd_multiply_recursive,
+    norm_sq,
+    zero_divisor_probe,
+)
 
 
 def rref(matrix):
@@ -274,3 +288,107 @@ def invariant_factors(divisors):
                 factor *= p ** chain[i]
         factors.append(factor)
     return rank, tuple(reversed(factors))
+
+
+def _identity_checks(level: int):
+    one = CDElement.one(level)
+
+    def associative(t):
+        a, b, c = t
+        return (a * b) * c == a * (b * c)
+
+    def left_alternative(t):
+        a, b = t
+        return (a * a) * b == a * (a * b)
+
+    def right_alternative(t):
+        a, b = t
+        return (a * b) * b == a * (b * b)
+
+    def flexible(t):
+        a, b = t
+        return a * (b * a) == (a * b) * a
+
+    def moufang_a(t):
+        a, x, y = t
+        return a * (x * (a * y)) == ((a * x) * a) * y
+
+    def moufang_b(t):
+        a, x, y = t
+        return ((x * a) * y) * a == x * ((a * y) * a)
+
+    def moufang_c(t):
+        a, x, y = t
+        return (a * x) * (y * a) == (a * (x * y)) * a
+
+    def power_associative(t):
+        (z,) = t
+        powers = [one, z]
+        for _ in range(5):
+            powers.append(powers[-1] * z)
+        for total in range(2, 7):
+            for n in range(1, total):
+                if powers[n] * powers[total - n] != powers[total]:
+                    return False
+        return True
+
+    def norm_multiplicative(t):
+        a, b = t
+        return norm_sq(a * b) == norm_sq(a) * norm_sq(b)
+
+    return [
+        ("associative", 3, associative),
+        ("left_alternative", 2, left_alternative),
+        ("right_alternative", 2, right_alternative),
+        ("flexible", 2, flexible),
+        ("moufang_a", 3, moufang_a),
+        ("moufang_b", 3, moufang_b),
+        ("moufang_c", 3, moufang_c),
+        ("power_associative", 1, power_associative),
+        ("norm_multiplicative", 2, norm_multiplicative),
+    ]
+
+
+def identity_battery(
+    r: int,
+    mode: ExhaustiveBasis | RandomSample = ExhaustiveBasis(),
+) -> PropertyReport:
+    """Verdicts for the standard identity ladder at level r.
+
+    Every failure carries a concrete witness tuple that re-checks against
+    the corresponding operation.  Known counterexample candidates (the
+    canonical zero-divisor pair) are probed ahead of random sampling so
+    failing identities report a stable witness.
+    """
+    _check_level(r)
+    dim = 1 << r
+    basis = [CDElement.basis(r, k) for k in range(dim)]
+    probe = zero_divisor_probe(r)
+
+    def tuples(arity: int):
+        if isinstance(mode, ExhaustiveBasis):
+            yield from itertools.product(basis, repeat=arity)
+        else:
+            rng = random.Random(mode.seed * 7919 + arity)
+            if probe is not None and arity == 2:
+                yield probe
+            for _ in range(mode.count):
+                yield tuple(
+                    CDElement(
+                        r,
+                        [rng.randint(-3, 3) for _ in range(dim)],
+                    )
+                    for _ in range(arity)
+                )
+
+    verdicts = {}
+    for name, arity, check in _identity_checks(r):
+        witness = None
+        checked = 0
+        for t in tuples(arity):
+            checked += 1
+            if not check(t):
+                witness = t
+                break
+        verdicts[name] = IdentityVerdict(name, witness is None, witness, checked)
+    return PropertyReport(level=r, mode=mode, verdicts=verdicts)

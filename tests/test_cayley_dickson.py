@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -34,8 +35,9 @@ from hyperlab.cayley_dickson import (
     structure_constants,
     trace,
 )
-from hyperlab.cayley_dickson import _int64_product_fits
-from hyperlab.exact import CERTIFICATE_PRIME, matrix_rank_mod_p
+from hyperlab import cayley_dickson
+from hyperlab.cayley_dickson import _int64_product_fits, _MonomialBatch
+from hyperlab.exact import CERTIFICATE_PRIME, VerificationError, matrix_rank_mod_p
 
 
 def e(r, k, scale=1):
@@ -406,6 +408,64 @@ class TestIdentityBattery:
         r1 = identity_battery(4, RandomSample(count=40, seed=9))
         r2 = identity_battery(4, RandomSample(count=40, seed=9))
         assert r1.to_json_dict() == r2.to_json_dict()
+
+
+def _same_json(report, expected):
+    return json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+
+class TestBatteryMatchesLoopOracle:
+    """The slab battery against the per-sample ``CDElement`` loop: same
+    samples, witnesses and ``checked`` counts, byte for byte."""
+
+    @pytest.mark.parametrize("r", range(6))
+    def test_exhaustive(self, r):
+        assert _same_json(identity_battery(r), oracles.identity_battery(r))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 20])
+    @pytest.mark.parametrize("r", range(7))
+    def test_random_sample(self, r, count, seed):
+        mode = RandomSample(count=count, seed=seed)
+        assert _same_json(identity_battery(r, mode), oracles.identity_battery(r, mode))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("r", range(3))
+    def test_random_sample_at_the_count_cap(self, r, seed):
+        mode = RandomSample(count=1000, seed=seed)
+        assert _same_json(identity_battery(r, mode), oracles.identity_battery(r, mode))
+
+    # (level, first slab, cap, identity, witness position in its slab): the
+    # known exhaustive witnesses, associative at tuple 84 of level 3 and 292
+    # of level 4, moufang_b at 300 of level 4, moved onto slab edges
+    @pytest.mark.parametrize("r, first, cap, name, edge", [
+        (3, 84, 1 << 16, "associative", "first"),
+        (3, 1, 2, "associative", "last"),
+        (4, 4, 4, "associative", "first"),
+        (4, 1, 2, "associative", "last"),
+        (4, 100, 100, "moufang_b", "first"),
+        (4, 1, 2, "moufang_b", "last"),
+    ])
+    def test_witness_on_the_edge_of_a_later_slab(
+            self, monkeypatch, r, first, cap, name, edge):
+        monkeypatch.setattr(_MonomialBatch, "first", first)
+        monkeypatch.setattr(_MonomialBatch, "cap", cap)
+        report = identity_battery(r)
+        pos = report.verdicts[name].checked - 1
+        start, size = 0, first
+        while start + size <= pos:
+            start, size = start + size, min(2 * size, cap)
+        assert start > 0
+        assert pos == (start if edge == "first" else start + size - 1)
+        assert _same_json(report, oracles.identity_battery(r))
+
+    def test_overflow_bound_is_a_verification_error(self, monkeypatch):
+        # the deepest check, z^6 at level 2, reaches 3^6 * 4^5 = 746,496
+        monkeypatch.setattr(cayley_dickson, "INT64_PRODUCT_BOUND", 746_496)
+        with pytest.raises(VerificationError):
+            identity_battery(2, RandomSample(count=1, seed=0))
+        monkeypatch.setattr(cayley_dickson, "INT64_PRODUCT_BOUND", 746_497)
+        identity_battery(2, RandomSample(count=1, seed=0))
 
 
 class TestHurwitz:

@@ -58,6 +58,21 @@ class TestProps:
         a, b, c = elements
         assert (a * b) * c != a * (b * c)
 
+    @pytest.mark.parametrize("level", [6, 7, 8])
+    def test_exhaustive_levels_6_to_8_answer_quickly(self, level):
+        start = time.perf_counter()
+        result = payload(["props", "--level", str(level)])
+        assert time.perf_counter() - start < 2.0
+        assert result.code == 0
+        verdicts = {v["identity"]: v for v in result.payload["identities"]}
+        dim = 1 << level
+        assert verdicts["flexible"] == {"identity": "flexible", "passed": True,
+                                        "checked": dim * dim}
+        assert verdicts["power_associative"] == {
+            "identity": "power_associative", "passed": True, "checked": dim}
+        assert [CDElement.from_json_dict(w) for w in verdicts["associative"]["witness"]] \
+            == [CDElement.basis(level, k) for k in (1, 2, 4)]
+
     def test_seed_determines_output(self):
         a = payload(["props", "--level", "4", "--mode", "random-sample",
                      "--count", "50", "--seed", "5"])
@@ -378,6 +393,11 @@ class TestDispatch:
         ["props", "--level", "2", "--mode", "random-sample", "--count", "1001"],
         ["props", "--level", "2", "--mode", "random-sample", "--count",
          "1000000000000"],
+        ["pde", "dalembert", "--level", "2", "--nodes", "4", "--tolerance", "inf"],
+        ["pde", "dalembert", "--tolerance", "nan"],
+        ["pde", "heat", "--tolerance", "-1"],
+        ["pde", "scan", "--system", "r1", "--tolerance", "-1e-12"],
+        ["pde", "jacobian", "--tolerance", "inf"],
     ])
     def test_caps_and_signs_checked_before_any_work(self, argv):
         start = time.perf_counter()
@@ -390,6 +410,7 @@ class TestDispatch:
         ["abelian", "tensor", "--g", "Z2^100", "--h", "Z2^100"],
         ["props", "--level", "0", "--mode", "random-sample", "--count", "1000"],
         ["pde", "heat", "--level", "0", "--nodes", "1024", "--steps", "1000"],
+        ["pde", "dalembert", "--level", "2", "--nodes", "4", "--tolerance", "0"],
     ])
     def test_values_at_the_caps_are_accepted(self, argv):
         start = time.perf_counter()
@@ -480,6 +501,17 @@ class TestDispatch:
         assert code == 0
         assert "seven_conditions" in out
 
+    @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"],
+                                      ["props", "-h", "--json"]])
+    def test_main_prints_only_the_help(self, argv, capsys):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("usage: hyperlab")
+        # the help ends with its options listing, nothing printed after it
+        assert out.rstrip().splitlines()[-1].lstrip().startswith("-")
+        assert "error" not in out
+
 
 def _write_inputs(directory: Path) -> dict:
     """Input files the CLI reads, by the token that stands for them in an
@@ -558,6 +590,7 @@ class TestRepeatedRuns:
         assert answers[("pde", "heat", "--nodes", "x")][0][3].startswith(
             "usage: hyperlab pde")
         assert answers[("--help",)][0][2].startswith("usage: hyperlab")
+        assert answers[("--help",)][0][1] == "{}"
 
     def test_cached_parser_parses_like_a_fresh_one(self):
         for argv in self.MIXED[:8]:
