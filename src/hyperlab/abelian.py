@@ -21,7 +21,6 @@ operations it applies to U and V, and certifies its answer exactly:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
@@ -31,19 +30,6 @@ from .exact import VerificationError
 
 class InfiniteGroup(ValueError):
     pass
-
-
-def _factorint(n: int) -> dict:
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _invariant_factors(divisors) -> tuple:
@@ -116,9 +102,6 @@ class FGAbelianGroup:
         return cls(divisors.count(0), _invariant_factors(d for d in divisors if d))
 
     # -- basic structure ------------------------------------------------------
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def is_finite(self) -> bool:
         return self.rank == 0
@@ -410,41 +393,6 @@ def tensor(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
     return FGAbelianGroup.from_divisors(*divisors)
 
 
-def quotient_by_multiple(h: FGAbelianGroup, m: int) -> FGAbelianGroup:
-    """H / mH computed from a presentation matrix, not from the gcd rule;
-    serves as the independent route for Ext(Zm, H)."""
-    if m == 0:
-        return h
-    blocks = _cyclic_blocks(h)
-    k = len(blocks)
-    # generators x1..xk, relations: d_i x_i = 0 (finite blocks) and m x_i = 0
-    rows = []
-    for i, d in enumerate(blocks):
-        if d != 0:
-            rows.append([d if j == i else 0 for j in range(k)])
-        rows.append([m if j == i else 0 for j in range(k)])
-    if not rows:
-        return TRIVIAL
-    return decompose(rows)
-
-
-# -- brute-force oracles ------------------------------------------------------
-
-def count_homs_brute(m: int, n: int) -> int:
-    """Homomorphisms Zm -> Zn by enumerating images of the generator."""
-    return sum(1 for x in range(n) if (m * x) % n == 0)
-
-
-def image_order_multiplication(m: int, n: int) -> int:
-    """Order of the subgroup m*Zn, by enumeration."""
-    return len({(m * x) % n for x in range(n)})
-
-
-def ext_order_brute(m: int, n: int) -> int:
-    """|Zn / mZn| by enumeration; equals |Ext(Zm, Zn)|."""
-    return n // image_order_multiplication(m, n)
-
-
 # ---------------------------------------------------------------------------
 # homology lookups
 # ---------------------------------------------------------------------------
@@ -475,14 +423,6 @@ def euler_characteristic(n: int) -> int:
     if n < 0:
         raise ValueError("n >= 0 required")
     return 1 + (-1) ** n
-
-
-def second_cohomology_of_cyclic(order: int, coefficients: FGAbelianGroup) -> FGAbelianGroup:
-    """H^2 with trivial action via universal coefficients:
-    Hom(H2, M) + Ext(H1, M) with the cyclic homology table supplying H1, H2."""
-    h1 = cyclic_homology(order, 1)
-    h2 = cyclic_homology(order, 2)
-    return hom(h2, coefficients).direct_sum(ext(h1, coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -534,33 +474,3 @@ def extension_count(base: FGAbelianGroup, fiber: FGAbelianGroup) -> ExtensionRep
         aut_fiber_trivial=trivial_aut,
         direct_sum_order=base.order() * fiber.order() if trivial_aut else None,
     )
-
-
-def abelian_groups_of_order(n: int) -> list[FGAbelianGroup]:
-    """All isomorphism classes of abelian groups of order n."""
-    if n < 1:
-        raise ValueError("order must be positive")
-
-    def partitions(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(k, 0, -1):
-            for rest in partitions(k - first):
-                if not rest or rest[0] <= first:
-                    yield (first,) + rest
-
-    per_prime = []
-    for p, e in _factorint(n).items():
-        per_prime.append([[p ** part for part in parts] for parts in partitions(e)])
-    if not per_prime:
-        return [TRIVIAL]
-    groups = []
-    for combo in itertools.product(*per_prime):
-        divisors = [d for block in combo for d in block]
-        groups.append(FGAbelianGroup.from_divisors(*divisors))
-    unique = []
-    for g in groups:
-        if g not in unique:
-            unique.append(g)
-    return unique

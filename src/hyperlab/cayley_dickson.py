@@ -973,11 +973,6 @@ class ConjugatedAlgebra:
         return MultiplicationTable(level=level, sign=tuple(map(tuple, sgn)))
 
 
-def real_conjugated() -> ConjugatedAlgebra:
-    one = Fraction(1)
-    return ConjugatedAlgebra(mult=[[[one]]], conj=[[one]])
-
-
 def quadratic_algebra(alpha, beta) -> ConjugatedAlgebra:
     """Two-dimensional algebra on (e, i) with i^2 = alpha*e + beta*i and
     conjugation u -> T(u)e - u; parameters may be rational or symbolic."""
@@ -1056,26 +1051,6 @@ def quaternion_type_algebra(alpha, beta, gamma) -> ConjugatedAlgebra:
     return cayley_extension(quadratic_algebra(alpha, beta), gamma)
 
 
-def conjugated_from_level(r: int) -> ConjugatedAlgebra:
-    """The level-r table packaged with its standard conjugation."""
-    table = structure_constants(r)
-    n = table.dim
-    zero = Fraction(0)
-    mult = [[None] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(n):
-            vec = [zero] * n
-            k, s = table.product(p, q)
-            vec[k] = Fraction(s)
-            mult[p][q] = vec
-    conj = []
-    for p in range(n):
-        vec = [zero] * n
-        vec[p] = Fraction(1) if p == 0 else Fraction(-1)
-        conj.append(vec)
-    return ConjugatedAlgebra(mult=mult, conj=conj)
-
-
 # ---------------------------------------------------------------------------
 # quaternions as complex matrices
 # ---------------------------------------------------------------------------
@@ -1092,18 +1067,3 @@ def quaternion_to_complex_matrix(q: CDElement):
         [a + b * i, c + d * i],
         [-c + d * i, a - b * i],
     ]
-
-
-def pauli_matrices():
-    """sigma_x, sigma_y, sigma_z derived from the quaternion embedding."""
-    i, j, k = (CDElement.basis(2, n) for n in (1, 2, 3))
-    scale = -1j
-
-    def times(mat):
-        return [[scale * entry for entry in row] for row in mat]
-
-    return (
-        times(quaternion_to_complex_matrix(k)),
-        times(quaternion_to_complex_matrix(j)),
-        times(quaternion_to_complex_matrix(i)),
-    )

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,7 +177,7 @@ def _cmd_qalg(args) -> CommandResult:
 
 
 def _heyting_from_args(args) -> hey.HeytingAlgebra:
-    if args.chain:
+    if args.chain is not None:
         return hey.heyting_from_chain(args.chain)
     if args.input:
         data = _load_json(args.input, dict)
@@ -599,11 +600,17 @@ def _render_text(payload, indent=0):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     result = run(argv)
-    # the --help payload is empty: argparse has printed the help
-    if result.payload and ("--json" in argv or result.code == 2):
-        print(result.to_json())
-    else:
-        _render_text(result.payload)
+    try:
+        # the --help payload is empty: argparse has printed the help
+        if result.payload and ("--json" in argv or result.code == 2):
+            print(result.to_json())
+        else:
+            _render_text(result.payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.code
 
 

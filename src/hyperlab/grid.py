@@ -189,19 +189,6 @@ def residual(system: PDESystem, fields: dict, spacings):
     return out
 
 
-def max_abs(values) -> float:
-    """Largest euclidean magnitude over a nested residual array."""
-    worst = 0.0
-    for row in values:
-        for v in row:
-            if isinstance(v, CDElement):
-                mag = float(sum(float(c) * float(c) for c in v.coeffs)) ** 0.5
-            else:
-                mag = abs(float(v))
-            worst = max(worst, mag)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # separable-solution check for the product equation
 # ---------------------------------------------------------------------------

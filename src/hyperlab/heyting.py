@@ -146,38 +146,6 @@ class FiniteTopology:
         return cls.from_subsets(points, opens)
 
 
-def discrete_topology(points) -> FiniteTopology:
-    n = len(points)
-    return FiniteTopology(tuple(points), tuple(range(1 << n)))
-
-
-def indiscrete_topology(points) -> FiniteTopology:
-    return FiniteTopology(tuple(points), (0, (1 << len(points)) - 1))
-
-
-def sierpinski_topology() -> FiniteTopology:
-    return FiniteTopology(("a", "b"), (0, 0b01, 0b11))
-
-
-def enumerate_topologies(n: int):
-    """Every topology on n labelled points (n <= 4 is practical)."""
-    full = (1 << n) - 1
-    middles = [m for m in range(1, full)]
-    for selection in itertools.product((False, True), repeat=len(middles)):
-        opens = {0, full}
-        opens.update(m for m, take in zip(middles, selection) if take)
-        closed = True
-        for a in opens:
-            for b in opens:
-                if (a | b) not in opens or (a & b) not in opens:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            yield FiniteTopology(tuple(f"p{i}" for i in range(n)), tuple(sorted(opens)))
-
-
 @dataclass(frozen=True)
 class FinitePoset:
     """Partial order as a boolean matrix; reflexivity, antisymmetry and
@@ -428,27 +396,6 @@ class HeytingAlgebra:
         return f"HeytingAlgebra(n={self.n})"
 
 
-# -- implication helpers --------------------------------------------------------
-
-def implication_by_search(meet, leq, n, a, b):
-    """Greatest c with a /\\ c <= b, or None if no greatest one exists."""
-    candidates = [c for c in range(n) if leq(meet[a][c], b)]
-    for c in candidates:
-        if all(leq(d, c) for d in candidates):
-            return c
-    return None
-
-
-def relative_pseudo_complement(h: HeytingAlgebra, a: int, b: int) -> int:
-    """Greatest x with a /\\ x <= b; table lookup (existence is part of the
-    construction contract)."""
-    return h.impl[a][b]
-
-
-def pseudo_complement(h: HeytingAlgebra, x: int) -> int:
-    return h.impl[x][h.bottom]
-
-
 # -- constructors ---------------------------------------------------------------
 
 def heyting_from_topology(topology: FiniteTopology) -> HeytingAlgebra:
@@ -518,7 +465,7 @@ def heyting_from_lattice(meet, join, labels=None) -> HeytingAlgebra:
     """Search the implication of a bounded lattice.
 
     For each a, one slab finds for every b the first c with a /\\ c <= b
-    that lies above every such c (what ``implication_by_search`` returns).
+    that lies above every such c.
     Raises NotHeyting with the first (a, b) that has no such c; on finite
     lattices this happens exactly when the lattice is not distributive.
     """
@@ -546,47 +493,6 @@ def heyting_from_lattice(meet, join, labels=None) -> HeytingAlgebra:
         impl[a] = np.argmax(greatest, axis=1)
     return HeytingAlgebra(meet, join, impl.tolist(), int(bottoms[-1]), int(tops[-1]),
                           labels=labels)
-
-
-def pentagon_lattice():
-    """N5: 0 < a < b < 1 and 0 < c < 1 with c incomparable to a, b."""
-    # elements: 0, a, b, c, 1
-    order = {(0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
-             (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)}
-
-    def leq(x, y):
-        return (x, y) in order
-
-    return _lattice_tables_from_order(5, leq)
-
-
-def diamond_lattice():
-    """M3: three incomparable atoms between 0 and 1."""
-    order = {(i, i) for i in range(5)} | {(0, i) for i in range(5)} | {
-        (i, 4) for i in range(5)}
-
-    def leq(x, y):
-        return (x, y) in order
-
-    return _lattice_tables_from_order(5, leq)
-
-
-def _lattice_tables_from_order(n, leq):
-    meet = [[None] * n for _ in range(n)]
-    join = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            lower = [c for c in range(n) if leq(c, a) and leq(c, b)]
-            upper = [c for c in range(n) if leq(a, c) and leq(b, c)]
-            for c in lower:
-                if all(leq(d, c) for d in lower):
-                    meet[a][b] = c
-            for c in upper:
-                if all(leq(c, d) for d in upper):
-                    join[a][b] = c
-            if meet[a][b] is None or join[a][b] is None:
-                raise InvalidLattice("order is not a lattice")
-    return meet, join
 
 
 # ---------------------------------------------------------------------------
@@ -819,12 +725,6 @@ def filter_generate(h: HeytingAlgebra, generators) -> Filter:
     return Filter(h, frozenset(members))
 
 
-def intersect_filters(f1: Filter, f2: Filter) -> Filter:
-    if f1.algebra is not f2.algebra:
-        raise InvalidFilter("filters on different algebras")
-    return Filter(f1.algebra, f1.members & f2.members)
-
-
 def quotient_by_filter(h: HeytingAlgebra, f: Filter):
     """Quotient by x ~ y iff x -> y and y -> x both lie in the filter.
 
@@ -912,23 +812,6 @@ def verify_morphism(h1: HeytingAlgebra, h2: HeytingAlgebra, f) -> MorphismReport
 def kernel(h1: HeytingAlgebra, h2: HeytingAlgebra, f) -> Filter:
     """Preimage of the top element, as a filter on the source."""
     return Filter(h1, frozenset(x for x in h1.elements() if f[x] == h2.top))
-
-
-def algebras_isomorphic(h1: HeytingAlgebra, h2: HeytingAlgebra) -> bool:
-    """Existence of a bijective morphism; exhaustive, for small algebras."""
-    if h1.n != h2.n:
-        return False
-    for perm in itertools.permutations(range(h2.n)):
-        if perm[h1.bottom] != h2.bottom or perm[h1.top] != h2.top:
-            continue
-        if all(
-            perm[h1.meet[x][y]] == h2.meet[perm[x]][perm[y]]
-            and perm[h1.join[x][y]] == h2.join[perm[x]][perm[y]]
-            and perm[h1.impl[x][y]] == h2.impl[perm[x]][perm[y]]
-            for x in range(h1.n) for y in range(h1.n)
-        ):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .cayley_dickson import CDElement, is_operator_invertible
-from .exact import DEFAULT_TOLERANCE, is_exact, matrix_rank_float
+from .exact import DEFAULT_TOLERANCE, is_exact
 from .polynomials import Poly, poly_matrix_determinant
 
 
@@ -233,11 +233,6 @@ def minor_determinants(jacobian, size: int):
     return out
 
 
-def nonzero_minors(jacobian, size: int):
-    return [(pos, det) for pos, det in minor_determinants(jacobian, size)
-            if not det.is_zero()]
-
-
 # ---------------------------------------------------------------------------
 # point classification
 # ---------------------------------------------------------------------------
@@ -368,10 +363,3 @@ def classify_point(
         diagnostics.append(MinorDiagnostic(rows, cols, value, invertible))
         regular = regular or invertible
     return PointClassification(regular=regular, minors=diagnostics)
-
-
-def numeric_jacobian_rank(system: PDESystem, point: dict, tolerance: float = 1e-8) -> int:
-    """Oracle for real points: numeric rank of the evaluated Jacobian."""
-    env, _ = _fill_point(system, point)
-    return matrix_rank_float([[float(entry.evaluate(env)) for entry in row]
-                              for row in formal_jacobian(system)], tolerance)

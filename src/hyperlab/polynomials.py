@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Monomial = tuple[tuple[str, int], ...]
-
 _RATIONAL = (int, Fraction)
 
 
@@ -121,11 +119,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
 
     def variables(self) -> set[str]:
         return {name for mono in self.terms for name, _ in mono}

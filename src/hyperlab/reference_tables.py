@@ -1,21 +1,18 @@
 """Fixed reference copies of the classical multiplication tables.
 
 These are hand-embedded transcriptions used to cross-check the generated
-structure constants: the 4x4 quaternionic-type table with its trace/norm
-formulas (generic parameters alpha, beta, gamma and the beta = 0 special
-case), the 8x8 octonion table, and a 16x16 sedenion table.  The sedenion
-transcription is known to disagree with the doubling recursion in a handful
-of cells (it is not even anti-commutative there), so comparisons against it
-are reported as diagnostics instead of hard failures.
+structure constants: the 8x8 octonion table and a 16x16 sedenion table.
+The sedenion transcription is known to disagree with the doubling recursion
+in a handful of cells (it is not even anti-commutative there), so
+comparisons against it are reported as diagnostics instead of hard
+failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cayley_dickson import MultiplicationTable, structure_constants
-from .polynomials import Poly
+from .cayley_dickson import MultiplicationTable
 
 # (sign, index) per cell; row/column order e_0, e_1, ...
 OCTONION_TABLE = (
@@ -96,97 +93,9 @@ def compare_with_reference(table: MultiplicationTable, reference) -> list[TableM
     return mismatches
 
 
-def compare_octonion(table: MultiplicationTable | None = None) -> list[TableMismatch]:
-    """Expected to be empty: the generated level-3 table is the reference."""
-    if table is None:
-        table = structure_constants(3)
-    return compare_with_reference(table, OCTONION_TABLE)
-
-
-def compare_sedenion(table: MultiplicationTable | None = None) -> list[TableMismatch]:
-    """Diagnostic only; the transcription has internally inconsistent cells
-    and the recursion is taken as ground truth."""
-    if table is None:
-        table = structure_constants(4)
-    return compare_with_reference(table, SEDENION_TABLE)
-
-
 def reference_table_for_level(level: int):
     if level == 3:
         return OCTONION_TABLE
     if level == 4:
         return SEDENION_TABLE
     return None
-
-
-# ---------------------------------------------------------------------------
-# quaternionic type (alpha, beta, gamma): expected 4x4 table and formulas
-# ---------------------------------------------------------------------------
-
-def _symbols():
-    return Poly.variable("alpha"), Poly.variable("beta"), Poly.variable("gamma")
-
-
-def quaternion_type_products(alpha=None, beta=None, gamma=None) -> dict:
-    """Expected products on the basis (e, i, j, k); symbolic by default.
-
-    i*i = alpha e + beta i        i*j = k            i*k = alpha j + beta k
-    j*i = beta j - k              j*j = gamma e      j*k = beta gamma e - gamma i
-    k*i = -alpha j                k*j = gamma i      k*k = -alpha gamma e
-    """
-    if alpha is None:
-        alpha, beta, gamma = _symbols()
-    zero, one = 0 * alpha, 0 * alpha + 1
-    e = [one, zero, zero, zero]
-    return {
-        (1, 1): [alpha, beta, zero, zero],
-        (1, 2): [zero, zero, zero, one],
-        (1, 3): [zero, zero, alpha, beta],
-        (2, 1): [zero, zero, beta, zero - 1],
-        (2, 2): [gamma, zero, zero, zero],
-        (2, 3): [beta * gamma, zero - gamma, zero, zero],
-        (3, 1): [zero, zero, zero - alpha, zero],
-        (3, 2): [zero, gamma, zero, zero],
-        (3, 3): [zero - alpha * gamma, zero, zero, zero],
-        (0, 0): e,
-        (0, 1): [zero, one, zero, zero],
-        (0, 2): [zero, zero, one, zero],
-        (0, 3): [zero, zero, zero, one],
-        (1, 0): [zero, one, zero, zero],
-        (2, 0): [zero, zero, one, zero],
-        (3, 0): [zero, zero, zero, one],
-    }
-
-
-def quaternion_type_trace(rho, xi, eta=None, zeta=None, beta=None):
-    """T(u) = 2 rho + beta xi for u = rho e + xi i + eta j + zeta k."""
-    if beta is None:
-        beta = Poly.variable("beta")
-    return 2 * rho + beta * xi
-
-
-def quaternion_type_norm(rho, xi, eta, zeta, alpha=None, beta=None, gamma=None):
-    """N(u) = rho^2 + beta rho xi - alpha xi^2
-            - gamma (eta^2 + beta eta zeta - alpha zeta^2)."""
-    if alpha is None:
-        alpha, beta, gamma = _symbols()
-    return (
-        rho * rho + beta * rho * xi - alpha * xi * xi
-        - gamma * (eta * eta + beta * eta * zeta - alpha * zeta * zeta)
-    )
-
-
-def quaternion_type_conjugate(rho, xi, eta, zeta, beta=None):
-    """conj(u) = (rho + beta xi) e - xi i - eta j - zeta k."""
-    if beta is None:
-        beta = Poly.variable("beta")
-    return [rho + beta * xi, 0 - xi, 0 - eta, 0 - zeta]
-
-
-def beta_zero_products(alpha=None, gamma=None) -> dict:
-    """The beta = 0 special case of the type table."""
-    if alpha is None:
-        alpha = Poly.variable("alpha")
-        gamma = Poly.variable("gamma")
-    full = quaternion_type_products(alpha, 0 * alpha, gamma)
-    return full

@@ -9,14 +9,23 @@ factoring: independent of the carried inverses and the gcd/lcm chain in
 ``hyperlab.abelian``.  The identity battery as a loop of ``CDElement``
 products, one sample tuple at a time: independent of the batch forms and
 slabs of ``hyperlab.cayley_dickson.identity_battery``.
+
+Also enumeration routes and symbolic expectations: homomorphism and Ext
+orders of cyclic groups by enumeration, H / mH from a presentation, every
+abelian group of an order, every topology on a few points, the Heyting
+implication by search and isomorphism by permutations, the numeric
+Jacobian rank, the level-r conjugated algebra and the Pauli matrices, and
+the quaternionic-type products with their trace, norm and conjugate.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+from hyperlab.abelian import TRIVIAL, FGAbelianGroup, _cyclic_blocks, decompose
 from hyperlab.cayley_dickson import (
     CDElement,
+    ConjugatedAlgebra,
     ExhaustiveBasis,
     IdentityVerdict,
     PropertyReport,
@@ -24,8 +33,14 @@ from hyperlab.cayley_dickson import (
     _check_level,
     cd_multiply_recursive,
     norm_sq,
+    quaternion_to_complex_matrix,
+    structure_constants,
     zero_divisor_probe,
 )
+from hyperlab.exact import matrix_rank_float
+from hyperlab.heyting import FiniteTopology, HeytingAlgebra
+from hyperlab.jets import PDESystem, _fill_point, formal_jacobian
+from hyperlab.polynomials import Poly
 
 
 def rref(matrix):
@@ -264,11 +279,22 @@ def det(mat):
     return int(result)
 
 
+def _factorint(n: int) -> dict:
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def invariant_factors(divisors):
     """(rank, torsion chain) of the direct sum of Z/d, d = 0 meaning Z, by
     factoring every divisor and stacking prime powers."""
-    from hyperlab.abelian import _factorint
-
     rank = 0
     primary = {}
     for d in divisors:
@@ -392,3 +418,226 @@ def identity_battery(
                 break
         verdicts[name] = IdentityVerdict(name, witness is None, witness, checked)
     return PropertyReport(level=r, mode=mode, verdicts=verdicts)
+
+
+def quotient_by_multiple(h: FGAbelianGroup, m: int) -> FGAbelianGroup:
+    """H / mH computed from a presentation matrix, not from the gcd rule;
+    serves as the independent route for Ext(Zm, H)."""
+    if m == 0:
+        return h
+    blocks = _cyclic_blocks(h)
+    k = len(blocks)
+    # generators x1..xk, relations: d_i x_i = 0 (finite blocks) and m x_i = 0
+    rows = []
+    for i, d in enumerate(blocks):
+        if d != 0:
+            rows.append([d if j == i else 0 for j in range(k)])
+        rows.append([m if j == i else 0 for j in range(k)])
+    if not rows:
+        return TRIVIAL
+    return decompose(rows)
+
+
+def count_homs_brute(m: int, n: int) -> int:
+    """Homomorphisms Zm -> Zn by enumerating images of the generator."""
+    return sum(1 for x in range(n) if (m * x) % n == 0)
+
+
+def image_order_multiplication(m: int, n: int) -> int:
+    """Order of the subgroup m*Zn, by enumeration."""
+    return len({(m * x) % n for x in range(n)})
+
+
+def ext_order_brute(m: int, n: int) -> int:
+    """|Zn / mZn| by enumeration; equals |Ext(Zm, Zn)|."""
+    return n // image_order_multiplication(m, n)
+
+
+def abelian_groups_of_order(n: int) -> list[FGAbelianGroup]:
+    """All isomorphism classes of abelian groups of order n."""
+    if n < 1:
+        raise ValueError("order must be positive")
+
+    def partitions(k):
+        if k == 0:
+            yield ()
+            return
+        for first in range(k, 0, -1):
+            for rest in partitions(k - first):
+                if not rest or rest[0] <= first:
+                    yield (first,) + rest
+
+    per_prime = []
+    for p, e in _factorint(n).items():
+        per_prime.append([[p ** part for part in parts] for parts in partitions(e)])
+    if not per_prime:
+        return [TRIVIAL]
+    groups = []
+    for combo in itertools.product(*per_prime):
+        divisors = [d for block in combo for d in block]
+        groups.append(FGAbelianGroup.from_divisors(*divisors))
+    unique = []
+    for g in groups:
+        if g not in unique:
+            unique.append(g)
+    return unique
+
+
+def enumerate_topologies(n: int):
+    """Every topology on n labelled points (n <= 4 is practical)."""
+    full = (1 << n) - 1
+    middles = [m for m in range(1, full)]
+    for selection in itertools.product((False, True), repeat=len(middles)):
+        opens = {0, full}
+        opens.update(m for m, take in zip(middles, selection) if take)
+        closed = True
+        for a in opens:
+            for b in opens:
+                if (a | b) not in opens or (a & b) not in opens:
+                    closed = False
+                    break
+            if not closed:
+                break
+        if closed:
+            yield FiniteTopology(tuple(f"p{i}" for i in range(n)), tuple(sorted(opens)))
+
+
+def implication_by_search(meet, leq, n, a, b):
+    """Greatest c with a /\\ c <= b, or None if no greatest one exists."""
+    candidates = [c for c in range(n) if leq(meet[a][c], b)]
+    for c in candidates:
+        if all(leq(d, c) for d in candidates):
+            return c
+    return None
+
+
+def algebras_isomorphic(h1: HeytingAlgebra, h2: HeytingAlgebra) -> bool:
+    """Existence of a bijective morphism; exhaustive, for small algebras."""
+    if h1.n != h2.n:
+        return False
+    for perm in itertools.permutations(range(h2.n)):
+        if perm[h1.bottom] != h2.bottom or perm[h1.top] != h2.top:
+            continue
+        if all(
+            perm[h1.meet[x][y]] == h2.meet[perm[x]][perm[y]]
+            and perm[h1.join[x][y]] == h2.join[perm[x]][perm[y]]
+            and perm[h1.impl[x][y]] == h2.impl[perm[x]][perm[y]]
+            for x in range(h1.n) for y in range(h1.n)
+        ):
+            return True
+    return False
+
+
+def numeric_jacobian_rank(system: PDESystem, point: dict, tolerance: float = 1e-8) -> int:
+    """Oracle for real points: numeric rank of the evaluated Jacobian."""
+    env, _ = _fill_point(system, point)
+    return matrix_rank_float([[float(entry.evaluate(env)) for entry in row]
+                              for row in formal_jacobian(system)], tolerance)
+
+
+def max_abs(values) -> float:
+    """Largest euclidean magnitude over a nested residual array."""
+    worst = 0.0
+    for row in values:
+        for v in row:
+            if isinstance(v, CDElement):
+                mag = float(sum(float(c) * float(c) for c in v.coeffs)) ** 0.5
+            else:
+                mag = abs(float(v))
+            worst = max(worst, mag)
+    return worst
+
+
+def conjugated_from_level(r: int) -> ConjugatedAlgebra:
+    """The level-r table packaged with its standard conjugation."""
+    table = structure_constants(r)
+    n = table.dim
+    zero = Fraction(0)
+    mult = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(n):
+            vec = [zero] * n
+            k, s = table.product(p, q)
+            vec[k] = Fraction(s)
+            mult[p][q] = vec
+    conj = []
+    for p in range(n):
+        vec = [zero] * n
+        vec[p] = Fraction(1) if p == 0 else Fraction(-1)
+        conj.append(vec)
+    return ConjugatedAlgebra(mult=mult, conj=conj)
+
+
+def pauli_matrices():
+    """sigma_x, sigma_y, sigma_z derived from the quaternion embedding."""
+    i, j, k = (CDElement.basis(2, n) for n in (1, 2, 3))
+    scale = -1j
+
+    def times(mat):
+        return [[scale * entry for entry in row] for row in mat]
+
+    return (
+        times(quaternion_to_complex_matrix(k)),
+        times(quaternion_to_complex_matrix(j)),
+        times(quaternion_to_complex_matrix(i)),
+    )
+
+
+def _symbols():
+    return Poly.variable("alpha"), Poly.variable("beta"), Poly.variable("gamma")
+
+
+def quaternion_type_products(alpha=None, beta=None, gamma=None) -> dict:
+    """Expected products on the basis (e, i, j, k); symbolic by default.
+
+    i*i = alpha e + beta i        i*j = k            i*k = alpha j + beta k
+    j*i = beta j - k              j*j = gamma e      j*k = beta gamma e - gamma i
+    k*i = -alpha j                k*j = gamma i      k*k = -alpha gamma e
+    """
+    if alpha is None:
+        alpha, beta, gamma = _symbols()
+    zero, one = 0 * alpha, 0 * alpha + 1
+    e = [one, zero, zero, zero]
+    return {
+        (1, 1): [alpha, beta, zero, zero],
+        (1, 2): [zero, zero, zero, one],
+        (1, 3): [zero, zero, alpha, beta],
+        (2, 1): [zero, zero, beta, zero - 1],
+        (2, 2): [gamma, zero, zero, zero],
+        (2, 3): [beta * gamma, zero - gamma, zero, zero],
+        (3, 1): [zero, zero, zero - alpha, zero],
+        (3, 2): [zero, gamma, zero, zero],
+        (3, 3): [zero - alpha * gamma, zero, zero, zero],
+        (0, 0): e,
+        (0, 1): [zero, one, zero, zero],
+        (0, 2): [zero, zero, one, zero],
+        (0, 3): [zero, zero, zero, one],
+        (1, 0): [zero, one, zero, zero],
+        (2, 0): [zero, zero, one, zero],
+        (3, 0): [zero, zero, zero, one],
+    }
+
+
+def quaternion_type_trace(rho, xi, eta=None, zeta=None, beta=None):
+    """T(u) = 2 rho + beta xi for u = rho e + xi i + eta j + zeta k."""
+    if beta is None:
+        beta = Poly.variable("beta")
+    return 2 * rho + beta * xi
+
+
+def quaternion_type_norm(rho, xi, eta, zeta, alpha=None, beta=None, gamma=None):
+    """N(u) = rho^2 + beta rho xi - alpha xi^2
+            - gamma (eta^2 + beta eta zeta - alpha zeta^2)."""
+    if alpha is None:
+        alpha, beta, gamma = _symbols()
+    return (
+        rho * rho + beta * rho * xi - alpha * xi * xi
+        - gamma * (eta * eta + beta * eta * zeta - alpha * zeta * zeta)
+    )
+
+
+def quaternion_type_conjugate(rho, xi, eta, zeta, beta=None):
+    """conj(u) = (rho + beta xi) e - xi i - eta j - zeta k."""
+    if beta is None:
+        beta = Poly.variable("beta")
+    return [rho + beta * xi, 0 - xi, 0 - eta, 0 - zeta]

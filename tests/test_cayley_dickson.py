@@ -11,6 +11,7 @@ from hyperlab.cayley_dickson import (
     INT64_PRODUCT_BOUND,
     VECTOR_MIN_LEVEL,
     CDElement,
+    ConjugatedAlgebra,
     ExhaustiveBasis,
     InvalidConjugation,
     LevelMismatch,
@@ -23,7 +24,6 @@ from hyperlab.cayley_dickson import (
     cd_multiply_recursive,
     commutator,
     conjugate,
-    conjugated_from_level,
     find_zero_divisors,
     identity_battery,
     inverse_quadratic,
@@ -31,7 +31,6 @@ from hyperlab.cayley_dickson import (
     norm_sq,
     quadratic_algebra,
     quaternion_to_complex_matrix,
-    pauli_matrices,
     structure_constants,
     trace,
 )
@@ -558,15 +557,14 @@ class TestCayleyExtension:
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
     def test_doubling_reproduces_next_level(self, r):
-        doubled = cayley_extension(conjugated_from_level(r), Fraction(-1))
+        doubled = cayley_extension(oracles.conjugated_from_level(r), Fraction(-1))
         table = doubled.as_table()
         expected = structure_constants(r + 1)
         assert table.sign == expected.sign
 
     def test_iterated_doubling_from_reals(self):
-        from hyperlab.cayley_dickson import real_conjugated
-
-        algebra = real_conjugated()
+        one = Fraction(1)
+        algebra = ConjugatedAlgebra(mult=[[[one]]], conj=[[one]])
         for r in range(1, 6):
             algebra = cayley_extension(algebra, Fraction(-1))
             table = algebra.as_table()
@@ -623,7 +621,7 @@ class TestPauli:
                     assert abs(lhs[i][j] - rhs[i][j]) < 1e-12
 
     def test_spin_matrices_square_to_identity(self):
-        for s in pauli_matrices():
+        for s in oracles.pauli_matrices():
             prod = [
                 [s[0][0] * s[0][0] + s[0][1] * s[1][0],
                  s[0][0] * s[0][1] + s[0][1] * s[1][1]],

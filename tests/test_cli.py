@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -13,7 +15,9 @@ from hyperlab.abelian import FGAbelianGroup
 from hyperlab.algebras import BASE_ALGEBRAS
 from hyperlab.cayley_dickson import CDElement
 from hyperlab.cli import main, run
-from hyperlab.heyting import FiniteTopology, pentagon_lattice
+from hyperlab.heyting import FiniteTopology
+
+from fixtures import pentagon_lattice
 
 
 def payload(argv):
@@ -163,8 +167,6 @@ class TestHeyting:
         assert result.payload["size"] == 3
 
     def test_lattice_rejection(self, tmp_path):
-        from hyperlab.heyting import pentagon_lattice
-
         meet, join = pentagon_lattice()
         path = tmp_path / "n5.json"
         path.write_text(json.dumps({"meet": meet, "join": join}))
@@ -363,6 +365,8 @@ class TestDispatch:
         ["heyting", "build", "--input", {"points": ["a"], "opens": [5]}],
         ["heyting", "build", "--input", {"points": ["a"], "opens": [[["a"]]]}],
         ["heyting", "build", "--input", {"points": 5, "opens": []}],
+        # --chain 0 is an empty chain, not a missing --chain
+        ["heyting", "build", "--chain", "0", "--input", {"points": ["a"], "opens": [[], ["a"]]}],
     ])
     def test_malformed_input_is_a_json_error(self, argv, tmp_path):
         for i, arg in enumerate(argv):
@@ -511,6 +515,20 @@ class TestDispatch:
         # the help ends with its options listing, nothing printed after it
         assert out.rstrip().splitlines()[-1].lstrip().startswith("-")
         assert "error" not in out
+
+    def test_reader_closing_stdout_keeps_the_exit_code(self):
+        # 0.85 MB of JSON overfills the pipe, so the write after the reader
+        # has gone fails; exit 1 stays reserved for a failed verification
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperlab.cli", "zerodiv", "--level", "4", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in stderr
 
 
 def _write_inputs(directory: Path) -> dict:

@@ -14,12 +14,13 @@ from hyperlab.grid import (
     ResolutionTooSmall,
     UnstableStep,
     heat_evolve,
-    max_abs,
     residual,
     separable_dalembert_check,
     single_mode_decay_factor,
 )
 from hyperlab.jets import builtin_systems
+
+from oracles import max_abs
 
 
 @pytest.fixture(scope="module")

@@ -21,29 +21,27 @@ from hyperlab.heyting import (
     InvalidTopology,
     LawReport,
     NotHeyting,
-    algebras_isomorphic,
     boolean_ring_roundtrip,
     classify_elements,
-    diamond_lattice,
-    discrete_topology,
-    enumerate_topologies,
     filter_generate,
     heyting_from_chain,
     heyting_from_lattice,
     heyting_from_poset_upsets,
     heyting_from_topology,
-    implication_by_search,
-    indiscrete_topology,
-    intersect_filters,
     kernel,
     law_report,
-    pentagon_lattice,
-    pseudo_complement,
     quotient_by_filter,
-    relative_pseudo_complement,
-    sierpinski_topology,
     verify_morphism,
 )
+
+from fixtures import (
+    diamond_lattice,
+    discrete_topology,
+    indiscrete_topology,
+    pentagon_lattice,
+    sierpinski_topology,
+)
+from oracles import algebras_isomorphic, enumerate_topologies, implication_by_search
 
 
 # -- oracles: plain loops that the whole-table checks must agree with -----------
@@ -262,14 +260,14 @@ class TestImplication:
     def test_three_chain_excluded_middle_fails(self):
         c3 = heyting_from_chain(3)
         half = 1
-        assert pseudo_complement(c3, half) == 0
-        assert c3.join[half][pseudo_complement(c3, half)] == half
+        assert c3.neg(half) == 0
+        assert c3.join[half][c3.neg(half)] == half
 
     def test_self_implication_is_top(self):
         for h in (heyting_from_chain(5),
                   heyting_from_topology(discrete_topology("ab"))):
             for a in h.elements():
-                assert relative_pseudo_complement(h, a, a) == h.top
+                assert h.impl[a][a] == h.top
 
     def test_brute_force_example(self):
         t = FiniteTopology.from_subsets(["x", "y"], [[], ["x"], ["x", "y"]])
@@ -518,7 +516,7 @@ class TestFilters:
         h = heyting_from_topology(discrete_topology("ab"))
         f1 = filter_generate(h, [1])
         f2 = filter_generate(h, [2])
-        inter = intersect_filters(f1, f2)
+        inter = Filter(h, f1.members & f2.members)
         assert h.top in inter.members  # and the constructor validated it
 
     def test_invalid_filter_rejected(self):

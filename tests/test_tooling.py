@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "hyperlab").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "hyperlab").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def test_sources_found():
@@ -30,3 +32,67 @@ def test_cli_import_leaves_sympy_out():
     out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _loaded(node):
+    """Every name and attribute name that ``node`` loads."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def unreached(trees):
+    """(file, name) of each module-level function or class of ``trees``
+    ({file name: module AST}) that no chain of loaded names reaches from the
+    roots: the names ``__init__.py`` imports, every definition in ``cli.py``
+    and the names that module-level statements load."""
+    defs, roots = {}, set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                defs.setdefault(node.name, []).append((file, node))
+                if file == "cli.py":
+                    roots.add(node.name)
+            elif file == "__init__.py" and isinstance(node, ast.ImportFrom):
+                roots.update(alias.asname or alias.name for alias in node.names)
+            else:
+                roots.update(_loaded(node))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs.get(name, ()):
+                todo.extend(_loaded(node))
+    return sorted((file, name) for name, nodes in defs.items() if name not in reached
+                  for file, _ in nodes)
+
+
+def _source_trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def test_src_holds_only_what_the_cli_and_the_api_reach():
+    # test oracles and fixtures live in tests/, and wrappers that only tests
+    # call are not kept
+    assert unreached(_source_trees()) == []
+
+
+def test_reachability_flags_test_helpers_put_back():
+    # each oracle and fixture whose name the package neither defines nor
+    # loads, put back into a library module, is reported
+    trees = _source_trees()
+    known = {name for tree in trees.values() for name in _loaded(tree)}
+    known.update(node.name for tree in trees.values() for node in tree.body
+                 if isinstance(node, DEFINITIONS))
+    bodies = {file: ast.parse((TESTS / file).read_text()).body
+              for file in ("oracles.py", "fixtures.py")}
+    helpers = [node for body in bodies.values() for node in body
+               if isinstance(node, DEFINITIONS) and node.name not in known]
+    # every fixture is among them, so the check covers the moved code
+    assert {node.name for node in bodies["fixtures.py"] if isinstance(node, DEFINITIONS)} \
+        <= {node.name for node in helpers}
+    trees["heyting.py"].body.extend(helpers)
+    assert unreached(trees) == sorted(("heyting.py", node.name) for node in helpers)
