@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .cayley_dickson import (
+    AlgebraMismatch,
     CDElement,
     LevelMismatch,
     sparse_products,
@@ -28,18 +29,14 @@ from .cayley_dickson import (
 )
 from .exact import (
     INT64_PRODUCT_BOUND,
+    SLAB_ENTRIES,
     VerificationError,
     certified_nullspace,
     integer_basis,
 )
-from .grid import SLAB_ENTRIES
 
 
 class InvalidAlgebra(ValueError):
-    pass
-
-
-class AlgebraMismatch(ValueError):
     pass
 
 
@@ -271,8 +268,6 @@ class TensorAlgebra(StructureAlgebra):
         self.level = level
         self.cd_dim = table.dim
         self.dim = base.dim * self.cd_dim
-        # the +-1 doubling table, read by the sparse table
-        self._cd_sign = table.sign
         self.name = f"{base.name} (x) A_{level}"
         self.classic_limit_functional = None
         self.unit = self.zero_vector()
@@ -287,6 +282,7 @@ class TensorAlgebra(StructureAlgebra):
         """The sparse table, built on first use: ops that never multiply
         (such as the classic limit) do not pay its dim^2 entries."""
         nb, cd = self.base.dim, range(self.cd_dim)
+        sign = structure_constants(self.level).sign
         # shifted[s][i][j][k]: the terms of s * (b_i b_j) (x) e_k, shared
         # by every (p, q) with e_p e_q = s * e_k, k = p ^ q
         shifted = {
@@ -295,7 +291,7 @@ class TensorAlgebra(StructureAlgebra):
             for s in (1, -1)
         }
         return [
-            [shifted[self._cd_sign[p][q]][i][j][p ^ q]
+            [shifted[sign[p][q]][i][j][p ^ q]
              for q in cd for j in range(nb)]
             for p in cd for i in range(nb)
         ]
@@ -400,7 +396,7 @@ def pure_tensor(algebra: TensorAlgebra, b_coeffs, cd: CDElement) -> TensorElemen
 
 def _slab_blocks(dim: int) -> list:
     """0..dim-1 in consecutive index blocks that keep a dim x block x dim
-    slab within ``grid.SLAB_ENTRIES`` entries."""
+    slab within ``exact.SLAB_ENTRIES`` entries."""
     size = max(1, SLAB_ENTRIES // dim ** 2)
     return [np.arange(dim)[i:i + size] for i in range(0, dim, size)]
 

@@ -205,6 +205,11 @@ def nullspace(matrix, ncols: int | None = None):
     return _basis(*rref(matrix), len(matrix[0]) if ncols is None else ncols)
 
 
+# slabbed checks (float commutativity, centre and nucleus constraints) keep
+# each array near this many entries (8 MB of float64)
+SLAB_ENTRIES = 1 << 20
+
+
 def certified_nullspace(slabs, dim: int) -> list:
     """``nullspace`` of every constraint row, the columns of the integer
     (dim, rows) arrays that ``slabs`` yields, as Fraction vectors.

@@ -17,13 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cayley_dickson import CDElement, _xor_tables
-from .exact import integer_vector, rref
-from .jets import AlgebraMismatch, PDESystem
-
-# the float commutativity check sizes its blocks to keep each array near
-# this many entries (8 MB of float64)
-SLAB_ENTRIES = 1 << 20
+from .cayley_dickson import AlgebraMismatch, CDElement, structure_constants
+from .exact import SLAB_ENTRIES, integer_vector, rref
+from .jets import PDESystem
 
 
 class UnstableStep(ValueError):
@@ -223,15 +219,10 @@ def _float_commute_associate(values, tolerance: float) -> bool:
     near ``SLAB_ENTRIES`` entries, so small inputs make one block.  Stops
     at the first failing array.
     """
-    level = values[0].level
-    cols, left, right = _xor_tables(level)
+    table = structure_constants(values[0].level)
     v = np.array([x.coeffs for x in values], dtype=float)
     m, dim = v.shape
     block = max(1, SLAB_ENTRIES // (dim * max(m, dim)))
-
-    def lmul(x):
-        # lmul(x) @ y == x y, batched over the leading axes of x
-        return x[..., cols] * left
 
     def times_samples(mats, out=None):
         # [(k, b), c] = (mats[b] @ c)_k for every sample c, as one 2-d
@@ -246,20 +237,21 @@ def _float_commute_associate(values, tolerance: float) -> bool:
     blocks = [v[lo:lo + block] for lo in range(0, m, block)]
     for va in blocks:
         # [(k, a), b] = (ab)_k - (ba)_k
-        if not within(times_samples(lmul(va)) - times_samples(va[..., cols] * right)):
+        if not within(times_samples(table.operator(va))
+                      - times_samples(table.operator(va, "right"))):
             return False
     for vb in blocks:
         n = len(vb)
         # [j, (b, c)] = (bc)_j, so that one matrix product gives a(bc)
-        bc = times_samples(lmul(vb)).reshape(dim, n * m)
+        bc = times_samples(table.operator(vb)).reshape(dim, n * m)
         # reused for every a: fresh arrays of this size cost page faults
         # that took longer than the products
         abc = np.empty((dim, n * m))
         a_bc = np.empty((dim, n * m))
         for a in v:
-            la = lmul(a)
+            la = table.operator(a)
             # [(k, b), c] = ((ab)c)_k, ab being row b of vb @ la.T
-            times_samples(lmul(vb @ la.T), out=abc.reshape(dim * n, m))
+            times_samples(table.operator(vb @ la.T), out=abc.reshape(dim * n, m))
             np.matmul(la, bc, out=a_bc)
             if not within(np.subtract(abc, a_bc, out=abc)):
                 return False

@@ -175,17 +175,12 @@ class FinitePoset:
         le = [[i == j for j in range(n)] for i in range(n)]
         for a, b in pairs:
             le[index[a]][index[b]] = True
-        # transitive closure before validation
-        changed = True
-        while changed:
-            changed = False
+        # transitive closure before validation, by Warshall: after round
+        # k, i <= j whenever a chain from i to j passes only through 0..k
+        for k in range(n):
             for i in range(n):
-                for j in range(n):
-                    if le[i][j]:
-                        for k in range(n):
-                            if le[j][k] and not le[i][k]:
-                                le[i][k] = True
-                                changed = True
+                if le[i][k]:
+                    le[i] = [x or y for x, y in zip(le[i], le[k])]
         return cls(tuple(elements), tuple(tuple(row) for row in le))
 
     def to_json_dict(self) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .cayley_dickson import CDElement, is_operator_invertible
+from .cayley_dickson import AlgebraMismatch, CDElement, is_operator_invertible
 from .exact import DEFAULT_TOLERANCE, is_exact
 from .polynomials import Poly, poly_matrix_determinant
 
@@ -27,10 +27,6 @@ class OffVariety(ValueError):
     def __init__(self, message, residuals=None):
         super().__init__(message)
         self.residuals = residuals or {}
-
-
-class AlgebraMismatch(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

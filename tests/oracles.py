@@ -3,7 +3,8 @@
 Plain Fraction elimination and the loop-based centre and nucleus: slow,
 but independent of the modular kernel, the integer structure tensor and
 its slabs.  The multiplication-operator matrices from the recursive
-product: independent of the sign table and its XOR gathers.  The Smith
+product: independent of the sign table and its XOR gathers.  The
+sign-table product loop: the float summation order of ``cd_multiply``.  The Smith
 normal form with its determinant check, and invariant factors by prime
 factoring: independent of the carried inverses and the gcd/lcm chain in
 ``hyperlab.abelian``.  The identity battery as a loop of ``CDElement``
@@ -546,6 +547,22 @@ def max_abs(values) -> float:
                 mag = abs(float(v))
             worst = max(worst, mag)
     return worst
+
+
+def table_loop_product(a, b):
+    """The coefficients of ab, e_p e_q = sign * e_{p ^ q} summed over (p, q)
+    in order: the sign-table loop whose float summation order
+    ``cd_multiply`` keeps."""
+    t = structure_constants(a.level)
+    out = [0] * t.dim
+    for p, ca in enumerate(a.coeffs):
+        if ca == 0:
+            continue
+        for q, cb in enumerate(b.coeffs):
+            if cb == 0:
+                continue
+            out[p ^ q] += t.sign[p][q] * ca * cb
+    return out
 
 
 def conjugated_from_level(r: int) -> ConjugatedAlgebra:

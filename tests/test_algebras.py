@@ -53,7 +53,7 @@ def multiply_via_regular_representation(x: TensorElement, y: TensorElement):
             cols = [base.multiply(base.basis_vector(i), base.basis_vector(bcol))
                     for bcol in range(nb)]
             for q in range(alg.cd_dim):
-                k, s = p ^ q, alg._cd_sign[p][q]
+                k, s = structure_constants(alg.level).product(p, q)
                 for a in range(nb):
                     for bcol in range(nb):
                         if cols[bcol][a] != 0:

@@ -1,7 +1,9 @@
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -47,21 +49,6 @@ def rational_element(r, rng):
     return CDElement(
         r, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(1 << r)]
     )
-
-
-def table_loop_product(a, b):
-    """e_p e_q = sign * e_{p ^ q} summed over (p, q) in order: the reference
-    whose float summation order the kernel must keep."""
-    t = structure_constants(a.level)
-    out = [0] * t.dim
-    for p, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for q, cb in enumerate(b.coeffs):
-            if cb == 0:
-                continue
-            out[p ^ q] += t.sign[p][q] * ca * cb
-    return out
 
 
 SCALARS = {
@@ -126,7 +113,7 @@ class TestMultiplication:
         product = cd_multiply(a, b)
         assert product == cd_multiply_recursive(a, b)
         assert list(map(type, product.coeffs)) == list(
-            map(type, table_loop_product(a, b)))
+            map(type, oracles.table_loop_product(a, b)))
 
     @pytest.mark.parametrize("magnitude, vectorised", [(2 ** 20, True),
                                                         (2 ** 40, False)])
@@ -153,13 +140,32 @@ class TestMultiplication:
 
     @pytest.mark.parametrize("level", range(0, 8))
     def test_float_products_bit_identical_to_table_loop(self, level):
+        # sparse and dense operands; signed zeros, infinities and values
+        # whose products overflow must land exactly where the loop puts them
         rng = random.Random(level)
-        for _ in range(4):
-            a, b = (CDElement(level, [rng.uniform(-3, 3) if rng.random() < 0.8
-                                      else 0.0 for _ in range(1 << level)])
+        special = [0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324]
+
+        def draw(density):
+            if rng.random() >= density:
+                return rng.choice([0.0, -0.0])
+            return rng.choice(special) if rng.random() < 0.2 else rng.uniform(-3, 3)
+
+        for density in (0.2, 0.5, 0.8, 1.0):
+            a, b = (CDElement(level, [draw(density) for _ in range(1 << level)])
                     for _ in range(2))
-            got = cd_multiply(a, b).coeffs
-            assert list(map(repr, got)) == list(map(repr, table_loop_product(a, b)))
+            expected = oracles.table_loop_product(a, b)
+            assert list(map(repr, cd_multiply(a, b).coeffs)) == list(map(repr, expected))
+
+    def test_products_above_the_level_cap(self):
+        # the cap guards the level-taking functions, not elements built
+        # directly: level 9 runs the int64 gather and the kernel
+        rng = random.Random(9)
+        ints = [CDElement(9, [rng.randint(-3, 3) if rng.random() < 0.1 else 0
+                              for _ in range(512)]) for _ in range(2)]
+        fracs = [CDElement(9, [Fraction(c, 3) if c else 0 for c in x.coeffs])
+                 for x in ints]
+        for a, b in (ints, fracs):
+            assert cd_multiply(a, b) == cd_multiply_recursive(a, b)
 
     def test_bilinearity(self):
         rng = random.Random(5)
@@ -334,6 +340,10 @@ class TestStructureConstants:
                     ki, si = t.product(i, j)
                     kj, sj = t.product(j, i)
                     assert ki == kj and si == -sj
+
+    def test_one_cached_table_per_level(self):
+        assert structure_constants(4) is structure_constants(4)
+        assert structure_constants(4).products is structure_constants(4).products
 
     def test_level_cap(self):
         with pytest.raises(LevelTooLarge):
@@ -654,11 +664,16 @@ class TestSerialization:
         data = (e(6, 3) + e(6, 10)).to_json_dict()
         x = CDElement.from_json_dict(data)
         y = CDElement.from_json_dict((e(6, 6) - e(6, 15) + e(6, 0, 2)).to_json_dict())
-        real = cd._xor_tables
-        levels = []
-        monkeypatch.setattr(cd, "_xor_tables", lambda r: levels.append(r) or real(r))
+        real = cd.MultiplicationTable.operator
+        calls = []
+
+        def spy(table, coeffs, side="left"):
+            calls.append((table.level, coeffs.dtype, side))
+            return real(table, coeffs, side)
+
+        monkeypatch.setattr(cd.MultiplicationTable, "operator", spy)
         product = x * y
-        assert levels == [6]
+        assert calls == [(6, np.int64, "right")]
         assert product == cd_multiply_recursive(x, y)
 
     def test_constructor_rejects_bad_coefficients(self):

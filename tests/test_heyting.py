@@ -363,6 +363,15 @@ class TestChainAndPoset:
         assert heyting_from_poset_upsets(p).n == 3
         assert heyting_from_poset_upsets(p, "down").n == 3
 
+    def test_long_chain_closed_from_reversed_covers(self):
+        # each cover only reaches the next point, and the covers come top
+        # first, so every comparable pair beyond a cover needs the closure
+        names = [f"p{i:02d}" for i in range(16)]
+        covers = [(names[i], names[i + 1]) for i in reversed(range(15))]
+        p = FinitePoset.from_pairs(names, covers)
+        assert p.le == tuple(tuple(i <= j for j in range(16)) for i in range(16))
+        assert heyting_from_poset_upsets(p).n == 17
+
     def test_singleton(self):
         p = FinitePoset.from_pairs(["a"], [])
         assert heyting_from_poset_upsets(p).n == 2

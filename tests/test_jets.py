@@ -186,6 +186,16 @@ class TestClassification:
                 1,
             )
 
+    def test_one_algebra_mismatch_class(self):
+        # a handler for the jets error also catches a tensor-element mismatch
+        from hyperlab import algebras, cayley_dickson, grid
+
+        assert AlgebraMismatch is algebras.AlgebraMismatch
+        assert AlgebraMismatch is grid.AlgebraMismatch is cayley_dickson.AlgebraMismatch
+        real = algebras.tensor_algebra(algebras.real_algebra(), 1)
+        with pytest.raises(AlgebraMismatch):
+            algebras.TensorElement(real, [1])
+
     def test_matches_numeric_rank_oracle_on_random_points(self, systems):
         # random on-variety real points of the first system: classification
         # by operator-invertible minors == full numeric Jacobian rank

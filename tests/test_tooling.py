@@ -24,6 +24,29 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements on lines {lines}"
 
 
+def private_imports(trees):
+    """(file, name) of each ``_``-prefixed name a module imports from a
+    sibling module of the package."""
+    return sorted((file, alias.name) for file, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("hyperlab"))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_private_names_cross_module_boundaries():
+    # a module reaches another's internals only through its public names
+    assert private_imports(_source_trees()) == []
+
+
+def test_private_import_check_flags_one():
+    tree = ast.parse("from .cayley_dickson import CDElement, _table\n"
+                     "from hyperlab.exact import _lift\n"
+                     "from __future__ import annotations\n")
+    assert private_imports({"grid.py": tree}) == [("grid.py", "_lift"),
+                                                  ("grid.py", "_table")]
+
+
 def test_cli_import_leaves_sympy_out():
     # sympy is a test-only oracle; a fresh interpreter shows what the CLI loads
     src = Path(__file__).resolve().parents[1] / "src"
