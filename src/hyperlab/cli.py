@@ -342,15 +342,15 @@ def _cmd_pde(args) -> CommandResult:
         # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
         structure_constants(args.level)
     if args.action in ("jacobian", "minors", "scan"):
-        systems = jets.builtin_systems()
-        if args.system in systems:
-            system = systems[args.system]
-        elif args.input:
+        if args.input:
             system = jets.PDESystem.from_json_dict(_load_json(args.input, dict))
         else:
-            raise InputError(
-                f"unknown system {args.system!r}; builtins: {sorted(systems)}"
-            )
+            systems = jets.builtin_systems()
+            if args.system not in systems:
+                raise InputError(
+                    f"unknown system {args.system!r}; builtins: {sorted(systems)}"
+                )
+            system = systems[args.system]
     if args.action == "jacobian":
         jac = jets.formal_jacobian(system)
         order = system.coords.variables
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["jacobian", "minors", "scan", "heat",
                                       "dalembert"])
     p.add_argument("--system", default="r1")
-    p.add_argument("--input", help="system JSON file")
+    p.add_argument("--input", help="system JSON file, read instead of --system")
     p.add_argument("--size", type=int, default=2, help="minor size")
     p.add_argument("--minor-size", type=int, default=None, dest="minor_size")
     p.add_argument("--points", help="JSON file with an array of points")

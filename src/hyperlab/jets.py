@@ -14,11 +14,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .cayley_dickson import AlgebraMismatch, CDElement, is_operator_invertible
 from .exact import DEFAULT_TOLERANCE, is_exact
 from .polynomials import Poly, poly_matrix_determinant
+
+
+# work caps, checked before the work starts (README.md gives their cost)
+MAX_JET_VARIABLES = 4096
+MAX_MINOR_PRODUCTS = 100_000
+
+
+class InvalidSystem(ValueError):
+    """A system, coordinate or equation file of the wrong shape or size."""
 
 
 class OffVariety(ValueError):
@@ -41,17 +50,31 @@ class JetCoordinateSystem:
     At order >= 2 the ``symmetric`` flag selects symmetrized multi-indices
     (u_xx, u_xy, u_yy) versus full ordered tensors (u_xx, u_xy, u_yx,
     u_yy); the ordering is total and serialized with every artifact.
+    ``variables`` is derived from the other fields, and more than
+    MAX_JET_VARIABLES of them are refused before any name is built.
     """
 
     independents: tuple
     dependents: tuple
     order: int
     symmetric: bool = True
-    variables: tuple = field(default=None)
+    variables: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.variables is None:
-            object.__setattr__(self, "variables", self._build_variables())
+        if type(self.order) is not int or self.order < 0:
+            raise InvalidSystem("order must be an integer >= 0")
+        m, n = len(self.independents), len(self.dependents)
+        if not (m and n):
+            count = m + n  # no derivatives without both
+        elif self.order > MAX_JET_VARIABLES:
+            count = m + n + self.order  # a lower bound: each order adds some
+        else:
+            count = sum(jet_dimensions(m, n, self.order,
+                                       "symmetric" if self.symmetric else "full"))
+        if count > MAX_JET_VARIABLES:
+            raise InvalidSystem(
+                f"{count} jet variables exceed the cap of {MAX_JET_VARIABLES}")
+        object.__setattr__(self, "variables", self._build_variables())
 
     def _build_variables(self) -> tuple:
         names = list(self.independents) + list(self.dependents)
@@ -85,12 +108,16 @@ class JetCoordinateSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JetCoordinateSystem":
-        return cls(
-            tuple(data["independents"]),
-            tuple(data["dependents"]),
-            int(data["order"]),
-            bool(data.get("symmetric", True)),
-        )
+        names = [data.get(key) if isinstance(data, dict) else None
+                 for key in ("independents", "dependents")]
+        if not all(isinstance(v, list) and all(isinstance(x, str) for x in v)
+                   for v in names):
+            raise InvalidSystem("coordinates need independents and dependents "
+                                "as lists of names")
+        if type(data.get("symmetric", True)) is not bool:
+            raise InvalidSystem("symmetric must be true or false")
+        return cls(tuple(names[0]), tuple(names[1]), data.get("order"),
+                   data.get("symmetric", True))
 
 
 def jet_dimensions(m: int, n: int, k: int, mode: str = "full") -> tuple:
@@ -145,12 +172,16 @@ class PDESystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PDESystem":
-        algebra = data.get("algebra")
+        algebra = data.get("algebra") or {}
+        if not isinstance(algebra, dict) or type(algebra.get("level")) not in (int, type(None)):
+            raise InvalidSystem('algebra must be null or {"level": integer}')
+        if not isinstance(data.get("equations"), list):
+            raise InvalidSystem("equations must be a list of polynomials")
         return cls(
             name=data.get("name", "system"),
-            coords=JetCoordinateSystem.from_json_dict(data["coordinates"]),
+            coords=JetCoordinateSystem.from_json_dict(data.get("coordinates")),
             equations=[Poly.from_json_dict(e) for e in data["equations"]],
-            level=algebra.get("level") if algebra else None,
+            level=algebra.get("level"),
         )
 
 
@@ -216,11 +247,19 @@ def formal_jacobian(system: PDESystem):
 
 def minor_determinants(jacobian, size: int):
     """Determinants of every size x size minor as formal polynomials, in
-    lexicographic (row combination, column combination) order."""
+    lexicographic (row combination, column combination) order.
+
+    The cofactor expansions take at most C(rows, size) * C(cols, size) *
+    size! products; past MAX_MINOR_PRODUCTS the call is refused first."""
     nrows = len(jacobian)
     ncols = len(jacobian[0]) if nrows else 0
-    if size > min(nrows, ncols):
-        raise ValueError("minor size exceeds the matrix dimensions")
+    if not 0 <= size <= min(nrows, ncols):
+        raise ValueError(f"minor size must lie in 0..{min(nrows, ncols)}")
+    minors = comb(nrows, size) * comb(ncols, size)
+    if minors * factorial(size) > MAX_MINOR_PRODUCTS:
+        raise InvalidSystem(
+            f"{minors} minors of size {size} take up to {minors * factorial(size)} "
+            f"cofactor products, over the cap of {MAX_MINOR_PRODUCTS}")
     out = []
     for rows in itertools.combinations(range(nrows), size):
         for cols in itertools.combinations(range(ncols), size):

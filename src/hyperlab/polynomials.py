@@ -11,6 +11,7 @@ product order.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 _RATIONAL = (int, Fraction)
@@ -227,10 +228,20 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, data) -> "Poly":
+        """Terms as ``to_json_dict`` writes them: a rational ``coeff`` (an
+        int, finite float or string) and ``powers``, names to ints >= 0."""
+        if not isinstance(data, list) or not all(
+                isinstance(item, dict) and isinstance(item.get("powers"), dict)
+                for item in data):
+            raise ValueError('a polynomial must be a list of {"coeff", "powers"} terms')
         terms = {}
         for item in data:
-            mono = tuple(sorted((str(n), int(e)) for n, e in item["powers"].items()))
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(item["coeff"])
+            powers, coeff = item["powers"], item.get("coeff")
+            if not all(type(e) is int and e >= 0 for e in powers.values()) or not (
+                    type(coeff) in (int, str) or type(coeff) is float and math.isfinite(coeff)):
+                raise ValueError(f"term {item!r} needs a finite coeff and powers >= 0")
+            mono = tuple(sorted(powers.items()))
+            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(coeff)
         return cls(terms)
 
 

@@ -17,6 +17,13 @@ abelian group of an order, every topology on a few points, the Heyting
 implication by search and isomorphism by permutations, the numeric
 Jacobian rank, the level-r conjugated algebra and the Pauli matrices, and
 the quaternionic-type products with their trace, norm and conjugate.
+
+The searches ``hyperlab.heyting`` ran before its filters, quotients and
+complements came from the order: the breadth-first meet closure of a
+generator set, the quotient that tests each element against each class
+through the implication, and the pairwise complement search.  And
+``UncheckedTables``, a stand-in for an algebra whose tables need not obey
+the laws.
 """
 
 import itertools
@@ -39,7 +46,7 @@ from hyperlab.cayley_dickson import (
     zero_divisor_probe,
 )
 from hyperlab.exact import matrix_rank_float
-from hyperlab.heyting import FiniteTopology, HeytingAlgebra
+from hyperlab.heyting import Filter, FiniteTopology, HeytingAlgebra, InvalidFilter
 from hyperlab.jets import PDESystem, _fill_point, formal_jacobian
 from hyperlab.polynomials import Poly
 
@@ -510,6 +517,98 @@ def implication_by_search(meet, leq, n, a, b):
         if all(leq(d, c) for d in candidates):
             return c
     return None
+
+
+class UncheckedTables:
+    """Meet, join and implication tables with the attributes and methods
+    of a ``HeytingAlgebra`` that ``law_report`` and the loop references
+    read, but without its law check: the tables need not be an algebra."""
+
+    def __init__(self, meet, join, impl, bottom, top):
+        self.meet, self.join, self.impl = meet, join, impl
+        self.bottom, self.top = bottom, top
+        self.n = len(meet)
+        self.labels = [str(i) for i in range(self.n)]
+
+    def neg(self, x):
+        return self.impl[x][self.bottom]
+
+    def elements(self):
+        return range(self.n)
+
+
+def filter_by_meet_closure(h: HeytingAlgebra, generators) -> Filter:
+    """Smallest filter containing the generators: everything above a finite
+    meet of generators; {top} when the set is empty."""
+    generators = list(generators)
+    if not generators:
+        return Filter(h, frozenset({h.top}))
+    meets = {h.top}
+    frontier = {h.top}
+    while frontier:
+        new = set()
+        for m in frontier:
+            for g in generators:
+                v = h.meet[m][g]
+                if v not in meets:
+                    new.add(v)
+        meets |= new
+        frontier = new
+    members = {y for y in h.elements() if any(h.leq(m, y) for m in meets)}
+    return Filter(h, frozenset(members))
+
+
+def quotient_by_relation_search(h: HeytingAlgebra, f: Filter):
+    """Quotient by x ~ y iff x -> y and y -> x both lie in the filter.
+
+    Returns (quotient algebra, projection list).  Class representatives are
+    least indices; the projection is a morphism whose kernel is the filter,
+    and the induced operations are checked to be representative-independent.
+    """
+    if f.algebra is not h:
+        raise InvalidFilter("filter belongs to a different algebra")
+
+    def related(x, y):
+        return h.impl[x][y] in f and h.impl[y][x] in f
+
+    classes = []
+    proj = [None] * h.n
+    for x in h.elements():
+        for idx, cls in enumerate(classes):
+            if related(x, cls[0]):
+                cls.append(x)
+                proj[x] = idx
+                break
+        else:
+            classes.append([x])
+            proj[x] = len(classes) - 1
+
+    reps = [cls[0] for cls in classes]
+    meet = [[proj[h.meet[a][b]] for b in reps] for a in reps]
+    join = [[proj[h.join[a][b]] for b in reps] for a in reps]
+    impl = [[proj[h.impl[a][b]] for b in reps] for a in reps]
+    # well-definedness across representatives
+    for cls in classes:
+        for alt in cls[1:]:
+            for other in reps:
+                if (proj[h.meet[alt][other]] != meet[proj[alt]][proj[other]]
+                        or proj[h.join[alt][other]] != join[proj[alt]][proj[other]]
+                        or proj[h.impl[alt][other]] != impl[proj[alt]][proj[other]]
+                        or proj[h.impl[other][alt]] != impl[proj[other]][proj[alt]]):
+                    raise InvalidFilter("quotient operations not well defined")
+    labels = ["[" + h.labels[r] + "]" for r in reps]
+    quotient = HeytingAlgebra(meet, join, impl, proj[h.bottom], proj[h.top],
+                              labels=labels)
+    return quotient, proj
+
+
+def complemented_by_search(h: HeytingAlgebra) -> frozenset:
+    """The elements x with some y such that x /\\ y is bottom and x \\/ y top."""
+    return frozenset(
+        x for x in h.elements()
+        if any(h.meet[x][y] == h.bottom and h.join[x][y] == h.top
+               for y in h.elements())
+    )
 
 
 def algebras_isomorphic(h1: HeytingAlgebra, h2: HeytingAlgebra) -> bool:

@@ -20,6 +20,21 @@ from hyperlab.heyting import FiniteTopology
 from fixtures import pentagon_lattice
 
 
+# the coordinates of a small well-formed system file
+COORDS = {"independents": ["x", "y"], "dependents": ["u"], "order": 1}
+
+
+def with_files(argv, tmp_path):
+    """``argv`` with each dict or list replaced by an input file holding it."""
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, (dict, list)):
+            path = tmp_path / f"input{i}.json"
+            path.write_text(json.dumps(arg))
+            argv[i] = str(path)
+    return argv
+
+
 def payload(argv):
     result = run(argv)
     # every payload must survive a JSON round trip
@@ -249,6 +264,27 @@ class TestPde:
         assert scan[0]["classification"] == "Singular"
         assert scan[1]["classification"] == "Regular"
 
+    def test_input_file_is_read_instead_of_the_default_system(self, tmp_path):
+        system = {"name": "mine", "coordinates": COORDS,
+                  "equations": [[{"coeff": "1", "powers": {"u_x": 2}}]]}
+        result = payload(with_files(["pde", "jacobian", "--input", system], tmp_path))
+        assert result.code == 0
+        assert result.payload["system"] == "mine"
+        assert result.payload["jacobian"] == [["0", "0", "0", "2*u_x", "0"]]
+
+    def test_minor_cap_reaches_scan(self, tmp_path):
+        # nine equations in 27 variables: the default minor size is 9
+        system = {"coordinates": {"independents": [], "order": 0,
+                                  "dependents": [f"u{i}" for i in range(27)]},
+                  "equations": [[{"coeff": "1", "powers": {f"u{j}": 1}}
+                                 for j in range(i, 27, 9)] for i in range(9)]}
+        start = time.perf_counter()
+        result = payload(with_files(["pde", "scan", "--input", system, "--points", [{}]],
+                                    tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert "cofactor products" in result.payload["error"]
+
     def test_scan_flags_off_variety(self, tmp_path):
         path = tmp_path / "points.json"
         path.write_text(json.dumps([{"u1_x": 1.0, "u2_y": 1.0}]))
@@ -367,14 +403,35 @@ class TestDispatch:
         ["heyting", "build", "--input", {"points": 5, "opens": []}],
         # --chain 0 is an empty chain, not a missing --chain
         ["heyting", "build", "--chain", "0", "--input", {"points": ["a"], "opens": [[], ["a"]]}],
+        # PDE system files of the wrong shape
+        ["pde", "jacobian", "--input", {"coordinates": 5, "equations": []}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": COORDS, "equations": [[{"coeff": "1", "powers": 3}]]}],
+        ["pde", "jacobian", "--input", {"coordinates": COORDS, "equations": 7}],
+        ["pde", "jacobian", "--input", {"coordinates": COORDS, "equations": [5]}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": COORDS, "equations": [[{"coeff": None, "powers": {"u": 1}}]]}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": COORDS, "equations": [[{"coeff": 1e999, "powers": {"u": 1}}]]}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": COORDS, "equations": [[{"coeff": "1", "powers": {"u": -1}}]]}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": COORDS, "equations": [[{"coeff": "1", "powers": {"u": 1.5}}]]}],
+        ["pde", "jacobian", "--input", {"coordinates": COORDS, "equations": [],
+                                        "algebra": 5}],
+        ["pde", "jacobian", "--input", {"coordinates": COORDS, "equations": [],
+                                        "algebra": {"level": "2"}}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": {**COORDS, "order": -1}, "equations": []}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": {**COORDS, "order": "1"}, "equations": []}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": {**COORDS, "symmetric": "no"}, "equations": []}],
+        ["pde", "jacobian", "--input",
+         {"coordinates": {**COORDS, "independents": "xy"}, "equations": []}],
     ])
     def test_malformed_input_is_a_json_error(self, argv, tmp_path):
-        for i, arg in enumerate(argv):
-            if isinstance(arg, (dict, list)):
-                path = tmp_path / "input.json"
-                path.write_text(json.dumps(arg))
-                argv = argv[:i] + [str(path)] + argv[i + 1:]
-        result = payload(argv)
+        result = payload(with_files(argv, tmp_path))
         assert result.code == 2
         assert "error" in result.payload
 
@@ -402,8 +459,22 @@ class TestDispatch:
         ["pde", "heat", "--tolerance", "-1"],
         ["pde", "scan", "--system", "r1", "--tolerance", "-1e-12"],
         ["pde", "jacobian", "--tolerance", "inf"],
+        # 2^41 + 1 jet variables
+        ["pde", "jacobian", "--input", {"coordinates": {
+            "independents": ["x", "y"], "dependents": ["u"], "order": 40,
+            "symmetric": False}, "equations": []}],
+        ["pde", "minors", "--input", {"coordinates": {
+            "independents": ["x", "y"], "dependents": ["u"], "order": 10 ** 12},
+            "equations": []}],
+        # C(27, 9), about 4.7 M, cofactor determinants of size 9
+        ["pde", "minors", "--size", "9", "--input", {
+            "coordinates": {"independents": [], "dependents": [f"u{i}" for i in range(27)],
+                            "order": 0},
+            "equations": [[{"coeff": "1", "powers": {f"u{j}": 1}}
+                           for j in range(i, 27, 9)] for i in range(9)]}],
     ])
-    def test_caps_and_signs_checked_before_any_work(self, argv):
+    def test_caps_and_signs_checked_before_any_work(self, argv, tmp_path):
+        argv = with_files(argv, tmp_path)
         start = time.perf_counter()
         result = payload(argv)
         assert time.perf_counter() - start < 1.0

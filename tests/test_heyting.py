@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -22,6 +23,8 @@ from hyperlab.heyting import (
     LawReport,
     NotHeyting,
     boolean_ring_roundtrip,
+    check_laws_by_loops,
+    check_laws_by_slabs,
     classify_elements,
     filter_generate,
     heyting_from_chain,
@@ -41,12 +44,20 @@ from fixtures import (
     pentagon_lattice,
     sierpinski_topology,
 )
-from oracles import algebras_isomorphic, enumerate_topologies, implication_by_search
+from oracles import (
+    UncheckedTables,
+    algebras_isomorphic,
+    complemented_by_search,
+    enumerate_topologies,
+    filter_by_meet_closure,
+    implication_by_search,
+    quotient_by_relation_search,
+)
 
 
 # -- oracles: plain loops that the whole-table checks must agree with -----------
-# HeytingAlgebra._verify_loops is the loop form the library keeps for small
-# tables; the loops below are the forms it no longer runs.
+# check_laws_by_loops is the loop form the library keeps for small tables;
+# the loops below are the forms it no longer runs.
 
 def popcount_interior(topology, mask):
     """Largest open contained in mask, chosen as the open of most points."""
@@ -182,7 +193,7 @@ def lattice_outcome_by_search(meet, join):
         if impl[a][b] is None:
             return ("NotHeyting", (a, b))
     try:
-        HeytingAlgebra(meet, join, impl, bottom, top, verify=False)._verify_loops()
+        check_laws_by_loops(meet, join, impl, bottom, top)
     except InvalidLattice as exc:
         return ("InvalidLattice", str(exc))
     return ("ok", impl)
@@ -223,6 +234,21 @@ def workload_posets():
 
 
 TOPOLOGIES_3 = list(enumerate_topologies(3))
+
+
+def seeded_posets(count=60, seed=13):
+    """Up-set algebras of random posets on 1-6 points, each pair i < j
+    ordered with a density drawn per poset."""
+    rng = random.Random(seed)
+    algebras = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        density = rng.choice((0.2, 0.4, 0.6))
+        names = [f"p{i}" for i in range(n)]
+        pairs = [(names[a], names[b]) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < density]
+        algebras.append(heyting_from_poset_upsets(FinitePoset.from_pairs(names, pairs)))
+    return algebras
 
 
 @st.composite
@@ -540,6 +566,24 @@ class TestFilters:
         f = filter_generate(h, [h.top])
         assert f.members == frozenset({h.top})
 
+    @pytest.mark.parametrize("members, message", [
+        ({1}, "filter must contain the top element"),
+        ({1, 2, 3}, "filter not closed under meet"),  # {a} /\ {b} = {} missing
+        ({0, 3}, "filter not upward closed"),  # {a} and {b} lie above {}
+        ({3, 4}, "filter members must lie in 0..3"),
+        ({-1, 3}, "filter members must lie in 0..3"),
+    ])
+    def test_each_filter_check_rejects(self, members, message):
+        # the four opens of the discrete topology on a, b: {}, {a}, {b}, {a,b}
+        h = heyting_from_topology(discrete_topology("ab"))
+        with pytest.raises(InvalidFilter, match=message):
+            Filter(h, frozenset(members))
+
+    def test_filter_records_its_least_element(self):
+        h = heyting_from_chain(5)
+        assert filter_generate(h, [3, 2, 4]).least == 2
+        assert Filter(h, frozenset({4})).least == h.top
+
 
 class TestQuotients:
     def test_quotient_by_top_filter_is_identity(self):
@@ -586,6 +630,47 @@ class TestQuotients:
         assert algebras_isomorphic(q, c2)
 
 
+class TestClosedForms:
+    """Filters as principal up-sets, quotients keyed by x /\\ m and
+    complements as negations, against the searches they replaced: every
+    generator set of at most three elements, and every filter these give."""
+
+    ALGEBRAS = {
+        "chain": lambda: [heyting_from_chain(n) for n in range(1, 13)],
+        "topology": lambda: [heyting_from_topology(t) for t in (
+            sierpinski_topology(), discrete_topology("ab"), discrete_topology("abc"),
+            indiscrete_topology("abc"))],
+        "poset": seeded_posets,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ALGEBRAS))
+    def test_filters_quotients_and_complements_match_the_searches(self, kind):
+        generator_sets = filters = elements = 0
+        for h in self.ALGEBRAS[kind]():
+            elements += h.n
+            seen = {}
+            for size in range(4):
+                for generators in itertools.combinations(h.elements(), size):
+                    f = filter_generate(h, generators)
+                    assert f == filter_by_meet_closure(h, generators)
+                    seen[f.members] = f
+                    generator_sets += 1
+            for f in seen.values():
+                quotient, proj = quotient_by_filter(h, f)
+                expected, expected_proj = quotient_by_relation_search(h, f)
+                assert proj == expected_proj
+                assert quotient.to_json_dict() == expected.to_json_dict()
+                filters += 1
+            assert classify_elements(h).complemented == complemented_by_search(h)
+        # every filter of a finite lattice is principal: one per element
+        assert filters == elements
+        assert generator_sets > filters
+
+    def test_no_constructor_skips_the_law_check(self):
+        with pytest.raises(TypeError):
+            HeytingAlgebra([[0]], [[0]], [[0]], 0, 0, verify=False)
+
+
 class TestMorphisms:
     def test_identity_map(self):
         h = heyting_from_chain(4)
@@ -613,9 +698,8 @@ class TestWholeTableChecks:
     @settings(max_examples=200, deadline=None)
     @given(mutated_tables())
     def test_verify_fails_like_the_loops(self, tables):
-        h = HeytingAlgebra(*tables, verify=False)
-        expected = failure(h._verify_loops)
-        assert failure(h._verify_slabs) == expected
+        expected = failure(lambda: check_laws_by_loops(*tables))
+        assert failure(lambda: check_laws_by_slabs(*tables)) == expected
         assert failure(lambda: HeytingAlgebra(*tables)) == expected
 
     # commutative, idempotent, bounded and absorptive tables, each failing
@@ -641,15 +725,16 @@ class TestWholeTableChecks:
 
     @pytest.mark.parametrize("message", sorted(TRIPLE_FAILURES))
     def test_each_triple_law_fails_like_the_loops(self, message):
-        h = HeytingAlgebra(*self.TRIPLE_FAILURES[message], 0, 4, verify=False)
-        assert failure(h._verify_loops) == message
-        assert failure(h._verify_slabs) == message
+        tables = (*self.TRIPLE_FAILURES[message], 0, 4)
+        assert failure(lambda: check_laws_by_loops(*tables)) == message
+        assert failure(lambda: check_laws_by_slabs(*tables)) == message
+        assert failure(lambda: HeytingAlgebra(*tables)) == message
 
     @settings(max_examples=60, deadline=None)
     @given(mutated_tables())
     def test_law_report_on_mutated_tables_matches_the_loops(self, tables):
         # the tables need not be an algebra: every clause can fail here
-        h = HeytingAlgebra(*tables, verify=False)
+        h = UncheckedTables(*tables)
         assert (json.dumps(law_report(h).to_json_dict())
                 == json.dumps(law_report_by_loops(h).to_json_dict()))
 
@@ -724,7 +809,7 @@ class TestInputShape:
     ])
     def test_rejected(self, change, message):
         with pytest.raises(InvalidLattice, match=message):
-            HeytingAlgebra(**{**self.TWO, **change}, verify=False)
+            HeytingAlgebra(**{**self.TWO, **change})
 
     def test_valid_two_element_algebra(self):
         assert HeytingAlgebra(**self.TWO).n == 2

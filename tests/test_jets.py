@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,10 @@ import pytest
 
 from hyperlab.cayley_dickson import CDElement, norm_sq
 from hyperlab.jets import (
+    MAX_JET_VARIABLES,
+    MAX_MINOR_PRODUCTS,
     AlgebraMismatch,
+    InvalidSystem,
     JetCoordinateSystem,
     OffVariety,
     PDESystem,
@@ -50,6 +54,51 @@ class TestCoordinates:
         coords = JetCoordinateSystem(("x",), ("u",), order=1)
         with pytest.raises(ValueError):
             PDESystem("bad", coords, [v("u_y")])
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_variable_count_is_the_sum_of_jet_dimensions(self, symmetric):
+        mode = "symmetric" if symmetric else "full"
+        for m, n, k in itertools.product(range(1, 4), range(1, 3), range(5)):
+            coords = JetCoordinateSystem(tuple("xyz"[:m]), tuple(f"u{i}" for i in range(n)),
+                                         k, symmetric)
+            assert len(coords.variables) == sum(jet_dimensions(m, n, k, mode))
+
+    def test_variables_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            JetCoordinateSystem(("x",), ("u",), 1, True, ("u", "x"))
+        coords = JetCoordinateSystem(("x",), ("u",), 1)
+        assert coords == JetCoordinateSystem(("x",), ("u",), 1)
+        assert coords.variables == ("x", "u", "u_x")
+
+    @pytest.mark.parametrize("independents, order, symmetric", [
+        (("x", "y"), 40, False),  # 2^41 + 1 names
+        (("x", "y"), 10 ** 12, True),  # refused before jet_dimensions loops
+        (("x", "y"), 89, True),  # 4,097 names
+        (tuple("abcd"), 6, False),
+    ])
+    def test_variable_cap(self, independents, order, symmetric):
+        with pytest.raises(InvalidSystem, match="exceed the cap"):
+            JetCoordinateSystem(independents, ("u",), order, symmetric)
+
+    def test_variable_cap_is_inclusive(self):
+        coords = JetCoordinateSystem(tuple(f"x{i}" for i in range(MAX_JET_VARIABLES - 1)),
+                                     ("u",), 0)
+        assert len(coords.variables) == MAX_JET_VARIABLES
+
+    @pytest.mark.parametrize("order", [-1, 1.0, True, "2", None])
+    def test_order_must_be_a_natural_number(self, order):
+        with pytest.raises(InvalidSystem, match="order"):
+            JetCoordinateSystem(("x",), ("u",), order)
+
+    def test_minor_cap(self):
+        # 2 x 317 entries: C(317, 2) = 50,086 minors of two products each
+        row = [Poly.constant(1)] * 317
+        with pytest.raises(InvalidSystem, match="cofactor products"):
+            minor_determinants([row, row], 2)
+        assert MAX_MINOR_PRODUCTS < 50_086 * 2
+        assert len(minor_determinants([row[:316], row[:316]], 2)) == 49_770
+        with pytest.raises(ValueError, match="minor size must lie in 0..2"):
+            minor_determinants([row, row], 3)
 
     def test_json_roundtrip(self, systems):
         for system in systems.values():

@@ -118,3 +118,27 @@ def test_json_roundtrip():
     x, y = Poly.variable("x"), Poly.variable("y")
     p = Fraction(3, 7) * x ** 2 * y - 5 * y + 2
     assert Poly.from_json_dict(p.to_json_dict()) == p
+
+
+@pytest.mark.parametrize("data", [
+    5,
+    [5],
+    [{"coeff": "1"}],
+    [{"coeff": "1", "powers": 3}],
+    [{"coeff": "1", "powers": {"x": -1}}],
+    [{"coeff": "1", "powers": {"x": "2"}}],
+    [{"coeff": "1", "powers": {"x": True}}],
+    [{"coeff": None, "powers": {"x": 1}}],
+    [{"coeff": True, "powers": {"x": 1}}],
+    [{"coeff": float("inf"), "powers": {"x": 1}}],
+    [{"coeff": [1], "powers": {"x": 1}}],
+])
+def test_malformed_json_is_a_value_error(data):
+    with pytest.raises(ValueError):
+        Poly.from_json_dict(data)
+
+
+def test_json_coefficients():
+    data = [{"coeff": "-3/2", "powers": {"x": 2}}, {"coeff": 4, "powers": {}},
+            {"coeff": 0.5, "powers": {"x": 2}}]
+    assert Poly.from_json_dict(data) == 4 - Poly.variable("x") ** 2
