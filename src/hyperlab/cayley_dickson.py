@@ -25,7 +25,9 @@ from .exact import (
     CERTIFICATE_PRIME,
     DEFAULT_TOLERANCE,
     INT64_PRODUCT_BOUND,
+    NumberTooLarge,
     VerificationError,
+    bounded_fraction,
     integer_vector,
     is_exact,
     matrix_rank_exact,
@@ -351,11 +353,14 @@ class CDElement:
     def from_json_dict(cls, data: dict) -> "CDElement":
         """Integral text ("3", "-1") loads as an int, so integer points take
         the int64 product path; other exact text loads as a Fraction, the
-        rest ("inf", "nan") as a float."""
+        rest ("inf", "nan") as a float.  A decimal exponent past the int
+        digit limit raises NumberTooLarge (``exact.bounded_fraction``)."""
         coeffs = []
         for text in data["coeffs"]:
             try:
-                value = Fraction(text)
+                value = bounded_fraction(text)
+            except NumberTooLarge:
+                raise
             except ValueError:
                 coeffs.append(float(text))
                 continue

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import abelian as ab
 from . import algebras as qa
@@ -33,6 +32,7 @@ from .cayley_dickson import (
     identity_battery,
     structure_constants,
 )
+from .exact import bounded_fraction
 
 
 @dataclass
@@ -61,10 +61,10 @@ def _load_json(path: str, kind: type):
 
 
 def _numbers(values, what: str) -> list:
-    """``values`` if it lists finite numbers or strings (text that is no
-    number is a ValueError later)."""
+    """``values`` if it lists finite numbers (not booleans) or strings (text
+    that is no number is a ValueError later)."""
     if not isinstance(values, list) or not all(
-            isinstance(v, str) or isinstance(v, (int, float)) and math.isfinite(v)
+            isinstance(v, str) or type(v) in (int, float) and math.isfinite(v)
             for v in values):
         raise InputError(f"{what} must be a list of finite numbers or numeric strings")
     return values
@@ -168,7 +168,7 @@ def _cmd_qalg(args) -> CommandResult:
     elif args.op == "classic-limit":
         if args.input:
             data = _load_json(args.input, dict)
-            coeffs = [Fraction(c) for c in _numbers(data.get("coeffs"), "coeffs")]
+            coeffs = [bounded_fraction(c) for c in _numbers(data.get("coeffs"), "coeffs")]
         else:
             coeffs = algebra.unit_vector()
         element = qa.TensorElement(algebra, coeffs)
@@ -179,19 +179,17 @@ def _cmd_qalg(args) -> CommandResult:
 def _heyting_from_args(args) -> hey.HeytingAlgebra:
     if args.chain is not None:
         return hey.heyting_from_chain(args.chain)
-    if args.input:
-        data = _load_json(args.input, dict)
-        if "opens" in data:
-            return hey.heyting_from_topology(hey.FiniteTopology.from_json_dict(data))
-        if "le" in data:
-            poset = hey.FinitePoset.from_json_dict(data)
-            return hey.heyting_from_poset_upsets(poset, args.direction)
-        if "meet" in data and "impl" in data:
-            return hey.HeytingAlgebra.from_json_dict(data)
-        if "meet" in data:
-            return hey.heyting_from_lattice(data["meet"], data["join"])
-        raise InputError("input file is not a topology, poset, or lattice")
-    raise InputError("need --chain N or --input FILE")
+    data = _load_json(args.input, dict)
+    if "opens" in data:
+        return hey.heyting_from_topology(hey.FiniteTopology.from_json_dict(data))
+    if "le" in data:
+        poset = hey.FinitePoset.from_json_dict(data)
+        return hey.heyting_from_poset_upsets(poset, args.direction)
+    if "meet" in data and "impl" in data:
+        return hey.HeytingAlgebra.from_json_dict(data)
+    if "meet" in data:
+        return hey.heyting_from_lattice(data["meet"], data["join"])
+    raise InputError("input file is not a topology, poset, or lattice")
 
 
 def _cmd_heyting(args) -> CommandResult:
@@ -231,12 +229,10 @@ SNF_MAX_DIM = 40
 
 
 def _parse_matrix(args):
-    if args.input:
+    if args.input is not None:
         matrix = _load_json(args.input, list)
-    elif args.matrix:
-        matrix = json.loads(args.matrix)
     else:
-        raise InputError("need --matrix JSON or --input FILE")
+        matrix = json.loads(args.matrix)
     if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
         raise InputError("matrix must be a JSON list of rows")
     if any(len(row) != len(matrix[0]) for row in matrix):
@@ -258,17 +254,7 @@ def _check_printable(*matrices):
         raise InputError(f"SNF entries exceed {limit} decimal digits")
 
 
-# the options each abelian action reads
-_ABELIAN_NEEDS = {"hom": ("g", "h"), "ext": ("g", "h"), "tensor": ("g", "h"),
-                  "homology": ("order", "degree"), "sphere": ("n",),
-                  "extension-count": ("base", "fiber")}
-
-
 def _cmd_abelian(args) -> CommandResult:
-    missing = [f"--{name}" for name in _ABELIAN_NEEDS.get(args.action, ())
-               if getattr(args, name) is None]
-    if missing:
-        raise InputError(f"{args.action} needs {' and '.join(missing)}")
     if args.action == "snf":
         matrix = _parse_matrix(args)
         factors, u, v, d = ab.smith_normal_form(matrix)
@@ -279,33 +265,24 @@ def _cmd_abelian(args) -> CommandResult:
         group = ab.decompose(matrix)
         return CommandResult(0, {"group": group.to_json_dict(), "name": str(group)})
     if args.action in ("hom", "ext", "tensor"):
-        g = ab.parse_group(args.g)
-        h = ab.parse_group(args.h)
-        fn = {"hom": ab.hom, "ext": ab.ext, "tensor": ab.tensor}[args.action]
-        result = fn(g, h)
+        g, h = ab.parse_group(args.g), ab.parse_group(args.h)
+        result = {"hom": ab.hom, "ext": ab.ext, "tensor": ab.tensor}[args.action](g, h)
         return CommandResult(
             0, {"g": str(g), "h": str(h), args.action: result.to_json_dict(),
                 "name": str(result)}
         )
     if args.action == "homology":
         group = ab.cyclic_homology(args.order, args.degree)
-        return CommandResult(
-            0, {"order": args.order, "degree": args.degree,
-                "group": group.to_json_dict(), "name": str(group)}
-        )
+        return CommandResult(0, {"order": args.order, "degree": args.degree,
+                                 "group": group.to_json_dict(), "name": str(group)})
     if args.action == "sphere":
         group = ab.sphere_homology(args.n, args.p)
-        return CommandResult(
-            0, {"n": args.n, "p": args.p, "group": group.to_json_dict(),
-                "name": str(group),
-                "euler_characteristic": ab.euler_characteristic(args.n)}
-        )
-    if args.action == "extension-count":
-        base = ab.parse_group(args.base)
-        fiber = ab.parse_group(args.fiber)
-        report = ab.extension_count(base, fiber)
-        return CommandResult(0, report.to_json_dict())
-    raise InputError(f"unknown abelian action {args.action!r}")
+        return CommandResult(0, {"n": args.n, "p": args.p, "group": group.to_json_dict(),
+                                 "name": str(group),
+                                 "euler_characteristic": ab.euler_characteristic(args.n)})
+    # extension-count
+    report = ab.extension_count(ab.parse_group(args.base), ab.parse_group(args.fiber))
+    return CommandResult(0, report.to_json_dict())
 
 
 def _load_point(raw) -> dict:
@@ -321,36 +298,33 @@ def _load_point(raw) -> dict:
             _numbers(value.get("coeffs"), f"{name}: coeffs")
             point[name] = CDElement.from_json_dict(value)
         elif isinstance(value, str):
-            point[name] = Fraction(value)
-        elif isinstance(value, (int, float)):
+            point[name] = bounded_fraction(value)
+        elif type(value) in (int, float):
             point[name] = float(value)
         else:
             raise InputError(f"{name}: {value!r} is not a number or an element")
     return point
 
 
+def _pde_system(args) -> jets.PDESystem:
+    if args.input is not None:
+        return jets.PDESystem.from_json_dict(_load_json(args.input, dict))
+    name = "r1" if args.system is None else args.system
+    systems = jets.builtin_systems()
+    if name not in systems:
+        raise InputError(f"unknown system {name!r}; builtins: {sorted(systems)}")
+    return systems[name]
+
+
 def _cmd_pde(args) -> CommandResult:
-    if not 0 <= args.tolerance < math.inf:
+    if args.action in ("scan", "heat", "dalembert") and not 0 <= args.tolerance < math.inf:
         raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.action in ("heat", "dalembert"):
         _bounded(args.nodes, "--nodes", 1, MAX_NODES[args.action])
-        _bounded(args.steps, "--steps", 0, MAX_STEPS)
-        if min(args.f_axis, args.g_axis) < 0:
-            raise InputError("--f-axis and --g-axis must be >= 0")
-        if args.dt is not None and not args.dt > 0:
-            raise InputError(f"--dt must be positive, got {args.dt}")
         # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
         structure_constants(args.level)
-    if args.action in ("jacobian", "minors", "scan"):
-        if args.input:
-            system = jets.PDESystem.from_json_dict(_load_json(args.input, dict))
-        else:
-            systems = jets.builtin_systems()
-            if args.system not in systems:
-                raise InputError(
-                    f"unknown system {args.system!r}; builtins: {sorted(systems)}"
-                )
-            system = systems[args.system]
+    else:
+        system = _pde_system(args)
     if args.action == "jacobian":
         jac = jets.formal_jacobian(system)
         order = system.coords.variables
@@ -373,8 +347,6 @@ def _cmd_pde(args) -> CommandResult:
             "nonzero": sum(1 for _, det in minors if not det.is_zero()),
         })
     if args.action == "scan":
-        if args.points is None:
-            raise InputError("scan needs --points")
         raw_points = _load_json(args.points, list)
         results = []
         code = 0
@@ -398,6 +370,9 @@ def _cmd_pde(args) -> CommandResult:
     if args.action == "heat":
         import numpy as np
 
+        _bounded(args.steps, "--steps", 0, MAX_STEPS)
+        if args.dt is not None and not args.dt > 0:
+            raise InputError(f"--dt must be positive, got {args.dt}")
         rng = np.random.default_rng(args.seed)
         dim = 1 << args.level
         values = rng.standard_normal((args.nodes, dim))
@@ -420,136 +395,159 @@ def _cmd_pde(args) -> CommandResult:
             "final_mean": [float(m) for m in evolved.values.mean(axis=0)],
         }
         return CommandResult(0 if decoupled else 1, payload)
-    if args.action == "dalembert":
-        import numpy as np
+    # dalembert
+    import numpy as np
 
-        ts = list(np.linspace(0.0, 1.0, args.nodes))
+    if min(args.f_axis, args.g_axis) < 0:
+        raise InputError("--f-axis and --g-axis must be >= 0")
+    ts = list(np.linspace(0.0, 1.0, args.nodes))
 
-        def sample(axis):
-            vals, ders = [], []
-            for t in ts:
-                coeffs = [math.cos(t)] + [0.0] * ((1 << args.level) - 1)
-                dcoeffs = [-math.sin(t)] + [0.0] * ((1 << args.level) - 1)
-                if axis < (1 << args.level):
-                    coeffs[axis] = math.sin(t)
-                    dcoeffs[axis] = math.cos(t)
-                vals.append(CDElement(args.level, coeffs))
-                ders.append(CDElement(args.level, dcoeffs))
-            return vals, ders
+    def sample(axis):
+        vals, ders = [], []
+        for t in ts:
+            coeffs = [math.cos(t)] + [0.0] * ((1 << args.level) - 1)
+            dcoeffs = [-math.sin(t)] + [0.0] * ((1 << args.level) - 1)
+            if axis < (1 << args.level):
+                coeffs[axis] = math.sin(t)
+                dcoeffs[axis] = math.cos(t)
+            vals.append(CDElement(args.level, coeffs))
+            ders.append(CDElement(args.level, dcoeffs))
+        return vals, ders
 
-        f_vals, f_der = sample(args.f_axis)
-        g_vals, g_der = sample(args.g_axis)
-        report = gridmod.separable_dalembert_check(
-            f_vals, g_vals, f_der, g_der, tolerance=args.tolerance
-        )
-        return CommandResult(0, {
-            "level": args.level,
-            "f_axis": args.f_axis,
-            "g_axis": args.g_axis,
-            **report.to_json_dict(),
-        })
-    raise InputError(f"unknown pde action {args.action!r}")
+    f_vals, f_der = sample(args.f_axis)
+    g_vals, g_der = sample(args.g_axis)
+    report = gridmod.separable_dalembert_check(
+        f_vals, g_vals, f_der, g_der, tolerance=args.tolerance
+    )
+    return CommandResult(0, {
+        "level": args.level,
+        "f_axis": args.f_axis,
+        "g_axis": args.g_axis,
+        **report.to_json_dict(),
+    })
 
 
 # ---------------------------------------------------------------------------
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they answer exit 2 with argparse's
+    message in the JSON error; the usage line still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperlab",
-        description="doubling algebras, Heyting algebras, abelian groups, "
-                    "and singular differential-polynomial systems",
-    )
+    parser = _Parser(prog="hyperlab", description="doubling algebras, Heyting algebras, "
+                     "abelian groups, and singular differential-polynomial systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def leaf(parsers, name, help):
+        p = parsers.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="emit raw JSON")
+        return p
 
-    p = sub.add_parser("table", help="structure constants of a doubling level")
+    def actions(command, help, helps):
+        """One parser per action of ``command``, each declaring only the
+        flags its handler reads; flags follow the action."""
+        parsers = sub.add_parser(command, help=help).add_subparsers(
+            dest="action", required=True)
+        return {name: leaf(parsers, name, h) for name, h in helps.items()}
+
+    def flag_or_input(p, flag, input_help, required=True, **kwargs):
+        group = p.add_mutually_exclusive_group(required=required)
+        group.add_argument(flag, **kwargs)
+        group.add_argument("--input", help=input_help)
+
+    p = leaf(sub, "table", "structure constants of a doubling level")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--compare", action="store_true",
-                   help="compare against the embedded reference table")
-    p.add_argument("--dense", action="store_true",
-                   help="emit the dense gamma array")
-    common(p)
+    p.add_argument("--compare", action="store_true", help="compare with the embedded table")
+    p.add_argument("--dense", action="store_true", help="emit the dense gamma array")
 
-    p = sub.add_parser("props", help="identity battery")
+    p = leaf(sub, "props", "identity battery")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive-basis", "random-sample"],
                    default="exhaustive-basis")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
 
-    p = sub.add_parser("zerodiv", help="two-term signed zero-divisor search")
+    p = leaf(sub, "zerodiv", "two-term signed zero-divisor search")
     p.add_argument("--level", type=int, required=True)
-    common(p)
 
-    p = sub.add_parser("qalg", help="tensor-product algebras")
-    p.add_argument("--base", default="real",
-                   help=f"one of {sorted(qa.BASE_ALGEBRAS)}")
+    p = leaf(sub, "qalg", "tensor-product algebras")
+    p.add_argument("--base", default="real", help=f"one of {sorted(qa.BASE_ALGEBRAS)}")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--op", choices=["tensor", "centre", "nucleus", "classic-limit"],
                    default="tensor")
     p.add_argument("--input", help="element file for classic-limit")
-    common(p)
 
-    p = sub.add_parser("heyting", help="finite Heyting algebras")
-    p.add_argument("action", choices=["build", "laws", "quotient"])
-    p.add_argument("--chain", type=int, help="n-element chain")
-    p.add_argument("--input", help="topology/poset/lattice JSON file")
-    p.add_argument("--direction", choices=["up", "down"], default="up")
-    p.add_argument("--filter", help="comma-separated generator indices")
-    common(p)
+    heyting = actions("heyting", "finite Heyting algebras", {
+        "build": "the algebra and its element classes", "laws": "the law report",
+        "quotient": "the quotient by the filter --filter generates"})
+    for p in heyting.values():
+        flag_or_input(p, "--chain", "topology/poset/lattice JSON file", type=int,
+                      help="n-element chain")
+        p.add_argument("--direction", choices=["up", "down"], default="up",
+                       help="up-sets or down-sets of a poset file")
+    heyting["quotient"].add_argument("--filter", help="comma-separated generator indices")
 
-    p = sub.add_parser("abelian", help="finitely generated abelian groups")
-    p.add_argument("action", choices=[
-        "snf", "decompose", "hom", "ext", "tensor", "homology", "sphere",
-        "extension-count",
-    ])
-    p.add_argument("--matrix", help="JSON rows, e.g. '[[2,0],[0,3]]'")
-    p.add_argument("--input", help="matrix JSON file")
-    p.add_argument("--g", help="group, e.g. Z28 or Z^2+Z4")
-    p.add_argument("--h", help="group")
-    p.add_argument("--base", help="group (extension-count)")
-    p.add_argument("--fiber", help="group (extension-count)")
-    p.add_argument("--order", type=int, help="cyclic group order")
-    p.add_argument("--degree", type=int, help="homology degree")
-    p.add_argument("--n", type=int, help="sphere dimension")
+    abelian = actions("abelian", "finitely generated abelian groups", {
+        "snf": "Smith normal form and transforms", "decompose": "the group presented",
+        "hom": "Hom(G, H)", "ext": "Ext(G, H)", "tensor": "G (x) H",
+        "homology": "H_degree(Z_order)", "sphere": "H_p(S^n)",
+        "extension-count": "extensions of --base by --fiber"})
+    for name in ("snf", "decompose"):
+        flag_or_input(abelian[name], "--matrix", "matrix JSON file",
+                      help="JSON rows, e.g. '[[2,0],[0,3]]'")
+    for name in ("hom", "ext", "tensor"):
+        abelian[name].add_argument("--g", required=True, help="group, e.g. Z28 or Z^2+Z4")
+        abelian[name].add_argument("--h", required=True, help="group")
+    p = abelian["homology"]
+    p.add_argument("--order", type=int, required=True, help="cyclic group order")
+    p.add_argument("--degree", type=int, required=True, help="homology degree")
+    p = abelian["sphere"]
+    p.add_argument("--n", type=int, required=True, help="sphere dimension")
     p.add_argument("--p", type=int, default=0, help="homology degree")
-    common(p)
+    p = abelian["extension-count"]
+    p.add_argument("--base", required=True, help="group")
+    p.add_argument("--fiber", required=True, help="group")
 
-    p = sub.add_parser("pde", help="differential-polynomial systems")
-    p.add_argument("action", choices=["jacobian", "minors", "scan", "heat",
-                                      "dalembert"])
-    p.add_argument("--system", default="r1")
-    p.add_argument("--input", help="system JSON file, read instead of --system")
-    p.add_argument("--size", type=int, default=2, help="minor size")
-    p.add_argument("--minor-size", type=int, default=None, dest="minor_size")
-    p.add_argument("--points", help="JSON file with an array of points")
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--nodes", type=int, default=64)
+    pde = actions("pde", "differential-polynomial systems", {
+        "jacobian": "the formal Jacobian", "minors": "its minor determinants",
+        "scan": "classify points", "heat": "grid heat flow",
+        "dalembert": "separable d'Alembert check"})
+    for name in ("jacobian", "minors", "scan"):
+        flag_or_input(pde[name], "--system", "system JSON file", required=False,
+                      help="builtin system (default r1)")
+    pde["minors"].add_argument("--size", type=int, default=2, help="minor size")
+    p = pde["scan"]
+    p.add_argument("--points", required=True, help="JSON file with an array of points")
+    p.add_argument("--minor-size", type=int, dest="minor_size",
+                   help="default: the number of equations")
+    for name in ("heat", "dalembert"):
+        pde[name].add_argument("--nodes", type=int, default=64)
+        pde[name].add_argument("--level", type=int, default=4)
+    p = pde["heat"]
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--level", type=int, default=4)
+    p.add_argument("--dt", type=float, help="default: 1 / (2 nodes^2)")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tolerance", type=float, default=1e-9, help=(
+        "checked to be finite and >= 0, otherwise unused (the decoupling check is "
+        "exact); perfbench sends one with every heat request"))
+    p = pde["dalembert"]
     p.add_argument("--f-axis", type=int, default=1, dest="f_axis")
     p.add_argument("--g-axis", type=int, default=2, dest="g_axis")
-    common(p)
-
+    for name in ("scan", "dalembert"):
+        pde[name].add_argument("--tolerance", type=float, default=1e-9)
     return parser
 
 
-_HANDLERS = {
-    "table": _cmd_table,
-    "props": _cmd_props,
-    "zerodiv": _cmd_zerodiv,
-    "qalg": _cmd_qalg,
-    "heyting": _cmd_heyting,
-    "abelian": _cmd_abelian,
-    "pde": _cmd_pde,
-}
+_HANDLERS = {"table": _cmd_table, "props": _cmd_props, "zerodiv": _cmd_zerodiv,
+             "qalg": _cmd_qalg, "heyting": _cmd_heyting, "abelian": _cmd_abelian,
+             "pde": _cmd_pde}
 
 
 @functools.cache
@@ -565,11 +563,11 @@ def run(argv) -> CommandResult:
     process."""
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has printed the usage error, or the help for --help
-        return CommandResult(2, {"error": "usage"}) if exc.code else CommandResult(0, {})
-    try:
         return _HANDLERS[args.command](args)
+    except SystemExit:
+        # only --help exits (usage errors raise InputError): argparse has
+        # printed the help
+        return CommandResult(0, {})
     except InputError as exc:
         return CommandResult(2, {"error": str(exc)})
     except (ValueError, KeyError, OSError) as exc:

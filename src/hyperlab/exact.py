@@ -20,6 +20,8 @@ the next prime, then fraction-free elimination (Bareiss 1968, Math. Comp.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,29 @@ INT64_PRODUCT_BOUND = 1 << 62
 class VerificationError(Exception):
     """A computed result failed its own check: an internal fault, not bad
     input, so it is deliberately not a ValueError."""
+
+
+class NumberTooLarge(ValueError):
+    """Numeric text whose decimal exponent passes the interpreter's digit
+    limit for int text."""
+
+
+# the exponent of numeric text in the grammar ``Fraction`` reads
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def bounded_fraction(value) -> Fraction:
+    """``Fraction(value)``, but text whose decimal exponent has a magnitude
+    over ``sys.get_int_max_str_digits()`` raises NumberTooLarge first:
+    ``Fraction("1e999999999")`` would build a billion-digit power of ten."""
+    match = _EXPONENT.search(value) if isinstance(value, str) else None
+    limit = sys.get_int_max_str_digits()
+    if match and limit:
+        digits = match[1].replace("_", "").lstrip("+-0")
+        # compare lengths first: int() of more digits than the limit fails
+        if len(digits) > len(str(limit)) or digits and int(digits) > limit:
+            raise NumberTooLarge(f"{value[:40]!r}: decimal exponent over {limit}")
+    return Fraction(value)
 
 
 def is_exact(value) -> bool:

@@ -276,14 +276,14 @@ def _is_scalar(value) -> bool:
     return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
 
 
-def _value_invertible(value, tolerance: float):
-    """(invertible flag, short description) for a scalar or algebra value."""
+def _value_invertible(value, tolerance: float) -> bool:
+    """Whether a scalar or algebra value is invertible (for an element: its
+    left-multiplication operator)."""
     if _is_scalar(value):
-        ok = value != 0 if is_exact(value) else abs(value) > tolerance
-        return ok, repr(value)
+        return value != 0 if is_exact(value) else abs(value) > tolerance
     if isinstance(value, CDElement):
         (left,) = is_operator_invertible(value, tolerance, sides=("left",))
-        return left, repr(value)
+        return left
     raise AlgebraMismatch(f"unsupported point value {value!r}")
 
 
@@ -356,12 +356,6 @@ def _fill_point(system: PDESystem, point: dict):
     return env, one
 
 
-def residual_at_point(system: PDESystem, point: dict):
-    env, one = _fill_point(system, point)
-    order = system.coords.variables
-    return [eq.evaluate(env, one=one, var_order=order) for eq in system.equations]
-
-
 def classify_point(
     system: PDESystem,
     point: dict,
@@ -379,7 +373,8 @@ def classify_point(
     order = system.coords.variables
 
     residuals = {}
-    for i, value in enumerate(residual_at_point(system, point)):
+    for i, eq in enumerate(system.equations):
+        value = eq.evaluate(env, one=one, var_order=order)
         if not _value_is_zero(value, tolerance):
             residuals[f"equation_{i}"] = value
     if residuals:
@@ -394,7 +389,7 @@ def classify_point(
         if det.is_zero():
             continue
         value = det.evaluate(env, one=one, var_order=order)
-        invertible, _ = _value_invertible(value, tolerance)
+        invertible = _value_invertible(value, tolerance)
         diagnostics.append(MinorDiagnostic(rows, cols, value, invertible))
         regular = regular or invertible
     return PointClassification(regular=regular, minors=diagnostics)

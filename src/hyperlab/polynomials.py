@@ -14,7 +14,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exact import bounded_fraction
+
 _RATIONAL = (int, Fraction)
+
+# the highest degree of a term read from JSON: evaluation multiplies once per
+# unit of degree, and exact values grow with each product (README.md gives
+# the cost at the cap)
+MAX_TERM_DEGREE = 100
 
 
 def _as_coeff(value) -> Fraction:
@@ -229,7 +236,8 @@ class Poly:
     @classmethod
     def from_json_dict(cls, data) -> "Poly":
         """Terms as ``to_json_dict`` writes them: a rational ``coeff`` (an
-        int, finite float or string) and ``powers``, names to ints >= 0."""
+        int, finite float or string) and ``powers``, names to ints >= 0
+        that sum to at most MAX_TERM_DEGREE."""
         if not isinstance(data, list) or not all(
                 isinstance(item, dict) and isinstance(item.get("powers"), dict)
                 for item in data):
@@ -240,8 +248,11 @@ class Poly:
             if not all(type(e) is int and e >= 0 for e in powers.values()) or not (
                     type(coeff) in (int, str) or type(coeff) is float and math.isfinite(coeff)):
                 raise ValueError(f"term {item!r} needs a finite coeff and powers >= 0")
+            if sum(powers.values()) > MAX_TERM_DEGREE:
+                raise ValueError(f"a term of degree {sum(powers.values())} is over the "
+                                 f"cap of {MAX_TERM_DEGREE}")
             mono = tuple(sorted(powers.items()))
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(coeff)
+            terms[mono] = terms.get(mono, Fraction(0)) + bounded_fraction(coeff)
         return cls(terms)
 
 

@@ -628,6 +628,14 @@ def algebras_isomorphic(h1: HeytingAlgebra, h2: HeytingAlgebra) -> bool:
     return False
 
 
+def residual_at_point(system: PDESystem, point: dict) -> list:
+    """Each equation of ``system`` evaluated at ``point``, unlisted
+    variables zero."""
+    env, one = _fill_point(system, point)
+    order = system.coords.variables
+    return [eq.evaluate(env, one=one, var_order=order) for eq in system.equations]
+
+
 def numeric_jacobian_rank(system: PDESystem, point: dict, tolerance: float = 1e-8) -> int:
     """Oracle for real points: numeric rank of the evaluated Jacobian."""
     env, _ = _fill_point(system, point)

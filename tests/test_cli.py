@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from hyperlab.algebras import BASE_ALGEBRAS
 from hyperlab.cayley_dickson import CDElement
 from hyperlab.cli import main, run
 from hyperlab.heyting import FiniteTopology
+from hyperlab.polynomials import MAX_TERM_DEGREE
 
 from fixtures import pentagon_lattice
 
@@ -401,7 +403,7 @@ class TestDispatch:
         ["heyting", "build", "--input", {"points": ["a"], "opens": [5]}],
         ["heyting", "build", "--input", {"points": ["a"], "opens": [[["a"]]]}],
         ["heyting", "build", "--input", {"points": 5, "opens": []}],
-        # --chain 0 is an empty chain, not a missing --chain
+        # --chain and --input exclude each other, --chain 0 included
         ["heyting", "build", "--chain", "0", "--input", {"points": ["a"], "opens": [[], ["a"]]}],
         # PDE system files of the wrong shape
         ["pde", "jacobian", "--input", {"coordinates": 5, "equations": []}],
@@ -429,6 +431,11 @@ class TestDispatch:
          {"coordinates": {**COORDS, "symmetric": "no"}, "equations": []}],
         ["pde", "jacobian", "--input",
          {"coordinates": {**COORDS, "independents": "xy"}, "equations": []}],
+        # JSON booleans are no numbers: true used to count as 1
+        ["pde", "scan", "--system", "r1", "--points", [{"u1_x": True}]],
+        ["pde", "scan", "--system", "r1", "--points",
+         [{"u1_x": {"level": 1, "coeffs": ["0", True]}}]],
+        ["qalg", "--op", "classic-limit", "--input", {"coeffs": [True]}],
     ])
     def test_malformed_input_is_a_json_error(self, argv, tmp_path):
         result = payload(with_files(argv, tmp_path))
@@ -457,8 +464,8 @@ class TestDispatch:
         ["pde", "dalembert", "--level", "2", "--nodes", "4", "--tolerance", "inf"],
         ["pde", "dalembert", "--tolerance", "nan"],
         ["pde", "heat", "--tolerance", "-1"],
-        ["pde", "scan", "--system", "r1", "--tolerance", "-1e-12"],
-        ["pde", "jacobian", "--tolerance", "inf"],
+        ["pde", "scan", "--system", "r1", "--points", [{}], "--tolerance", "-1e-12"],
+        ["pde", "jacobian", "--tolerance", "inf"],  # jacobian reads no --tolerance
         # 2^41 + 1 jet variables
         ["pde", "jacobian", "--input", {"coordinates": {
             "independents": ["x", "y"], "dependents": ["u"], "order": 40,
@@ -472,6 +479,16 @@ class TestDispatch:
                             "order": 0},
             "equations": [[{"coeff": "1", "powers": {f"u{j}": 1}}
                            for j in range(i, 27, 9)] for i in range(9)]}],
+        # Fraction("1e999999999") would build a billion-digit power of ten: a
+        # point value, an element coefficient, a system coefficient and a
+        # classic-limit coefficient, with either exponent sign
+        *[argv for t in ("1e999999999", "1e-999999999") for argv in (
+            ["pde", "scan", "--system", "r1", "--points", [{"u1_x": t}]],
+            ["pde", "scan", "--system", "r1", "--points",
+             [{"u1_x": {"level": 1, "coeffs": ["0", t]}}]],
+            ["pde", "jacobian", "--input", {
+                "coordinates": COORDS, "equations": [[{"coeff": t, "powers": {"u": 1}}]]}],
+            ["qalg", "--op", "classic-limit", "--input", {"coeffs": [t]}])],
     ])
     def test_caps_and_signs_checked_before_any_work(self, argv, tmp_path):
         argv = with_files(argv, tmp_path)
@@ -480,6 +497,57 @@ class TestDispatch:
         assert time.perf_counter() - start < 1.0
         assert result.code == 2
         assert "error" in result.payload
+
+    @pytest.mark.parametrize("argv, message", [
+        # a flag the action does not read
+        (["pde", "jacobian", "--nodes", "999999", "--points", "nothere.json"],
+         "unrecognized arguments: --nodes 999999 --points nothere.json"),
+        (["pde", "dalembert", "--steps", "5000"], "unrecognized arguments: --steps"),
+        (["pde", "heat", "--f-axis", "-1"], "unrecognized arguments: --f-axis"),
+        (["pde", "jacobian", "--system", "r1", "--tolerance", "1e-9"],
+         "unrecognized arguments: --tolerance"),
+        (["heyting", "build", "--chain", "3", "--filter", "1"],
+         "unrecognized arguments: --filter"),
+        (["abelian", "snf", "--matrix", "[[1]]", "--g", "Z2"], "unrecognized arguments: --g"),
+        (["abelian", "hom", "--g", "Z2", "--h", "Z2", "--p", "1"],
+         "unrecognized arguments: --p"),
+        # flags follow the action: the heyting parser reads 3 as the action
+        (["heyting", "--chain", "3", "build"], "argument action: invalid choice: '3'"),
+        (["heyting", "frobnicate"], "argument action: invalid choice: 'frobnicate'"),
+        # a missing required flag, or two that exclude each other
+        (["abelian", "hom", "--g", "Z4"], "the following arguments are required: --h"),
+        (["abelian", "homology", "--order", "3"],
+         "the following arguments are required: --degree"),
+        (["abelian", "snf"], "one of the arguments --matrix --input is required"),
+        (["heyting", "laws"], "one of the arguments --chain --input is required"),
+        (["pde", "scan", "--system", "r1"], "the following arguments are required: --points"),
+        (["pde", "minors", "--system", "r1", "--input", "system.json"],
+         "argument --input: not allowed with argument --system"),
+    ])
+    def test_usage_error_carries_the_argparse_message(self, argv, message, capsys):
+        result = payload(argv)
+        assert result.code == 2
+        assert message in result.payload["error"]
+        assert capsys.readouterr().err.startswith("usage: hyperlab")
+
+    def test_term_degree_is_capped(self, tmp_path):
+        # u^100 at the all-ones level-8 element, whose coefficients grow with
+        # every product, is the slowest one-term scan at the cap (README.md)
+        def scan(degree):
+            system = {"coordinates": {"independents": [], "dependents": ["u"], "order": 0},
+                      "equations": [[{"coeff": "1", "powers": {"u": degree}}]]}
+            points = [{"u": {"level": 8, "coeffs": ["1"] * 256}}]
+            start = time.perf_counter()
+            result = payload(with_files(["pde", "scan", "--input", system,
+                                         "--points", points], tmp_path))
+            return result, time.perf_counter() - start
+
+        result, elapsed = scan(MAX_TERM_DEGREE + 1)
+        assert elapsed < 1.0 and result.code == 2
+        assert f"cap of {MAX_TERM_DEGREE}" in result.payload["error"]
+        result, elapsed = scan(MAX_TERM_DEGREE)
+        assert result.code == 1 and result.payload["scan"][0]["satisfied"] is False
+        assert elapsed < 5.0
 
     @pytest.mark.parametrize("argv", [
         ["abelian", "tensor", "--g", "Z2^100", "--h", "Z2^100"],
@@ -691,9 +759,84 @@ class TestRepeatedRuns:
         assert cli._parser() is cli._parser()
 
 
-# The subcommand grammar, with cheap values: each command's positional
-# actions and, per option, a strategy for its value (None for a switch).
-# Unknown actions, bad values and input files of every kind are part of it.
+# One valid argv per action (per command where there are no actions), chosen
+# so that the handler reaches every flag the action declares; "@" tokens
+# stand for the input files of _write_inputs.
+VALID = {
+    ("table", None): ["table", "--level", "3", "--compare", "--dense"],
+    ("props", None): ["props", "--level", "2", "--mode", "random-sample",
+                      "--count", "5", "--seed", "1"],
+    ("zerodiv", None): ["zerodiv", "--level", "2"],
+    ("qalg", None): ["qalg", "--base", "real", "--level", "1", "--op", "classic-limit",
+                     "--input", "@element"],
+    ("heyting", "build"): ["heyting", "build", "--input", "@poset", "--direction", "down"],
+    ("heyting", "laws"): ["heyting", "laws", "--input", "@poset"],
+    ("heyting", "quotient"): ["heyting", "quotient", "--input", "@poset", "--filter", "1"],
+    ("abelian", "snf"): ["abelian", "snf", "--matrix", "[[2,0],[0,3]]"],
+    ("abelian", "decompose"): ["abelian", "decompose", "--matrix", "[[2,0],[0,3]]"],
+    ("abelian", "hom"): ["abelian", "hom", "--g", "Z4", "--h", "Z2"],
+    ("abelian", "ext"): ["abelian", "ext", "--g", "Z4", "--h", "Z2"],
+    ("abelian", "tensor"): ["abelian", "tensor", "--g", "Z4", "--h", "Z2"],
+    ("abelian", "homology"): ["abelian", "homology", "--order", "4", "--degree", "1"],
+    ("abelian", "sphere"): ["abelian", "sphere", "--n", "3", "--p", "3"],
+    ("abelian", "extension-count"): ["abelian", "extension-count", "--base", "Z4",
+                                     "--fiber", "Z2"],
+    ("pde", "jacobian"): ["pde", "jacobian", "--system", "s1"],
+    ("pde", "minors"): ["pde", "minors", "--system", "r1", "--size", "1"],
+    ("pde", "scan"): ["pde", "scan", "--system", "r1", "--points", "@points",
+                      "--minor-size", "2", "--tolerance", "1e-9"],
+    ("pde", "heat"): ["pde", "heat", "--nodes", "8", "--steps", "2", "--dt", "0.001",
+                      "--level", "1", "--seed", "1", "--tolerance", "0"],
+    ("pde", "dalembert"): ["pde", "dalembert", "--nodes", "4", "--level", "2",
+                           "--f-axis", "1", "--g-axis", "2", "--tolerance", "1e-9"],
+}
+
+
+def _subparsers(parser) -> dict:
+    """The parsers of ``parser``'s subcommands or actions, by name."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _action_parsers() -> dict:
+    """(command, action or None) -> the parser that reads its flags."""
+    out = {}
+    for command, parser in _subparsers(cli.build_parser()).items():
+        actions = _subparsers(parser)
+        out.update({(command, a): p for a, p in actions.items()} if actions
+                   else {(command, None): parser})
+    return out
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            self.__dict__.setdefault("_reads", set()).add(name)
+        return super().__getattribute__(name)
+
+
+class TestGrammar:
+    def test_every_action_has_a_valid_argv(self):
+        assert set(VALID) == set(_action_parsers())
+
+    @pytest.mark.parametrize("key", sorted(VALID, key=str), ids=str)
+    def test_handler_reads_every_flag_its_action_declares(self, key, input_files):
+        # --json is read by main from the argv, not by the handler
+        declared = {a.dest for a in _action_parsers()[key]._actions} - {"help", "json"}
+        args = cli._parser().parse_args(_resolve(VALID[key], input_files),
+                                        namespace=_ReadRecorder())
+        handler = cli._HANDLERS[vars(args)["command"]]
+        vars(args)["_reads"] = set()
+        assert handler(args).code in (0, 1)
+        assert declared - vars(args)["_reads"] == set()
+
+
+# The grammar of the fuzz test, with cheap values: per command, each action
+# (None for a command without actions) and, per flag it reads, a strategy for
+# the flag's value (None for a switch).  Unknown actions, flags of a sibling
+# action, bad values and input files of every kind are part of it.
 def _ints(low, high):
     return st.integers(low, high).map(str)
 
@@ -704,35 +847,39 @@ _FILES = st.sampled_from(["@n5", "@topology", "@poset", "@points", "@element",
 _GROUPS = st.sampled_from(["Z28", "Z2", "Z^2+Z4", "Z", "0", "Z2^3", "Z2^-1",
                            "Zx", "Z0", "+", ""])
 _FLOATS = st.sampled_from(["1e-9", "0.001", "0", "-1", "nan", "inf", "x"])
+_HEYTING = {"--chain": _ints(-1, 6), "--input": _FILES,
+            "--direction": st.sampled_from(["up", "down"])}
+_MATRIX = {"--matrix": st.sampled_from(["[[2,0],[0,3]]", "[[4]]", "[]", "[[]]",
+                                        "[[1],[2,3]]", "[[1.5]]", "{", "5"]),
+           "--input": _FILES}
+_GROUP_PAIR = {"--g": _GROUPS, "--h": _GROUPS}
+_SYSTEM = {"--system": st.sampled_from(sorted(jets.builtin_systems()) + ["nonesuch"]),
+           "--input": _FILES}
+_GRID = {"--nodes": _ints(-1, 8), "--level": _LEVEL, "--tolerance": _FLOATS}
 _GRAMMAR = {
-    "table": ((), {"--level": _LEVEL, "--compare": None, "--dense": None}),
-    "props": ((), {"--level": _LEVEL,
-                   "--mode": st.sampled_from(["exhaustive-basis", "random-sample"]),
-                   "--count": _ints(-1, 20), "--seed": _ints(0, 9)}),
-    "zerodiv": ((), {"--level": _LEVEL}),
-    "qalg": ((), {"--base": st.sampled_from(sorted(BASE_ALGEBRAS) + ["quux"]),
-                  "--level": _ints(-1, 2),
-                  "--op": st.sampled_from(["tensor", "centre", "nucleus",
-                                           "classic-limit"]),
-                  "--input": _FILES}),
-    "heyting": (("build", "laws", "quotient"),
-                {"--chain": _ints(-1, 6), "--input": _FILES,
-                 "--direction": st.sampled_from(["up", "down"]),
-                 "--filter": st.sampled_from(["0", "1", "0,2", "9", "-1", "x", ""])}),
-    "abelian": (("snf", "decompose", "hom", "ext", "tensor", "homology",
-                 "sphere", "extension-count"),
-                {"--matrix": st.sampled_from(["[[2,0],[0,3]]", "[[4]]", "[]", "[[]]",
-                                              "[[1],[2,3]]", "[[1.5]]", "{", "5"]),
-                 "--input": _FILES, "--g": _GROUPS, "--h": _GROUPS,
-                 "--base": _GROUPS, "--fiber": _GROUPS, "--order": _ints(-2, 30),
-                 "--degree": _ints(-1, 4), "--n": _ints(-1, 5), "--p": _ints(-1, 5)}),
-    "pde": (("jacobian", "minors", "scan", "heat", "dalembert"),
-            {"--system": st.sampled_from(sorted(jets.builtin_systems()) + ["nonesuch"]),
-             "--input": _FILES, "--size": _ints(-1, 3), "--minor-size": _ints(-1, 3),
-             "--points": _FILES, "--tolerance": _FLOATS, "--nodes": _ints(-1, 8),
-             "--steps": _ints(-1, 20), "--dt": _FLOATS, "--level": _LEVEL,
-             "--seed": _ints(0, 9), "--f-axis": _ints(-1, 9),
-             "--g-axis": _ints(-1, 9)}),
+    "table": {None: {"--level": _LEVEL, "--compare": None, "--dense": None}},
+    "props": {None: {"--level": _LEVEL,
+                     "--mode": st.sampled_from(["exhaustive-basis", "random-sample"]),
+                     "--count": _ints(-1, 20), "--seed": _ints(0, 9)}},
+    "zerodiv": {None: {"--level": _LEVEL}},
+    "qalg": {None: {"--base": st.sampled_from(sorted(BASE_ALGEBRAS) + ["quux"]),
+                    "--level": _ints(-1, 2),
+                    "--op": st.sampled_from(["tensor", "centre", "nucleus",
+                                             "classic-limit"]),
+                    "--input": _FILES}},
+    "heyting": {"build": _HEYTING, "laws": _HEYTING, "quotient": {
+        **_HEYTING, "--filter": st.sampled_from(["0", "1", "0,2", "9", "-1", "x", ""])}},
+    "abelian": {"snf": _MATRIX, "decompose": _MATRIX, "hom": _GROUP_PAIR,
+                "ext": _GROUP_PAIR, "tensor": _GROUP_PAIR,
+                "homology": {"--order": _ints(-2, 30), "--degree": _ints(-1, 4)},
+                "sphere": {"--n": _ints(-1, 5), "--p": _ints(-1, 5)},
+                "extension-count": {"--base": _GROUPS, "--fiber": _GROUPS}},
+    "pde": {"jacobian": _SYSTEM, "minors": {**_SYSTEM, "--size": _ints(-1, 3)},
+            "scan": {**_SYSTEM, "--points": _FILES, "--minor-size": _ints(-1, 3),
+                     "--tolerance": _FLOATS},
+            "heat": {**_GRID, "--steps": _ints(-1, 20), "--dt": _FLOATS,
+                     "--seed": _ints(0, 9)},
+            "dalembert": {**_GRID, "--f-axis": _ints(-1, 9), "--g-axis": _ints(-1, 9)}},
 }
 _JUNK = st.sampled_from(["--json", "--level", "-1", "x", "--", "--nodes=3",
                          "[[1]]", "", "-h", "table", "--no-such-flag"])
@@ -741,17 +888,24 @@ _JUNK = st.sampled_from(["--json", "--level", "-1", "x", "--", "--nodes=3",
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_GRAMMAR) + ["bogus"]))
-    actions, options = _GRAMMAR.get(command, ((), {}))
-    argv = [command]
-    if actions:
-        argv.append(draw(st.sampled_from(actions + ("bogus",))))
-    if "--level" in options and command != "pde" and draw(st.booleans()):
-        argv += ["--level", draw(_LEVEL)]  # required there
-    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=4)) \
-            if options else ():
+    actions = _GRAMMAR.get(command, {None: {}})
+    action = draw(st.sampled_from(list(actions) + ([] if None in actions else ["bogus"])))
+    argv = [command] + ([] if action is None else [action])
+    values = {flag: value for options in actions.values() for flag, value in options.items()}
+    # each flag the action reads, most of the time, and mostly one flag of an
+    # exclusive pair, so that the handlers run
+    own = actions.get(action, {})
+    flags = [flag for flag in draw(st.permutations(sorted(own))) if draw(st.integers(0, 7))]
+    pair = [flag for flag in flags if flag in ("--input", "--chain", "--matrix", "--system")]
+    if len(pair) == 2 and draw(st.integers(0, 3)):
+        flags.remove(pair[0])
+    siblings = sorted(set(values) - set(own))
+    if siblings and not draw(st.integers(0, 3)):
+        flags.append(draw(st.sampled_from(siblings)))
+    for flag in flags:
         argv.append(flag)
-        if options[flag] is not None:
-            argv.append(draw(options[flag]))
+        if values[flag] is not None:
+            argv.append(draw(values[flag]))
     for _ in range(draw(st.integers(0, 2))):
         argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
     if draw(st.booleans()):

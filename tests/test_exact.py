@@ -1,5 +1,6 @@
 """The certified exact kernel against the Fraction oracle and sympy."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from hyperlab import exact
 from hyperlab.exact import (
     CERTIFICATE_PRIME,
     CERTIFICATE_PRIMES,
+    NumberTooLarge,
+    bounded_fraction,
     exact_matmul,
     integer_basis,
     matrix_rank_exact,
@@ -179,3 +182,33 @@ class TestExactMatmul:
     def test_empty_operands(self):
         assert exact_matmul(np.zeros((2, 0), dtype=np.int64),
                             np.zeros((0, 3), dtype=np.int64)).shape == (2, 3)
+
+
+class TestBoundedFraction:
+    @pytest.mark.parametrize("value, expected", [
+        ("1e5", 100000), ("-1.5E-3", Fraction(-3, 2000)), (" 3/4 ", Fraction(3, 4)),
+        ("1_0e1_0", 10 ** 11), (7, 7), (0.5, Fraction(1, 2)),
+    ])
+    def test_reads_what_fraction_reads(self, value, expected):
+        assert bounded_fraction(value) == expected
+
+    def test_exponent_at_the_limit_is_read(self):
+        assert bounded_fraction("1e4300") == 10 ** 4300
+        assert bounded_fraction("1e-4300") == Fraction(1, 10 ** 4300)
+
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1e999999999", "-2E-999999999",
+                                      "1e" + "9" * 5000, "1e+0_004_301"])
+    def test_refuses_an_exponent_past_the_digit_limit(self, text):
+        # Fraction itself would build the power of ten: "1e999999999" hangs
+        with pytest.raises(NumberTooLarge, match="decimal exponent over 4300"):
+            bounded_fraction(text)
+
+    def test_follows_the_interpreter_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert bounded_fraction("1e4301") == 10 ** 4301
+            with pytest.raises(NumberTooLarge):
+                bounded_fraction("1e5001")
+        finally:
+            sys.set_int_max_str_digits(limit)

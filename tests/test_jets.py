@@ -19,11 +19,10 @@ from hyperlab.jets import (
     formal_jacobian,
     jet_dimensions,
     minor_determinants,
-    residual_at_point,
 )
 from hyperlab.polynomials import Poly
 
-from oracles import numeric_jacobian_rank
+from oracles import numeric_jacobian_rank, residual_at_point
 
 v = Poly.variable
 

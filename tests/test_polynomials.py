@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hyperlab.cayley_dickson import CDElement
-from hyperlab.polynomials import Poly, poly_matrix_determinant
+from hyperlab.polynomials import MAX_TERM_DEGREE, Poly, poly_matrix_determinant
 
 
 def random_poly(rng, names=("x", "y", "z"), terms=4):
@@ -132,6 +132,13 @@ def test_json_roundtrip():
     [{"coeff": True, "powers": {"x": 1}}],
     [{"coeff": float("inf"), "powers": {"x": 1}}],
     [{"coeff": [1], "powers": {"x": 1}}],
+    # evaluation multiplies once per unit of a term's degree
+    [{"coeff": "1", "powers": {"x": MAX_TERM_DEGREE + 1}}],
+    [{"coeff": "1", "powers": {"x": MAX_TERM_DEGREE, "y": 1}}],
+    [{"coeff": "1", "powers": {"x": 10 ** 9}}],
+    # Fraction would build the power of ten in full
+    [{"coeff": "1e999999999", "powers": {"x": 1}}],
+    [{"coeff": "1e-999999999", "powers": {"x": 1}}],
 ])
 def test_malformed_json_is_a_value_error(data):
     with pytest.raises(ValueError):
@@ -142,3 +149,8 @@ def test_json_coefficients():
     data = [{"coeff": "-3/2", "powers": {"x": 2}}, {"coeff": 4, "powers": {}},
             {"coeff": 0.5, "powers": {"x": 2}}]
     assert Poly.from_json_dict(data) == 4 - Poly.variable("x") ** 2
+
+
+def test_term_degree_cap_is_inclusive():
+    data = [{"coeff": "1", "powers": {"x": MAX_TERM_DEGREE - 1, "y": 1}}]
+    assert Poly.from_json_dict(data).degree() == MAX_TERM_DEGREE
