@@ -75,6 +75,14 @@ def _bounded(value: int, flag: str, low: int, high: int) -> None:
         raise InputError(f"{flag} must lie in {low}..{high}, got {value}")
 
 
+def _tolerance(text: str) -> float:
+    """The argparse type of ``--tolerance``: a finite float >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 # caps checked before any work; README.md gives the measured cost at each
 MAX_SAMPLE_COUNT = 1000
 MAX_NODES = {"heat": 1024, "dalembert": 64}
@@ -265,23 +273,31 @@ def _cmd_abelian(args) -> CommandResult:
         group = ab.decompose(matrix)
         return CommandResult(0, {"group": group.to_json_dict(), "name": str(group)})
     if args.action in ("hom", "ext", "tensor"):
-        g, h = ab.parse_group(args.g), ab.parse_group(args.h)
-        result = {"hom": ab.hom, "ext": ab.ext, "tensor": ab.tensor}[args.action](g, h)
+        g = ab.parse_group(args.g)
+        h = ab.parse_group(args.h)
+        fn = {"hom": ab.hom, "ext": ab.ext, "tensor": ab.tensor}[args.action]
+        result = fn(g, h)
         return CommandResult(
             0, {"g": str(g), "h": str(h), args.action: result.to_json_dict(),
                 "name": str(result)}
         )
     if args.action == "homology":
         group = ab.cyclic_homology(args.order, args.degree)
-        return CommandResult(0, {"order": args.order, "degree": args.degree,
-                                 "group": group.to_json_dict(), "name": str(group)})
+        return CommandResult(
+            0, {"order": args.order, "degree": args.degree,
+                "group": group.to_json_dict(), "name": str(group)}
+        )
     if args.action == "sphere":
         group = ab.sphere_homology(args.n, args.p)
-        return CommandResult(0, {"n": args.n, "p": args.p, "group": group.to_json_dict(),
-                                 "name": str(group),
-                                 "euler_characteristic": ab.euler_characteristic(args.n)})
+        return CommandResult(
+            0, {"n": args.n, "p": args.p, "group": group.to_json_dict(),
+                "name": str(group),
+                "euler_characteristic": ab.euler_characteristic(args.n)}
+        )
     # extension-count
-    report = ab.extension_count(ab.parse_group(args.base), ab.parse_group(args.fiber))
+    base = ab.parse_group(args.base)
+    fiber = ab.parse_group(args.fiber)
+    report = ab.extension_count(base, fiber)
     return CommandResult(0, report.to_json_dict())
 
 
@@ -317,8 +333,6 @@ def _pde_system(args) -> jets.PDESystem:
 
 
 def _cmd_pde(args) -> CommandResult:
-    if args.action in ("scan", "heat", "dalembert") and not 0 <= args.tolerance < math.inf:
-        raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.action in ("heat", "dalembert"):
         _bounded(args.nodes, "--nodes", 1, MAX_NODES[args.action])
         # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
@@ -441,8 +455,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hyperlab", description="doubling algebras, Heyting algebras, "
-                     "abelian groups, and singular differential-polynomial systems")
+    parser = _Parser(
+        prog="hyperlab",
+        description="doubling algebras, Heyting algebras, abelian groups, "
+                    "and singular differential-polynomial systems",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def leaf(parsers, name, help):
@@ -450,12 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit raw JSON")
         return p
 
-    def actions(command, help, helps):
+    def actions(command, help, names):
         """One parser per action of ``command``, each declaring only the
         flags its handler reads; flags follow the action."""
         parsers = sub.add_parser(command, help=help).add_subparsers(
             dest="action", required=True)
-        return {name: leaf(parsers, name, h) for name, h in helps.items()}
+        return {name: leaf(parsers, name, None) for name in names}
 
     def flag_or_input(p, flag, input_help, required=True, **kwargs):
         group = p.add_mutually_exclusive_group(required=required)
@@ -464,8 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "table", "structure constants of a doubling level")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--compare", action="store_true", help="compare with the embedded table")
-    p.add_argument("--dense", action="store_true", help="emit the dense gamma array")
+    p.add_argument("--compare", action="store_true",
+                   help="compare against the embedded reference table")
+    p.add_argument("--dense", action="store_true",
+                   help="emit the dense gamma array")
 
     p = leaf(sub, "props", "identity battery")
     p.add_argument("--level", type=int, required=True)
@@ -478,15 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
 
     p = leaf(sub, "qalg", "tensor-product algebras")
-    p.add_argument("--base", default="real", help=f"one of {sorted(qa.BASE_ALGEBRAS)}")
+    p.add_argument("--base", default="real",
+                   help=f"one of {sorted(qa.BASE_ALGEBRAS)}")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--op", choices=["tensor", "centre", "nucleus", "classic-limit"],
                    default="tensor")
     p.add_argument("--input", help="element file for classic-limit")
 
-    heyting = actions("heyting", "finite Heyting algebras", {
-        "build": "the algebra and its element classes", "laws": "the law report",
-        "quotient": "the quotient by the filter --filter generates"})
+    heyting = actions("heyting", "finite Heyting algebras", ["build", "laws", "quotient"])
     for p in heyting.values():
         flag_or_input(p, "--chain", "topology/poset/lattice JSON file", type=int,
                       help="n-element chain")
@@ -494,11 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="up-sets or down-sets of a poset file")
     heyting["quotient"].add_argument("--filter", help="comma-separated generator indices")
 
-    abelian = actions("abelian", "finitely generated abelian groups", {
-        "snf": "Smith normal form and transforms", "decompose": "the group presented",
-        "hom": "Hom(G, H)", "ext": "Ext(G, H)", "tensor": "G (x) H",
-        "homology": "H_degree(Z_order)", "sphere": "H_p(S^n)",
-        "extension-count": "extensions of --base by --fiber"})
+    abelian = actions("abelian", "finitely generated abelian groups", [
+        "snf", "decompose", "hom", "ext", "tensor", "homology", "sphere",
+        "extension-count",
+    ])
     for name in ("snf", "decompose"):
         flag_or_input(abelian[name], "--matrix", "matrix JSON file",
                       help="JSON rows, e.g. '[[2,0],[0,3]]'")
@@ -515,10 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help="group")
     p.add_argument("--fiber", required=True, help="group")
 
-    pde = actions("pde", "differential-polynomial systems", {
-        "jacobian": "the formal Jacobian", "minors": "its minor determinants",
-        "scan": "classify points", "heat": "grid heat flow",
-        "dalembert": "separable d'Alembert check"})
+    pde = actions("pde", "differential-polynomial systems",
+                  ["jacobian", "minors", "scan", "heat", "dalembert"])
     for name in ("jacobian", "minors", "scan"):
         flag_or_input(pde[name], "--system", "system JSON file", required=False,
                       help="builtin system (default r1)")
@@ -534,20 +549,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--dt", type=float, help="default: 1 / (2 nodes^2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9, help=(
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9, help=(
         "checked to be finite and >= 0, otherwise unused (the decoupling check is "
         "exact); perfbench sends one with every heat request"))
     p = pde["dalembert"]
     p.add_argument("--f-axis", type=int, default=1, dest="f_axis")
     p.add_argument("--g-axis", type=int, default=2, dest="g_axis")
     for name in ("scan", "dalembert"):
-        pde[name].add_argument("--tolerance", type=float, default=1e-9)
+        pde[name].add_argument("--tolerance", type=_tolerance, default=1e-9)
     return parser
 
 
-_HANDLERS = {"table": _cmd_table, "props": _cmd_props, "zerodiv": _cmd_zerodiv,
-             "qalg": _cmd_qalg, "heyting": _cmd_heyting, "abelian": _cmd_abelian,
-             "pde": _cmd_pde}
+_HANDLERS = {
+    "table": _cmd_table,
+    "props": _cmd_props,
+    "zerodiv": _cmd_zerodiv,
+    "qalg": _cmd_qalg,
+    "heyting": _cmd_heyting,
+    "abelian": _cmd_abelian,
+    "pde": _cmd_pde,
+}
 
 
 @functools.cache
@@ -564,10 +585,10 @@ def run(argv) -> CommandResult:
     try:
         args = _parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except SystemExit:
-        # only --help exits (usage errors raise InputError): argparse has
-        # printed the help
-        return CommandResult(0, {})
+    except SystemExit as exc:
+        # argparse has printed the help for --help (usage errors raise
+        # InputError)
+        return CommandResult(2, {"error": "usage"}) if exc.code else CommandResult(0, {})
     except InputError as exc:
         return CommandResult(2, {"error": str(exc)})
     except (ValueError, KeyError, OSError) as exc:
