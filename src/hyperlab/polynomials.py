@@ -19,8 +19,8 @@ from .exact import bounded_fraction
 _RATIONAL = (int, Fraction)
 
 # the highest degree of a term read from JSON: evaluation multiplies once per
-# unit of degree, and exact values grow with each product (README.md gives
-# the cost at the cap)
+# unit of degree, so this bounds the number of products, not their cost,
+# which grows with the size of the values (README.md gives measured costs)
 MAX_TERM_DEGREE = 100
 
 
