@@ -337,6 +337,16 @@ def _cyclic_blocks(g: FGAbelianGroup) -> list[int]:
     return [0] * g.rank + list(g.torsion)
 
 
+def _pairwise(g: FGAbelianGroup, h: FGAbelianGroup, rule) -> FGAbelianGroup:
+    """The direct sum of Z/rule(a, b) over the pairs of a cyclic block a of
+    g and b of h, a value of 0 meaning Z and 1 the trivial group: Hom, Ext
+    and tensor are additive in both arguments, so each is this sum for its
+    rule on cyclic groups."""
+    blocks = _cyclic_blocks(h)
+    return FGAbelianGroup.from_divisors(
+        *(rule(a, b) for a in _cyclic_blocks(g) for b in blocks))
+
+
 def hom(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
     """Hom(Zm, Zn) = Z_gcd, Hom(Z, G) = G, Hom(Zm, Z) = 0; additive.
 
@@ -345,16 +355,7 @@ def hom(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
     >>> print(hom(cyclic(10), Z))
     0
     """
-    divisors = []
-    for a in _cyclic_blocks(g):
-        for b in _cyclic_blocks(h):
-            if a == 0:
-                divisors.append(b)
-            elif b == 0:
-                pass
-            else:
-                divisors.append(gcd(a, b))
-    return FGAbelianGroup.from_divisors(*divisors)
+    return _pairwise(g, h, lambda a, b: 1 if a and not b else gcd(a, b))
 
 
 def ext(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
@@ -370,27 +371,12 @@ def ext(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
     >>> print(ext(cyclic(12), cyclic(18)))
     Z6
     """
-    divisors = []
-    for a in _cyclic_blocks(g):
-        if a == 0:
-            continue
-        for b in _cyclic_blocks(h):
-            divisors.append(a if b == 0 else gcd(a, b))
-    return FGAbelianGroup.from_divisors(*divisors)
+    return _pairwise(g, h, lambda a, b: gcd(a, b) if a else 1)
 
 
 def tensor(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
     """Zm (x) Zn = Z_gcd, Z (x) G = G; additive."""
-    divisors = []
-    for a in _cyclic_blocks(g):
-        for b in _cyclic_blocks(h):
-            if a == 0:
-                divisors.append(b)
-            elif b == 0:
-                divisors.append(a)
-            else:
-                divisors.append(gcd(a, b))
-    return FGAbelianGroup.from_divisors(*divisors)
+    return _pairwise(g, h, gcd)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .exact import (
     VerificationError,
     certified_nullspace,
     integer_basis,
+    parse_number,
 )
 
 
@@ -177,9 +178,9 @@ class StructureAlgebra:
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "") -> "StructureAlgebra":
         gamma = [
-            [[Fraction(g) for g in vec] for vec in row] for row in data["gamma"]
+            [[parse_number(g) for g in vec] for vec in row] for row in data["gamma"]
         ]
-        unit = [Fraction(u) for u in data["unit"]]
+        unit = [parse_number(u) for u in data["unit"]]
         return cls(gamma, unit, name=name)
 
     def __repr__(self):

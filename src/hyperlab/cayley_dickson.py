@@ -25,14 +25,14 @@ from .exact import (
     CERTIFICATE_PRIME,
     DEFAULT_TOLERANCE,
     INT64_PRODUCT_BOUND,
-    NumberTooLarge,
     VerificationError,
-    bounded_fraction,
     integer_vector,
     is_exact,
+    is_scalar,
     matrix_rank_exact,
     matrix_rank_float,
     matrix_rank_mod_p,
+    parse_number,
 )
 
 DEFAULT_MAX_LEVEL = 8
@@ -195,18 +195,6 @@ def structure_multiply(products, x, y, out):
 # elements
 # ---------------------------------------------------------------------------
 
-def _coerce_coeff(x):
-    # int and float first: an isinstance test against Fraction, an abstract
-    # base class, is slow for every other type
-    if isinstance(x, (int, float)):
-        if isinstance(x, bool):
-            raise TypeError("bool is not a scalar")
-        return x
-    if isinstance(x, Fraction):
-        return x
-    raise TypeError(f"unsupported coefficient {x!r}")
-
-
 def _element(level: int, coeffs: list) -> "CDElement":
     """Wrap coefficients that arithmetic built from already validated ones,
     skipping the per-coefficient check of the public constructor."""
@@ -226,7 +214,10 @@ class CDElement:
     __slots__ = ("level", "coeffs")
 
     def __init__(self, level: int, coeffs):
-        coeffs = [_coerce_coeff(c) for c in coeffs]
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not is_scalar(c):
+                raise TypeError(f"unsupported coefficient {c!r}")
         if len(coeffs) != 1 << level:
             raise ValueError(
                 f"level {level} needs {1 << level} coefficients, got {len(coeffs)}"
@@ -285,17 +276,17 @@ class CDElement:
     def __mul__(self, other):
         if isinstance(other, CDElement):
             return cd_multiply(self, other)
-        if isinstance(other, (int, Fraction, float)) and not isinstance(other, bool):
+        if is_scalar(other):
             return _element(self.level, [a * other for a in self.coeffs])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, float)) and not isinstance(other, bool):
+        if is_scalar(other):
             return _element(self.level, [other * a for a in self.coeffs])
         return NotImplemented
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, (int, Fraction, float)) and not isinstance(scalar, bool):
+        if is_scalar(scalar):
             if is_exact(scalar):
                 return _element(self.level, [Fraction(a) / scalar for a in self.coeffs])
             return _element(self.level, [a / scalar for a in self.coeffs])
@@ -351,21 +342,18 @@ class CDElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CDElement":
-        """Integral text ("3", "-1") loads as an int, so integer points take
-        the int64 product path; other exact text loads as a Fraction, the
-        rest ("inf", "nan") as a float.  A decimal exponent past the int
-        digit limit raises NumberTooLarge (``exact.bounded_fraction``)."""
-        coeffs = []
-        for text in data["coeffs"]:
-            try:
-                value = bounded_fraction(text)
-            except NumberTooLarge:
-                raise
-            except ValueError:
-                coeffs.append(float(text))
-                continue
-            coeffs.append(value.numerator if value.denominator == 1 else value)
-        return cls(int(data["level"]), coeffs)
+        """The element format's one reader: ``{"level": r, "coeffs": [...]}``
+        with r an int in 0..DEFAULT_MAX_LEVEL and 2**r coefficients, each
+        read by ``exact.parse_number``.  Integral values load as ints, so
+        integer points take the int64 product path, and the rest as
+        Fractions; anything else, "inf" and "nan" among it, raises
+        ValueError."""
+        level, coeffs = data.get("level"), data.get("coeffs")
+        if type(level) is not int or not 0 <= level <= DEFAULT_MAX_LEVEL:
+            raise ValueError(f"level must be an integer in 0..{DEFAULT_MAX_LEVEL}")
+        if not isinstance(coeffs, list):
+            raise ValueError("coeffs must be a list")
+        return cls(level, [parse_number(c) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

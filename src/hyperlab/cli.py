@@ -24,7 +24,6 @@ from . import heyting as hey
 from . import jets
 from . import reference_tables as ref
 from .cayley_dickson import (
-    DEFAULT_MAX_LEVEL,
     CDElement,
     ExhaustiveBasis,
     RandomSample,
@@ -32,7 +31,7 @@ from .cayley_dickson import (
     identity_battery,
     structure_constants,
 )
-from .exact import bounded_fraction
+from .exact import DEFAULT_TOLERANCE, parse_number
 
 
 @dataclass
@@ -58,16 +57,6 @@ def _load_json(path: str, kind: type):
     if not isinstance(data, kind):
         raise InputError(f"{path} must hold a JSON {'object' if kind is dict else 'list'}")
     return data
-
-
-def _numbers(values, what: str) -> list:
-    """``values`` if it lists finite numbers (not booleans) or strings (text
-    that is no number is a ValueError later)."""
-    if not isinstance(values, list) or not all(
-            isinstance(v, str) or type(v) in (int, float) and math.isfinite(v)
-            for v in values):
-        raise InputError(f"{what} must be a list of finite numbers or numeric strings")
-    return values
 
 
 def _bounded(value: int, flag: str, low: int, high: int) -> None:
@@ -175,8 +164,10 @@ def _cmd_qalg(args) -> CommandResult:
         payload["nucleus_basis"] = [[str(c) for c in vec] for vec in basis]
     elif args.op == "classic-limit":
         if args.input:
-            data = _load_json(args.input, dict)
-            coeffs = [bounded_fraction(c) for c in _numbers(data.get("coeffs"), "coeffs")]
+            coeffs = _load_json(args.input, dict).get("coeffs")
+            if not isinstance(coeffs, list):
+                raise InputError("coeffs must be a list")
+            coeffs = [parse_number(c) for c in coeffs]
         else:
             coeffs = algebra.unit_vector()
         element = qa.TensorElement(algebra, coeffs)
@@ -303,22 +294,21 @@ def _cmd_abelian(args) -> CommandResult:
 
 def _load_point(raw) -> dict:
     """A scan point: each value an algebra element ``{"level", "coeffs"}``,
-    an exact number as a string, or a float."""
+    exact numeric text, or a JSON number, read as a float."""
     if not isinstance(raw, dict):
         raise InputError(f"a point must be a JSON object, got {raw!r}")
     point = {}
     for name, value in raw.items():
         if isinstance(value, dict):
-            if type(value.get("level")) is not int or value["level"] > DEFAULT_MAX_LEVEL:
-                raise InputError(f"{name}: level must be an integer up to {DEFAULT_MAX_LEVEL}")
-            _numbers(value.get("coeffs"), f"{name}: coeffs")
             point[name] = CDElement.from_json_dict(value)
         elif isinstance(value, str):
-            point[name] = bounded_fraction(value)
-        elif type(value) in (int, float):
-            point[name] = float(value)
+            point[name] = parse_number(value)
         else:
-            raise InputError(f"{name}: {value!r} is not a number or an element")
+            number = parse_number(value)
+            try:
+                point[name] = float(number)
+            except OverflowError:
+                raise InputError(f"{name}: a JSON number outside the float range") from None
     return point
 
 
@@ -447,7 +437,15 @@ def _cmd_pde(args) -> CommandResult:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise InputError, so they answer exit 2 with argparse's
-    message in the JSON error; the usage line still goes to stderr."""
+    message in the JSON error; the usage line still goes to stderr.  A leaf
+    parser names the arguments it leaves unread itself, with its own prog
+    and usage line, where argparse would hand them up to the top level."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -549,14 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--dt", type=float, help="default: 1 / (2 nodes^2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=_tolerance, default=1e-9, help=(
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE, help=(
         "checked to be finite and >= 0, otherwise unused (the decoupling check is "
         "exact); perfbench sends one with every heat request"))
     p = pde["dalembert"]
     p.add_argument("--f-axis", type=int, default=1, dest="f_axis")
     p.add_argument("--g-axis", type=int, default=2, dest="g_axis")
     for name in ("scan", "dalembert"):
-        pde[name].add_argument("--tolerance", type=_tolerance, default=1e-9)
+        pde[name].add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     return parser
 
 

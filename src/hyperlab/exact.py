@@ -1,9 +1,11 @@
 """Exact rational linear algebra.
 
-Scalar convention used across the package: exact values are ``int`` or
-``fractions.Fraction`` (arithmetic never rounds, comparisons are literal);
-approximate values are ``float`` (comparisons take a caller-supplied
-tolerance).  Mixing the two families in one container is not supported.
+Scalar convention used across the package, and owned by this module: a
+scalar (``is_scalar``) is exact, an ``int`` or ``fractions.Fraction``
+(arithmetic never rounds, comparisons are literal), or approximate, a
+``float`` (comparisons take a caller-supplied tolerance).  Mixing the two
+families in one container is not supported.  Every number read from input
+goes through ``parse_number``.
 
 ``rref`` is certified modular elimination: it reduces the matrix, rows
 scaled to integers, mod a prime p < 2^31 in int64, lifts each entry by
@@ -51,18 +53,42 @@ class NumberTooLarge(ValueError):
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def bounded_fraction(value) -> Fraction:
-    """``Fraction(value)``, but text whose decimal exponent has a magnitude
-    over ``sys.get_int_max_str_digits()`` raises NumberTooLarge first:
+def parse_number(value) -> int | Fraction:
+    """The exact value of an input number: numeric text, a JSON int or a
+    finite JSON float (its exact binary value), as an int when integral and
+    a Fraction otherwise.  Anything else raises ValueError: booleans,
+    non-finite values, text that names no finite number, null, lists.
+
+    Text whose decimal exponent has a magnitude over
+    ``sys.get_int_max_str_digits()`` raises NumberTooLarge first:
     ``Fraction("1e999999999")`` would build a billion-digit power of ten."""
-    match = _EXPONENT.search(value) if isinstance(value, str) else None
-    limit = sys.get_int_max_str_digits()
-    if match and limit:
-        digits = match[1].replace("_", "").lstrip("+-0")
-        # compare lengths first: int() of more digits than the limit fails
-        if len(digits) > len(str(limit)) or digits and int(digits) > limit:
-            raise NumberTooLarge(f"{value[:40]!r}: decimal exponent over {limit}")
-    return Fraction(value)
+    if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits()
+        if match and limit:
+            digits = match[1].replace("_", "").lstrip("+-0")
+            # compare lengths first: int() of more digits than the limit fails
+            if len(digits) > len(str(limit)) or digits and int(digits) > limit:
+                raise NumberTooLarge(f"{value[:40]!r}: decimal exponent over {limit}")
+    # math.isfinite would overflow on a long int, so it sees only floats
+    elif type(value) is not int and not (type(value) is float and math.isfinite(value)):
+        raise ValueError(f"{value!r:.40} is not a finite number or numeric text")
+    try:
+        number = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        # only text gets here; Fraction's own message would echo all of it
+        raise ValueError(f"{value[:40]!r} names no finite number") from None
+    return number.numerator if number.denominator == 1 else number
+
+
+def is_scalar(value) -> bool:
+    """True for the package's scalars: an int (not a bool), a float or a
+    Fraction.  int and float are tested first: Fraction's metaclass is
+    ABCMeta, so an isinstance test against it is slow for every other
+    type."""
+    if isinstance(value, (int, float)):
+        return not isinstance(value, bool)
+    return isinstance(value, Fraction)
 
 
 def is_exact(value) -> bool:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cayley_dickson import AlgebraMismatch, CDElement, structure_constants
-from .exact import SLAB_ENTRIES, integer_vector, rref
+from .exact import DEFAULT_TOLERANCE, SLAB_ENTRIES, integer_vector, rref
 from .jets import PDESystem
 
 
@@ -292,7 +292,7 @@ def _values_commute_associate(values, tolerance: float) -> bool:
 
 
 def separable_dalembert_check(
-    f_values, g_values, f_derivs, g_derivs, tolerance: float = 1e-9
+    f_values, g_values, f_derivs, g_derivs, tolerance: float = DEFAULT_TOLERANCE
 ) -> SeparableReport:
     """Evaluate R = u u_xy - u_x u_y for the product ansatz u = f(x) g(y).
 

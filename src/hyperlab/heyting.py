@@ -204,6 +204,10 @@ class FinitePoset:
         elements, le = data["elements"], data["le"]
         if not _is_name_list(elements):
             raise InvalidPoset("element names must be strings")
+        # building and checking the order take n^3 steps, and the up-set
+        # algebra refuses more than MAX_POINTS elements anyway
+        if len(elements) > MAX_POINTS:
+            raise InvalidPoset(f"at most {MAX_POINTS} elements supported")
         if not isinstance(le, list) or not all(
                 _is_name_list(pair) and len(pair) == 2 for pair in le):
             raise InvalidPoset("le must be a list of [lower, upper] element-name pairs")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .cayley_dickson import AlgebraMismatch, CDElement, is_operator_invertible
-from .exact import DEFAULT_TOLERANCE, is_exact
+from .exact import DEFAULT_TOLERANCE, is_exact, is_scalar
 from .polynomials import Poly, poly_matrix_determinant
 
 
@@ -272,14 +272,10 @@ def minor_determinants(jacobian, size: int):
 # point classification
 # ---------------------------------------------------------------------------
 
-def _is_scalar(value) -> bool:
-    return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
-
-
 def _value_invertible(value, tolerance: float) -> bool:
     """Whether a scalar or algebra value is invertible (for an element: its
     left-multiplication operator)."""
-    if _is_scalar(value):
+    if is_scalar(value):
         return value != 0 if is_exact(value) else abs(value) > tolerance
     if isinstance(value, CDElement):
         (left,) = is_operator_invertible(value, tolerance, sides=("left",))
@@ -288,7 +284,7 @@ def _value_invertible(value, tolerance: float) -> bool:
 
 
 def _value_is_zero(value, tolerance: float) -> bool:
-    if _is_scalar(value):
+    if is_scalar(value):
         return value == 0 if is_exact(value) else abs(value) <= tolerance
     if isinstance(value, CDElement):
         if value.is_exact:

@@ -11,12 +11,9 @@ product order.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .exact import bounded_fraction
-
-_RATIONAL = (int, Fraction)
+from .exact import is_exact, parse_number
 
 # the highest degree of a term read from JSON: evaluation multiplies once per
 # unit of degree, so this bounds the number of products, not their cost,
@@ -25,7 +22,7 @@ MAX_TERM_DEGREE = 100
 
 
 def _as_coeff(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, _RATIONAL):
+    if not is_exact(value):
         raise TypeError(f"polynomial coefficients must be rational, got {value!r}")
     return Fraction(value)
 
@@ -62,7 +59,7 @@ class Poly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (Poly, *_RATIONAL)):
+        if not (isinstance(other, Poly) or is_exact(other)):
             return NotImplemented
         other = Poly.coerce(other)
         terms = dict(self.terms)
@@ -76,7 +73,7 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (Poly, *_RATIONAL)):
+        if not (isinstance(other, Poly) or is_exact(other)):
             return NotImplemented
         return self + (-Poly.coerce(other))
 
@@ -84,7 +81,7 @@ class Poly:
         return Poly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (Poly, *_RATIONAL)):
+        if not (isinstance(other, Poly) or is_exact(other)):
             return NotImplemented
         other = Poly.coerce(other)
         terms = {}
@@ -108,7 +105,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, _RATIONAL) and not isinstance(other, bool):
+        if is_exact(other):
             other = Poly.coerce(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -235,9 +232,9 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, data) -> "Poly":
-        """Terms as ``to_json_dict`` writes them: a rational ``coeff`` (an
-        int, finite float or string) and ``powers``, names to ints >= 0
-        that sum to at most MAX_TERM_DEGREE."""
+        """Terms as ``to_json_dict`` writes them: a ``coeff`` that
+        ``exact.parse_number`` reads and ``powers``, names to ints >= 0 that
+        sum to at most MAX_TERM_DEGREE."""
         if not isinstance(data, list) or not all(
                 isinstance(item, dict) and isinstance(item.get("powers"), dict)
                 for item in data):
@@ -245,14 +242,13 @@ class Poly:
         terms = {}
         for item in data:
             powers, coeff = item["powers"], item.get("coeff")
-            if not all(type(e) is int and e >= 0 for e in powers.values()) or not (
-                    type(coeff) in (int, str) or type(coeff) is float and math.isfinite(coeff)):
-                raise ValueError(f"term {item!r} needs a finite coeff and powers >= 0")
+            if not all(type(e) is int and e >= 0 for e in powers.values()):
+                raise ValueError(f"term {item!r} needs powers >= 0")
             if sum(powers.values()) > MAX_TERM_DEGREE:
                 raise ValueError(f"a term of degree {sum(powers.values())} is over the "
                                  f"cap of {MAX_TERM_DEGREE}")
             mono = tuple(sorted(powers.items()))
-            terms[mono] = terms.get(mono, Fraction(0)) + bounded_fraction(coeff)
+            terms[mono] = terms.get(mono, Fraction(0)) + parse_number(coeff)
         return cls(terms)
 
 

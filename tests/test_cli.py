@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -540,7 +541,13 @@ class TestDispatch:
         result = payload(argv)
         assert result.code == 2
         assert message in result.payload["error"]
-        assert capsys.readouterr().err.startswith("usage: hyperlab")
+        usage = capsys.readouterr().err
+        assert usage.startswith("usage: hyperlab")
+        if message.startswith("unrecognized"):
+            # the action's own parser names a flag it does not read
+            prog = "hyperlab " + " ".join(argv[:2])
+            assert result.payload["error"].startswith(f"{prog}: unrecognized arguments")
+            assert usage.startswith(f"usage: {prog} ")
 
     def test_term_degree_is_capped(self, tmp_path):
         # u^100 at the all-ones level-8 element, whose coefficients grow with
@@ -573,9 +580,10 @@ class TestDispatch:
         assert payload(argv).code == 0
         assert time.perf_counter() - start < 5.0
 
-    @pytest.mark.parametrize("points", [9, 14])
+    @pytest.mark.parametrize("points", [9, 14, 400, 2000])
     def test_oversized_poset_rejected_before_the_upsets(self, points, tmp_path):
-        # 2^points up-sets, over the 256-element cap
+        # 2^points up-sets, over the 256-element cap; past 16 elements the
+        # file is refused before the order's n^3 closure and checks
         path = tmp_path / "antichain.json"
         path.write_text(json.dumps({"elements": [f"p{i}" for i in range(points)],
                                     "le": []}))
@@ -583,7 +591,8 @@ class TestDispatch:
         result = payload(["heyting", "build", "--input", str(path)])
         assert time.perf_counter() - start < 1.0
         assert result.code == 2
-        assert "256" in result.payload["error"]
+        cap = "256" if points <= 16 else "at most 16 elements"
+        assert cap in result.payload["error"]
 
     @pytest.mark.parametrize("points", [11, 16])
     def test_oversized_topology_rejected_before_the_closure_check(
@@ -681,6 +690,70 @@ class TestDispatch:
         stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in stderr
+
+
+# Values as JSON text, each with the exact value it names, or None where the
+# number rule refuses it
+_NUMBERS = [
+    ('"3"', 3), ('"-1/2"', Fraction(-1, 2)), ('"2.0"', 2), ('"0.25"', Fraction(1, 4)),
+    ("3", 3), ("0.5", Fraction(1, 2)), (str(10 ** 400), 10 ** 400),
+    ("true", None), ("null", None), ('"inf"', None), ('"nan"', None), ('"abc"', None),
+    ("1e999", None), ("NaN", None), ('"1e999999999"', None),
+]
+
+
+def _number_site(site: str, text: str, tmp_path: Path):
+    """The argv that reads the JSON text ``text`` at ``site``, and a function
+    that finds the value it read in the payload: a residual of the system
+    u = 0, or the classic limit of a real number.  At the "scan" site the
+    text is a point value, numeric text or a JSON number."""
+    def file(name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        return str(path)
+
+    if site == "classic-limit":
+        return (["qalg", "--op", "classic-limit", "--input",
+                 file("element.json", '{"coeffs": [%s]}' % text)],
+                lambda result: result["classic_limit"])
+    coords = json.dumps({"independents": [], "dependents": ["u"], "order": 0})
+    coeff, points = '"1"', '[{"u": %s}]' % text
+    if site == "system":
+        coeff, points = text, '[{"u": "0"}]'
+    elif site == "element":
+        points = '[{"u": {"level": 0, "coeffs": [%s]}}]' % text
+    power = "{}" if site == "system" else '{"u": 1}'
+    system = '{"coordinates": %s, "equations": [[{"coeff": %s, "powers": %s}]]}' % (
+        coords, coeff, power)
+    return (["pde", "scan", "--input", file("system.json", system),
+             "--points", file("points.json", points)],
+            lambda result: result["scan"][0]["residuals"]["equation_0"])
+
+
+class TestNumberRule:
+    """Every input number is read by ``exact.parse_number``: the same value
+    means the same number, or the same refusal, at every site."""
+
+    @pytest.mark.parametrize("site", ["scan", "element", "system", "classic-limit"])
+    @pytest.mark.parametrize("text, value", _NUMBERS, ids=[t[:12] for t, _ in _NUMBERS])
+    def test_every_site_reads_a_value_alike(self, site, text, value, tmp_path):
+        argv, read = _number_site(site, text, tmp_path)
+        result = payload(argv)
+        # a JSON number as a scan value is read as a float, so past the
+        # float range it is refused too
+        as_float = site == "scan" and not text.startswith('"')
+        if value is None or as_float and value == 10 ** 400:
+            assert result.code == 2
+            assert "error" in result.payload
+            return
+        assert result.code in (0, 1)
+        if as_float:
+            expected = str(float(value))
+        elif site == "element":
+            expected = str(CDElement(0, [value]))
+        else:
+            expected = str(value)
+        assert read(result.payload) == expected
 
 
 def _write_inputs(directory: Path) -> dict:

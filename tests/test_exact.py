@@ -14,12 +14,13 @@ from hyperlab.exact import (
     CERTIFICATE_PRIME,
     CERTIFICATE_PRIMES,
     NumberTooLarge,
-    bounded_fraction,
     exact_matmul,
     integer_basis,
+    is_scalar,
     matrix_rank_exact,
     matrix_rank_mod_p,
     nullspace,
+    parse_number,
     rref,
 )
 
@@ -185,30 +186,62 @@ class TestExactMatmul:
 
 
 class TestBoundedFraction:
+    """``parse_number`` reads text as ``Fraction`` does, within a bound on
+    the decimal exponent."""
+
     @pytest.mark.parametrize("value, expected", [
         ("1e5", 100000), ("-1.5E-3", Fraction(-3, 2000)), (" 3/4 ", Fraction(3, 4)),
         ("1_0e1_0", 10 ** 11), (7, 7), (0.5, Fraction(1, 2)),
     ])
     def test_reads_what_fraction_reads(self, value, expected):
-        assert bounded_fraction(value) == expected
+        assert parse_number(value) == expected
 
     def test_exponent_at_the_limit_is_read(self):
-        assert bounded_fraction("1e4300") == 10 ** 4300
-        assert bounded_fraction("1e-4300") == Fraction(1, 10 ** 4300)
+        assert parse_number("1e4300") == 10 ** 4300
+        assert parse_number("1e-4300") == Fraction(1, 10 ** 4300)
 
     @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1e999999999", "-2E-999999999",
                                       "1e" + "9" * 5000, "1e+0_004_301"])
     def test_refuses_an_exponent_past_the_digit_limit(self, text):
         # Fraction itself would build the power of ten: "1e999999999" hangs
         with pytest.raises(NumberTooLarge, match="decimal exponent over 4300"):
-            bounded_fraction(text)
+            parse_number(text)
 
     def test_follows_the_interpreter_limit(self):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(5000)
         try:
-            assert bounded_fraction("1e4301") == 10 ** 4301
+            assert parse_number("1e4301") == 10 ** 4301
             with pytest.raises(NumberTooLarge):
-                bounded_fraction("1e5001")
+                parse_number("1e5001")
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestParseNumber:
+    @pytest.mark.parametrize("value, expected", [
+        ("3", 3), ("6/2", 3), ("2.0", 2), ("-0", 0), (3, 3), (2.0, 2), (10 ** 400, 10 ** 400),
+        ("-1/2", Fraction(-1, 2)), ("0.25", Fraction(1, 4)), (0.5, Fraction(1, 2)),
+        # a float keeps its exact binary value
+        (0.1, Fraction(3602879701896397, 2 ** 55)),
+    ])
+    def test_integral_values_are_ints(self, value, expected):
+        number = parse_number(value)
+        assert number == expected
+        assert type(number) is type(expected)
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, [1], {"a": 1}, float("inf"), float("-inf"), float("nan"),
+        "inf", "nan", "Infinity", "abc", "", "1/0", Fraction(1, 2), np.int64(1),
+    ])
+    def test_refuses_everything_else(self, value):
+        with pytest.raises(ValueError):
+            parse_number(value)
+
+
+@pytest.mark.parametrize("value, scalar", [
+    (1, True), (-2.5, True), (Fraction(1, 3), True), (np.float64(0.5), True),
+    (10 ** 400, True), (True, False), (None, False), ("1", False), (np.int64(1), False),
+])
+def test_is_scalar(value, scalar):
+    assert is_scalar(value) is scalar
