@@ -306,20 +306,6 @@ class CDElement:
         self._require_same_level(other)
         return all(abs(a - b) <= tolerance for a, b in zip(self.coeffs, other.coeffs))
 
-    # -- derived quantities ----------------------------------------------------
-
-    def conjugate(self) -> "CDElement":
-        return conjugate(self)
-
-    def trace(self):
-        return trace(self)
-
-    def norm_sq(self):
-        return norm_sq(self)
-
-    def inverse(self) -> "CDElement":
-        return inverse_quadratic(self)
-
     def __repr__(self):
         parts = []
         for k, c in enumerate(self.coeffs):

@@ -24,7 +24,6 @@ from . import heyting as hey
 from . import jets
 from . import reference_tables as ref
 from .cayley_dickson import (
-    CDElement,
     ExhaustiveBasis,
     RandomSample,
     find_zero_divisors,
@@ -74,8 +73,6 @@ def _tolerance(text: str) -> float:
 
 # caps checked before any work; README.md gives the measured cost at each
 MAX_SAMPLE_COUNT = 1000
-MAX_NODES = {"heat": 1024, "dalembert": 64}
-MAX_STEPS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +289,6 @@ def _cmd_abelian(args) -> CommandResult:
     return CommandResult(0, report.to_json_dict())
 
 
-def _load_point(raw) -> dict:
-    """A scan point: each value an algebra element ``{"level", "coeffs"}``,
-    exact numeric text, or a JSON number, read as a float."""
-    if not isinstance(raw, dict):
-        raise InputError(f"a point must be a JSON object, got {raw!r}")
-    point = {}
-    for name, value in raw.items():
-        if isinstance(value, dict):
-            point[name] = CDElement.from_json_dict(value)
-        elif isinstance(value, str):
-            point[name] = parse_number(value)
-        else:
-            number = parse_number(value)
-            try:
-                point[name] = float(number)
-            except OverflowError:
-                raise InputError(f"{name}: a JSON number outside the float range") from None
-    return point
-
-
 def _pde_system(args) -> jets.PDESystem:
     if args.input is not None:
         return jets.PDESystem.from_json_dict(_load_json(args.input, dict))
@@ -323,12 +300,16 @@ def _pde_system(args) -> jets.PDESystem:
 
 
 def _cmd_pde(args) -> CommandResult:
-    if args.action in ("heat", "dalembert"):
-        _bounded(args.nodes, "--nodes", 1, MAX_NODES[args.action])
-        # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
-        structure_constants(args.level)
-    else:
-        system = _pde_system(args)
+    if args.action == "heat":
+        payload = gridmod.heat_decoupling_check(args.level, args.nodes, args.steps,
+                                                args.dt, args.seed)
+        return CommandResult(0 if payload["componentwise_decoupling"] else 1, payload)
+    if args.action == "dalembert":
+        report = gridmod.cos_sin_dalembert_check(args.level, args.nodes, args.f_axis,
+                                                 args.g_axis, tolerance=args.tolerance)
+        return CommandResult(0, {"level": args.level, "f_axis": args.f_axis,
+                                 "g_axis": args.g_axis, **report.to_json_dict()})
+    system = _pde_system(args)
     if args.action == "jacobian":
         jac = jets.formal_jacobian(system)
         order = system.coords.variables
@@ -350,85 +331,11 @@ def _cmd_pde(args) -> CommandResult:
             ],
             "nonzero": sum(1 for _, det in minors if not det.is_zero()),
         })
-    if args.action == "scan":
-        raw_points = _load_json(args.points, list)
-        results = []
-        code = 0
-        for raw in raw_points:
-            point = _load_point(raw)
-            try:
-                cls = jets.classify_point(
-                    system, point, args.minor_size, tolerance=args.tolerance
-                )
-                results.append({"point": raw, "satisfied": True,
-                                **cls.to_json_dict()})
-            except jets.OffVariety as exc:
-                code = 1
-                results.append({
-                    "point": raw,
-                    "satisfied": False,
-                    "classification": "OffVariety",
-                    "residuals": {k: str(v) for k, v in exc.residuals.items()},
-                })
-        return CommandResult(code, {"system": system.name, "scan": results})
-    if args.action == "heat":
-        import numpy as np
-
-        _bounded(args.steps, "--steps", 0, MAX_STEPS)
-        if args.dt is not None and not args.dt > 0:
-            raise InputError(f"--dt must be positive, got {args.dt}")
-        rng = np.random.default_rng(args.seed)
-        dim = 1 << args.level
-        values = rng.standard_normal((args.nodes, dim))
-        h = 1.0 / args.nodes
-        dt = args.dt if args.dt is not None else h * h / 2
-        field = gridmod.GridField(values, h, level=args.level)
-        evolved = gridmod.heat_evolve(field, dt, args.steps)
-        decoupled = all(
-            np.array_equal(
-                gridmod.heat_evolve(field.component(k), dt, args.steps).values[:, 0],
-                evolved.values[:, k],
-            )
-            for k in range(dim)
-        )
-        payload = {
-            "nodes": args.nodes, "steps": args.steps, "dt": dt,
-            "level": args.level,
-            "componentwise_decoupling": decoupled,
-            "mode_decay_factor": gridmod.single_mode_decay_factor(args.nodes, dt),
-            "final_mean": [float(m) for m in evolved.values.mean(axis=0)],
-        }
-        return CommandResult(0 if decoupled else 1, payload)
-    # dalembert
-    import numpy as np
-
-    if min(args.f_axis, args.g_axis) < 0:
-        raise InputError("--f-axis and --g-axis must be >= 0")
-    ts = list(np.linspace(0.0, 1.0, args.nodes))
-
-    def sample(axis):
-        vals, ders = [], []
-        for t in ts:
-            coeffs = [math.cos(t)] + [0.0] * ((1 << args.level) - 1)
-            dcoeffs = [-math.sin(t)] + [0.0] * ((1 << args.level) - 1)
-            if axis < (1 << args.level):
-                coeffs[axis] = math.sin(t)
-                dcoeffs[axis] = math.cos(t)
-            vals.append(CDElement(args.level, coeffs))
-            ders.append(CDElement(args.level, dcoeffs))
-        return vals, ders
-
-    f_vals, f_der = sample(args.f_axis)
-    g_vals, g_der = sample(args.g_axis)
-    report = gridmod.separable_dalembert_check(
-        f_vals, g_vals, f_der, g_der, tolerance=args.tolerance
-    )
-    return CommandResult(0, {
-        "level": args.level,
-        "f_axis": args.f_axis,
-        "g_axis": args.g_axis,
-        **report.to_json_dict(),
-    })
+    # scan
+    results = jets.scan_points(system, _load_json(args.points, list), args.minor_size,
+                               tolerance=args.tolerance)
+    code = 0 if all(entry["satisfied"] for entry in results) else 1
+    return CommandResult(code, {"system": system.name, "scan": results})
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ written order inside the coefficient algebra.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,11 @@ import numpy as np
 from .cayley_dickson import AlgebraMismatch, CDElement, structure_constants
 from .exact import DEFAULT_TOLERANCE, SLAB_ENTRIES, integer_vector, rref
 from .jets import PDESystem
+
+
+# caps checked before any work; README.md gives the measured cost at each
+MAX_NODES = {"heat": 1024, "dalembert": 64}
+MAX_STEPS = 1000
 
 
 class UnstableStep(ValueError):
@@ -101,6 +107,36 @@ def single_mode_decay_factor(nodes: int, dt: float) -> float:
     """Amplification of one discrete Fourier mode sin(2 pi x) per step."""
     h = 1.0 / nodes
     return 1.0 - 4.0 * dt * np.sin(np.pi * h) ** 2 / h ** 2
+
+
+def _bounded(value: int, name: str, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
+
+
+def heat_decoupling_check(level: int, nodes: int, steps: int, dt=None,
+                          seed: int = 0) -> dict:
+    """The ``pde heat`` payload: ``steps`` steps of ``dt`` (default h^2/2)
+    on a seeded standard-normal field of ``nodes`` values, and whether each
+    component evolves bitwise as it does alone.  Checks the inputs first."""
+    _bounded(nodes, "nodes", 1, MAX_NODES["heat"])
+    # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
+    structure_constants(level)
+    _bounded(steps, "steps", 0, MAX_STEPS)
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    dim = 1 << level
+    h = 1.0 / nodes
+    dt = dt if dt is not None else h * h / 2
+    field = GridField(np.random.default_rng(seed).standard_normal((nodes, dim)), h,
+                      level=level)
+    evolved = heat_evolve(field, dt, steps)
+    decoupled = all(np.array_equal(heat_evolve(field.component(k), dt, steps).values[:, 0],
+                                   evolved.values[:, k]) for k in range(dim))
+    return {"nodes": nodes, "steps": steps, "dt": dt, "level": level,
+            "componentwise_decoupling": decoupled,
+            "mode_decay_factor": single_mode_decay_factor(nodes, dt),
+            "final_mean": [float(m) for m in evolved.values.mean(axis=0)]}
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +376,31 @@ def separable_dalembert_check(
         commutative_subalgebra=commutative,
         nodes_checked=count,
     )
+
+
+def cos_sin_dalembert_check(level: int, nodes: int, f_axis: int, g_axis: int,
+                            tolerance: float = DEFAULT_TOLERANCE) -> SeparableReport:
+    """``separable_dalembert_check`` of cos t + sin t e_axis for the f and
+    g axes (real past 2^level - 1) and their derivatives at ``nodes`` points
+    of [0, 1].  Checks the inputs before any sample is built."""
+    _bounded(nodes, "nodes", 1, MAX_NODES["dalembert"])
+    # LevelTooLarge beyond DEFAULT_MAX_LEVEL
+    structure_constants(level)
+    if min(f_axis, g_axis) < 0:
+        raise ValueError("f_axis and g_axis must be >= 0")
+    dim = 1 << level
+
+    def sample(axis):
+        vals, ders = [], []
+        for t in np.linspace(0.0, 1.0, nodes):
+            coeffs, dcoeffs = [0.0] * dim, [0.0] * dim
+            coeffs[0], dcoeffs[0] = math.cos(t), -math.sin(t)
+            if axis < dim:
+                coeffs[axis], dcoeffs[axis] = math.sin(t), math.cos(t)
+            vals.append(CDElement(level, coeffs))
+            ders.append(CDElement(level, dcoeffs))
+        return vals, ders
+
+    f_vals, f_der = sample(f_axis)
+    g_vals, g_der = sample(g_axis)
+    return separable_dalembert_check(f_vals, g_vals, f_der, g_der, tolerance=tolerance)

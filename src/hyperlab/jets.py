@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .cayley_dickson import AlgebraMismatch, CDElement, is_operator_invertible
-from .exact import DEFAULT_TOLERANCE, is_exact, is_scalar
+from .exact import DEFAULT_TOLERANCE, is_exact, is_scalar, parse_number
 from .polynomials import Poly, poly_matrix_determinant
 
 
@@ -90,9 +90,6 @@ class JetCoordinateSystem:
                     names.append(f"{dep}_{''.join(combo)}")
         return tuple(names)
 
-    def index(self, name: str) -> int:
-        return self.variables.index(name)
-
     def derivative_name(self, dep: str, *inds: str) -> str:
         inds = tuple(sorted(inds)) if self.symmetric else inds
         return f"{dep}_{''.join(inds)}"
@@ -143,13 +140,15 @@ class PDESystem:
     """Named list of differential polynomials over one coordinate system.
 
     ``level`` optionally pins the coefficient algebra (a doubling level);
-    when set, algebra-valued points are checked against it.
+    when set, algebra-valued points are checked against it.  Nonzero
+    minors are kept once computed: do not change the equations after that.
     """
 
     name: str
     coords: JetCoordinateSystem
     equations: list
     level: int | None = None
+    _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         known = set(self.coords.variables)
@@ -169,6 +168,17 @@ class PDESystem:
             "equations": [eq.to_json_dict() for eq in self.equations],
             "algebra": algebra,
         }
+
+    def nonzero_minors(self, size: int) -> list:
+        """The ((rows, cols), determinant) of each ``size`` x ``size``
+        minor of the formal Jacobian whose determinant is not the zero
+        polynomial, computed on the first call for each size."""
+        if size not in self._minors:
+            self._minors[size] = [
+                (key, det) for key, det in minor_determinants(formal_jacobian(self), size)
+                if not det.is_zero()
+            ]
+        return self._minors[size]
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PDESystem":
@@ -363,7 +373,8 @@ def classify_point(
     operator.  The point must satisfy the equations first (OffVariety
     otherwise; exact points exactly, float points within the tolerance).
     A float algebra value's operator is invertible when all its singular
-    values exceed the tolerance.
+    values exceed the tolerance.  The minors come from
+    ``system.nonzero_minors``, computed once per system and size.
     """
     env, one = _fill_point(system, point)
     order = system.coords.variables
@@ -378,14 +389,49 @@ def classify_point(
 
     if minor_size is None:
         minor_size = len(system.equations)
-    jac = formal_jacobian(system)
     diagnostics = []
     regular = False
-    for (rows, cols), det in minor_determinants(jac, minor_size):
-        if det.is_zero():
-            continue
+    for (rows, cols), det in system.nonzero_minors(minor_size):
         value = det.evaluate(env, one=one, var_order=order)
         invertible = _value_invertible(value, tolerance)
         diagnostics.append(MinorDiagnostic(rows, cols, value, invertible))
         regular = regular or invertible
     return PointClassification(regular=regular, minors=diagnostics)
+
+
+def load_point(raw) -> dict:
+    """A scan point: each value an algebra element ``{"level", "coeffs"}``,
+    exact numeric text, or a JSON number, read as a float."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"a point must be a JSON object, got {raw!r:.40}")
+    point = {}
+    for name, value in raw.items():
+        if isinstance(value, dict):
+            point[name] = CDElement.from_json_dict(value)
+        elif isinstance(value, str):
+            point[name] = parse_number(value)
+        else:
+            try:
+                point[name] = float(parse_number(value))
+            except OverflowError:
+                raise ValueError(
+                    f"{name:.40}: a JSON number outside the float range") from None
+    return point
+
+
+def scan_points(system: PDESystem, raw_points: list, minor_size: int | None = None,
+                tolerance: float = DEFAULT_TOLERANCE) -> list:
+    """One entry per raw point, read by ``load_point``: the ``point`` as
+    given, whether it is ``satisfied``, then ``classify_point``'s
+    classification, or "OffVariety" and the residuals as text.  The
+    minors are computed at the first point that satisfies the system."""
+    results = []
+    for raw in raw_points:
+        point = load_point(raw)
+        try:
+            cls = classify_point(system, point, minor_size, tolerance=tolerance)
+            results.append({"point": raw, "satisfied": True, **cls.to_json_dict()})
+        except OffVariety as exc:
+            results.append({"point": raw, "satisfied": False, "classification": "OffVariety",
+                            "residuals": {k: str(v) for k, v in exc.residuals.items()}})
+    return results

@@ -122,9 +122,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
-
     def variables(self) -> set[str]:
         return {name for mono in self.terms for name, _ in mono}
 

@@ -295,6 +295,14 @@ class TestPde:
         assert result.code == 1
         assert result.payload["scan"][0]["classification"] == "OffVariety"
 
+    def test_malformed_point_error_is_short(self, tmp_path):
+        # the whole point was echoed: 1,488,942 bytes of JSON for this file
+        for points in ([list(range(200_000))], [{"u" * 100_000: 10 ** 400}]):
+            result = payload(with_files(["pde", "scan", "--system", "r1", "--points",
+                                         points], tmp_path))
+            assert result.code == 2
+            assert len(result.to_json()) < 200
+
     def test_heat(self):
         result = payload(["pde", "heat", "--nodes", "32", "--steps", "10",
                           "--level", "2", "--seed", "1"])

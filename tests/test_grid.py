@@ -13,6 +13,8 @@ from hyperlab.grid import (
     GridField,
     ResolutionTooSmall,
     UnstableStep,
+    cos_sin_dalembert_check,
+    heat_decoupling_check,
     heat_evolve,
     residual,
     separable_dalembert_check,
@@ -262,6 +264,50 @@ def cli_samples(level, axis, nodes):
             coeffs[axis] = value[1]
             out.append(CDElement(level, coeffs))
     return out
+
+
+class TestActionChecks:
+    """The ``pde heat`` and ``pde dalembert`` runs, and their input checks."""
+
+    def test_heat_payload(self):
+        out = heat_decoupling_check(2, 8, 3, seed=1)
+        assert out["componentwise_decoupling"] is True
+        assert out["dt"] == 1 / 128
+        assert (out["nodes"], out["steps"], out["level"], len(out["final_mean"])) == (8, 3, 2, 4)
+
+    @pytest.mark.parametrize("args, error", [
+        ((2, 0, 3), "nodes must lie in 1..1024, got 0"),
+        ((9, 2, 3), "level 9 exceeds cap 8"),
+        ((2, 8, 1001), "steps must lie in 0..1000, got 1001"),
+        ((2, 8, 3, float("nan")), "dt must be positive, got nan"),
+    ])
+    def test_heat_checks_before_any_work(self, args, error, monkeypatch):
+        monkeypatch.setattr(grid, "heat_evolve", None)
+        # LevelTooLarge is a ValueError
+        with pytest.raises(ValueError, match=error):
+            heat_decoupling_check(*args)
+
+    @pytest.mark.parametrize("level, f_axis, g_axis, nodes", [(3, 2, 5, 4), (2, 0, 1, 3)])
+    def test_dalembert_samples_are_the_cos_sin_lines(
+            self, level, f_axis, g_axis, nodes, monkeypatch):
+        seen = []
+        monkeypatch.setattr(grid, "separable_dalembert_check",
+                            lambda *args, **kwargs: seen.append((args, kwargs)))
+        cos_sin_dalembert_check(level, nodes, f_axis, g_axis, tolerance=0.5)
+        (f, g, df, dg), kwargs = seen[0]
+        assert kwargs == {"tolerance": 0.5}
+        assert [x for pair in zip(f, df) for x in pair] == cli_samples(level, f_axis, nodes)
+        assert [x for pair in zip(g, dg) for x in pair] == cli_samples(level, g_axis, nodes)
+
+    @pytest.mark.parametrize("args, error", [
+        ((2, 65, 1, 2), "nodes must lie in 1..64, got 65"),
+        ((9, 2, 1, 2), "level 9 exceeds cap 8"),
+        ((2, 4, 1, -2), "f_axis and g_axis must be >= 0"),
+    ])
+    def test_dalembert_checks_before_any_sample(self, args, error, monkeypatch):
+        monkeypatch.setattr(grid, "CDElement", None)
+        with pytest.raises(ValueError, match=error):
+            cos_sin_dalembert_check(*args)
 
 
 class TestCommutativeSubalgebra:

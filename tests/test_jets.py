@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hyperlab import jets
 from hyperlab.cayley_dickson import CDElement, norm_sq
 from hyperlab.jets import (
     MAX_JET_VARIABLES,
@@ -18,7 +20,9 @@ from hyperlab.jets import (
     classify_point,
     formal_jacobian,
     jet_dimensions,
+    load_point,
     minor_determinants,
+    scan_points,
 )
 from hyperlab.polynomials import Poly
 
@@ -266,6 +270,51 @@ class TestClassification:
             rank = numeric_jacobian_rank(r1, point, tolerance=1e-7)
             assert cls.regular == (rank == 2), point
             checked += 1
+
+
+class TestScan:
+    # off the variety, on it at exact and float values, off it again
+    POINTS = [{"u1_x": 1.0, "u2_y": 1.0}, {"u1": "3", "x": "1/2", "u1_x": -1},
+              {"u1_x": 1.0}, {"u2_x": "1/2"}]
+
+    def test_minors_are_computed_once_per_scan(self, monkeypatch):
+        calls = []
+        for name in ("formal_jacobian", "minor_determinants"):
+            def counted(*args, _name=name, _original=getattr(jets, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(jets, name, counted)
+        entries = scan_points(builtin_systems()["r1"], self.POINTS, 2)
+        assert sorted(calls) == ["formal_jacobian", "minor_determinants"]
+        assert [entry["satisfied"] for entry in entries] == [False, True, True, False]
+        # each point classified on its own system
+        expected = []
+        for raw in self.POINTS:
+            try:
+                cls = classify_point(builtin_systems()["r1"], load_point(raw), 2)
+                expected.append({"point": raw, "satisfied": True, **cls.to_json_dict()})
+            except OffVariety as exc:
+                expected.append({"point": raw, "satisfied": False,
+                                 "classification": "OffVariety",
+                                 "residuals": {k: str(v) for k, v in exc.residuals.items()}})
+        assert json.dumps(entries, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_no_minors_when_no_point_satisfies_the_system(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("minors computed")
+
+        monkeypatch.setattr(jets, "formal_jacobian", refuse)
+        entries = scan_points(builtin_systems()["r1"], self.POINTS[::3], 2)
+        assert [entry["classification"] for entry in entries] == ["OffVariety"] * 2
+        with pytest.raises(RuntimeError, match="minors computed"):
+            scan_points(builtin_systems()["r1"], self.POINTS, 2)
+
+    def test_nonzero_minors_are_kept_per_size(self):
+        r1 = builtin_systems()["r1"]
+        assert r1.nonzero_minors(2) is r1.nonzero_minors(2)
+        assert [(key, det) for key, det in minor_determinants(formal_jacobian(r1), 2)
+                if not det.is_zero()] == r1.nonzero_minors(2)
+        assert len(r1.nonzero_minors(1)) == 4
 
 
 class TestBuiltinSystems:

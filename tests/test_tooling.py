@@ -57,6 +57,27 @@ def test_cli_import_leaves_sympy_out():
     assert out.strip() == "False"
 
 
+def numpy_imports(tree):
+    """Line of each import of numpy in ``tree``, at any depth."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level
+            and (node.module or "").split(".")[0] == "numpy"]
+
+
+def test_cli_imports_no_numpy():
+    # cli.py parses, dispatches and prints; the library modules own the
+    # arrays, so that a request that needs none can skip numpy's import
+    assert numpy_imports(_source_trees()["cli.py"]) == []
+
+
+def test_numpy_import_check_flags_function_local_imports():
+    tree = ast.parse("import json\nfrom . import grid\n"
+                     "def f():\n    import numpy as np\n    from numpy.linalg import svd\n")
+    assert numpy_imports(tree) == [4, 5]
+
+
 def _loaded(node):
     """Every name and attribute name that ``node`` loads."""
     for sub in ast.walk(node):
