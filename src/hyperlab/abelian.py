@@ -174,6 +174,27 @@ def parse_group(text: str) -> FGAbelianGroup:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
+# Rows and columns smith_normal_form accepts.  The transforms U and V grow
+# with the size: a 40x40 matrix with entries in [-9, 9] gets entries of
+# about 1200 digits and takes well under a second; at 60x60 they pass the
+# 4300 digits Python will print.
+SNF_MAX_DIM = 40
+
+
+def _check_matrix(matrix) -> None:
+    """Refuse, before any elimination, anything but a list of equal-length
+    rows of ints (no bools) with at most ``SNF_MAX_DIM`` rows and columns."""
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise ValueError("matrix must be a list of rows")
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("matrix rows must all have the same length")
+    if len(matrix) > SNF_MAX_DIM or (matrix and len(matrix[0]) > SNF_MAX_DIM):
+        raise ValueError(f"matrix is {len(matrix)}x{len(matrix[0])}; at most "
+                         f"{SNF_MAX_DIM} rows and {SNF_MAX_DIM} columns are accepted")
+    if any(isinstance(x, bool) or not isinstance(x, int) for row in matrix for x in row):
+        raise ValueError("matrix entries must be integers")
+
+
 def _identity(n: int):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -182,13 +203,14 @@ def smith_normal_form(matrix):
     """U * M * V = D with d1 | d2 | ... and U, V unimodular.
 
     Returns (factors, U, V, D); ``factors`` is the full diagonal of D
-    including zeros.  U^-1 and V^-1 are carried through the same
-    elementary operations and the result is certified before returning
-    (see ``_verify_snf``).
+    including zeros.  The matrix is checked first (``_check_matrix``).
+    U^-1 and V^-1 are carried through the same elementary operations and
+    the result is certified before returning (see ``_verify_snf``).
     """
+    _check_matrix(matrix)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    a = [[int(x) for x in row] for row in matrix]
+    a = [list(row) for row in matrix]
     u = _identity(m)
     u_inv_t = _identity(m)  # columns of U^-1
     v_t = _identity(n)  # columns of V
@@ -312,12 +334,10 @@ def _verify_snf(matrix, factors, u, u_inv, v, v_inv, d) -> None:
 
 def decompose(presentation) -> FGAbelianGroup:
     """Cokernel of a presentation: rows are relations among the column
-    generators, so the group is Z^cols modulo the row span."""
-    if not presentation or not presentation[0]:
-        ncols = len(presentation[0]) if presentation else 0
-        return FGAbelianGroup(rank=ncols)
-    ncols = len(presentation[0])
+    generators, so the group is Z^cols modulo the row span.  The matrix
+    rules are ``smith_normal_form``'s."""
     factors, *_ = smith_normal_form(presentation)
+    ncols = len(presentation[0]) if presentation else 0
     nonzero = [f for f in factors if f != 0]
     rank = ncols - len(nonzero)
     return FGAbelianGroup.from_divisors(*([0] * rank), *nonzero)

@@ -53,6 +53,9 @@ DEFAULT_NUCLEUS_CAP = 64
 # the centre reads the dense integer structure tensor: dim^3 int64 entries,
 # 16 MB at dim 128
 DEFAULT_CENTRE_CAP = 128
+# verify_embeddings does about cd_dim^2 * dim Fraction operations: 1.4 s for
+# mat2 (x) A_5 (2^17), 11 s for mat2 (x) A_6 (2^20)
+DEFAULT_EMBEDDING_CAP = 1 << 18
 
 
 def _frac_vec(values):
@@ -474,7 +477,12 @@ def embed_factors(algebra: TensorAlgebra):
 
 def verify_embeddings(algebra: TensorAlgebra) -> dict:
     """Check both embeddings are unital homomorphisms on basis products and
-    that they commute elementwise."""
+    that they commute elementwise.  Refuses cd_dim^2 * dim above
+    ``DEFAULT_EMBEDDING_CAP`` before any product."""
+    work = algebra.cd_dim ** 2 * algebra.dim
+    if work > DEFAULT_EMBEDDING_CAP:
+        raise DimTooLarge(f"embedding check capped at cd_dim^2 * dim = "
+                          f"{DEFAULT_EMBEDDING_CAP}, got {work}")
     embed_base, embed_cd = embed_factors(algebra)
     nb = algebra.base.dim
     report = {"base_homomorphism": True, "cd_homomorphism": True,

@@ -37,6 +37,10 @@ from .exact import (
 
 DEFAULT_MAX_LEVEL = 8
 
+# the dense gamma array has dim^3 entries: 27.6 MB of JSON at level 7 and
+# 219 MB, with 1.5 GB of peak memory to encode it, at level 8
+DENSE_MAX_LEVEL = 7
+
 # cd_multiply runs int products as int64 matvecs from this level on; below
 # it structure_multiply is faster than numpy's per-call overhead
 VECTOR_MIN_LEVEL = 4
@@ -123,6 +127,11 @@ class MultiplicationTable:
         return coeffs.take(cols, axis=-1) * signs[side]
 
     def dense_gamma(self):
+        """gamma[p][q][k], the e_k coefficient of e_p e_q, as nested lists;
+        refused above ``DENSE_MAX_LEVEL`` before any list is built."""
+        if self.level > DENSE_MAX_LEVEL:
+            raise LevelTooLarge(f"dense gamma capped at level {DENSE_MAX_LEVEL}, "
+                                f"got {self.level}")
         n = self.dim
         out = [[[0] * n for _ in range(n)] for _ in range(n)]
         for p in range(n):
@@ -507,15 +516,21 @@ class ExhaustiveBasis:
 
 # random samples have integer entries in -SAMPLE_BOUND..SAMPLE_BOUND
 SAMPLE_BOUND = 3
+# samples a RandomSample may draw; README.md gives the measured cost at the cap
+MAX_SAMPLE_COUNT = 1000
 
 
 @dataclass(frozen=True)
 class RandomSample:
-    """Check identities on seeded random coefficient vectors with integer
-    entries in -3..3."""
+    """Check identities on ``count`` (1..``MAX_SAMPLE_COUNT``) seeded random
+    coefficient vectors with integer entries in -3..3."""
 
     count: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if not 1 <= self.count <= MAX_SAMPLE_COUNT:
+            raise ValueError(f"count must lie in 1..{MAX_SAMPLE_COUNT}, got {self.count}")
 
     def describe(self) -> dict:
         return {"mode": "random-sample", "count": self.count, "seed": self.seed}

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import abelian as ab
 from . import algebras as qa
@@ -35,11 +35,14 @@ from .exact import DEFAULT_TOLERANCE, parse_number
 
 @dataclass
 class CommandResult:
+    """An exit code, its payload and, from ``run``, the payload's JSON text."""
+
     code: int
     payload: dict
+    text: str = field(default="", repr=False, compare=False)
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, indent=2, sort_keys=True)
+        return self.text
 
 
 class InputError(ValueError):
@@ -58,21 +61,12 @@ def _load_json(path: str, kind: type):
     return data
 
 
-def _bounded(value: int, flag: str, low: int, high: int) -> None:
-    if not low <= value <= high:
-        raise InputError(f"{flag} must lie in {low}..{high}, got {value}")
-
-
 def _tolerance(text: str) -> float:
     """The argparse type of ``--tolerance``: a finite float >= 0."""
     value = float(text)
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
-
-
-# caps checked before any work; README.md gives the measured cost at each
-MAX_SAMPLE_COUNT = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +104,6 @@ def _cmd_props(args) -> CommandResult:
     if args.mode == "exhaustive-basis":
         mode = ExhaustiveBasis()
     else:
-        _bounded(args.count, "--count", 1, MAX_SAMPLE_COUNT)
         mode = RandomSample(count=args.count, seed=args.seed)
     report = identity_battery(args.level, mode)
     return CommandResult(0, report.to_json_dict())
@@ -207,8 +200,6 @@ def _cmd_heyting(args) -> CommandResult:
             code = 1
     elif args.action == "quotient":
         members = [int(x) for x in args.filter.split(",")] if args.filter else []
-        if any(not 0 <= m < algebra.n for m in members):
-            raise InputError(f"--filter indices must lie in 0..{algebra.n - 1}")
         filt = hey.filter_generate(algebra, members)
         quotient, projection = hey.quotient_by_filter(algebra, filt)
         payload["filter"] = sorted(filt.members)
@@ -217,49 +208,15 @@ def _cmd_heyting(args) -> CommandResult:
     return CommandResult(code, payload)
 
 
-# Rows and columns `abelian snf` and `decompose` accept.  The transforms U
-# and V grow with the size: a 40x40 matrix with entries in [-9, 9] gets
-# entries of about 1200 digits and takes well under a second; at 60x60 they
-# pass the 4300 digits Python will print.
-SNF_MAX_DIM = 40
-
-
-def _parse_matrix(args):
-    if args.input is not None:
-        matrix = _load_json(args.input, list)
-    else:
-        matrix = json.loads(args.matrix)
-    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-        raise InputError("matrix must be a JSON list of rows")
-    if any(len(row) != len(matrix[0]) for row in matrix):
-        raise InputError("matrix rows must all have the same length")
-    if len(matrix) > SNF_MAX_DIM or (matrix and len(matrix[0]) > SNF_MAX_DIM):
-        raise InputError(f"matrix is {len(matrix)}x{len(matrix[0])}; at most "
-                         f"{SNF_MAX_DIM} rows and {SNF_MAX_DIM} columns are accepted")
-    if any(isinstance(x, bool) or not isinstance(x, int) for row in matrix for x in row):
-        raise InputError("matrix entries must be integers")
-    return matrix
-
-
-def _check_printable(*matrices):
-    """Reject integers longer than the interpreter will print, which would
-    otherwise fail only when the payload is serialized."""
-    limit = sys.get_int_max_str_digits()
-    bound = 10 ** limit
-    if limit and any(abs(x) >= bound for mat in matrices for row in mat for x in row):
-        raise InputError(f"SNF entries exceed {limit} decimal digits")
-
-
 def _cmd_abelian(args) -> CommandResult:
-    if args.action == "snf":
-        matrix = _parse_matrix(args)
+    if args.action in ("snf", "decompose"):
+        # the library checks the matrix
+        matrix = json.loads(args.matrix) if args.input is None else _load_json(args.input, list)
+        if args.action == "decompose":
+            group = ab.decompose(matrix)
+            return CommandResult(0, {"group": group.to_json_dict(), "name": str(group)})
         factors, u, v, d = ab.smith_normal_form(matrix)
-        _check_printable(u, v, d)
         return CommandResult(0, {"factors": factors, "U": u, "V": v, "D": d})
-    if args.action == "decompose":
-        matrix = _parse_matrix(args)
-        group = ab.decompose(matrix)
-        return CommandResult(0, {"group": group.to_json_dict(), "name": str(group)})
     if args.action in ("hom", "ext", "tensor"):
         g = ab.parse_group(args.g)
         h = ab.parse_group(args.h)
@@ -484,20 +441,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _encode(code: int, payload: dict) -> CommandResult:
+    return CommandResult(code, payload, json.dumps(payload, indent=2, sort_keys=True))
+
+
 def run(argv) -> CommandResult:
-    """Parse ``argv`` and dispatch; safe to call repeatedly in one
-    process."""
+    """Parse ``argv``, dispatch and encode the payload once; safe to call
+    repeatedly in one process.  The encoding is inside the error handling,
+    so an answer holding an integer longer than the interpreter prints
+    (``sys.get_int_max_str_digits()``) is exit 2 with a JSON error."""
     try:
         args = _parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        result = _HANDLERS[args.command](args)
+        return _encode(result.code, result.payload)
     except SystemExit as exc:
         # argparse has printed the help for --help (usage errors raise
         # InputError)
-        return CommandResult(2, {"error": "usage"}) if exc.code else CommandResult(0, {})
+        return _encode(2, {"error": "usage"}) if exc.code else _encode(0, {})
     except InputError as exc:
-        return CommandResult(2, {"error": str(exc)})
+        return _encode(2, {"error": str(exc)})
     except (ValueError, KeyError, OSError) as exc:
-        return CommandResult(2, {"error": f"{type(exc).__name__}: {exc}"})
+        return _encode(2, {"error": f"{type(exc).__name__}: {exc}"})
 
 
 def _render_text(payload, indent=0):

@@ -14,9 +14,10 @@ lift only if the matrix exactly annihilates the nullspace basis the lifted
 form gives.  Those n - rank_p vectors then lie in the nullspace, whose
 dimension is at most n - rank_p (reduction mod p only loses rank), so they
 span it; the lifted rows span its orthogonal complement, the row space, and
-a reduced form of the row space is unique.  A failed lift or check tries
-the next prime, then fraction-free elimination (Bareiss 1968, Math. Comp.
-22), exact by construction.
+a reduced form of the row space is unique.  A failed lift or check falls
+back to fraction-free elimination (Bareiss 1968, Math. Comp. 22), exact by
+construction: a second prime has the same lift bound, so it would fail the
+same lifts again.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 
-# 2^31 - 1 and the next prime below it: residues stay below 2^31, so a
-# product of two fits in int64
+# 2^31 - 1: residues stay below 2^31, so a product of two fits in int64
 CERTIFICATE_PRIME = 2_147_483_647
-CERTIFICATE_PRIMES = (CERTIFICATE_PRIME, 2_147_483_629)
 # an integer product runs in int64 only when inner length * max|a| * max|b|
 # is below this, so no partial sum can overflow
 INT64_PRODUCT_BOUND = 1 << 62
@@ -204,14 +203,11 @@ def rref(matrix):
         return [], []
     ncols = len(rows[0])
     ints = integer_basis(rows, ncols)
-    for p in CERTIFICATE_PRIMES:
-        residues = (ints % p).astype(np.int64)
-        pivots, _ = echelon_mod_p(residues, p)
-        reduced = _lift(residues[:len(pivots)], p)
-        if reduced is not None and not exact_matmul(
-                ints, integer_basis(_basis(reduced, pivots, ncols), ncols).T).any():
-            break
-    else:
+    residues = (ints % CERTIFICATE_PRIME).astype(np.int64)
+    pivots, _ = echelon_mod_p(residues)
+    reduced = _lift(residues[:len(pivots)], CERTIFICATE_PRIME)
+    if reduced is None or exact_matmul(
+            ints, integer_basis(_basis(reduced, pivots, ncols), ncols).T).any():
         reduced, pivots = _bareiss_rref(rows, ncols)
     return reduced + [[Fraction(0)] * ncols for _ in rows[len(pivots):]], pivots
 

@@ -675,6 +675,11 @@ def law_report(h: HeytingAlgebra) -> LawReport:
 # filters, quotients, morphisms
 # ---------------------------------------------------------------------------
 
+def _check_members(h: HeytingAlgebra, members: set) -> None:
+    if not members <= set(h.elements()):
+        raise InvalidFilter(f"filter members must lie in 0..{h.n - 1}")
+
+
 @dataclass(frozen=True)
 class Filter:
     """Meet-closed upward-closed subset containing the top element.
@@ -689,8 +694,7 @@ class Filter:
 
     def __post_init__(self):
         h = self.algebra
-        if not self.members <= set(h.elements()):
-            raise InvalidFilter(f"filter members must lie in 0..{h.n - 1}")
+        _check_members(h, self.members)
         if h.top not in self.members:
             raise InvalidFilter("filter must contain the top element")
         least = functools.reduce(lambda x, y: h.meet[x][y], self.members, h.top)
@@ -708,8 +712,10 @@ class Filter:
 
 
 def filter_generate(h: HeytingAlgebra, generators) -> Filter:
-    """Smallest filter containing the generators: the up-set of their
-    meet, {top} when there are none."""
+    """Smallest filter containing the generators, which must be elements:
+    the up-set of their meet, {top} when there are none."""
+    generators = set(generators)
+    _check_members(h, generators)
     least = functools.reduce(lambda x, g: h.meet[x][g], generators, h.top)
     return Filter(h, h.up_set(least))
 

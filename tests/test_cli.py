@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import cli, jets
+from hyperlab import abelian, algebras, cayley_dickson, cli, heyting, jets
 from hyperlab.abelian import FGAbelianGroup
 from hyperlab.algebras import BASE_ALGEBRAS
 from hyperlab.cayley_dickson import CDElement
@@ -639,8 +639,8 @@ class TestDispatch:
         result = payload(["abelian", action, "--input", str(path)])
         assert time.perf_counter() - start < 1.0
         assert result.code == 2
-        assert result.payload == {"error": f"matrix is {rows}x{cols}; at most 40 "
-                                           "rows and 40 columns are accepted"}
+        assert result.payload == {"error": f"ValueError: matrix is {rows}x{cols}; at "
+                                           "most 40 rows and 40 columns are accepted"}
 
     def test_unprintable_snf_entry_is_a_json_error(self, capsys):
         # 100-digit entries give transforms of about 12,000 digits, past
@@ -659,8 +659,8 @@ class TestDispatch:
             sys.set_int_max_str_digits(limit)
         assert elapsed < 1.0
         assert code == 2
-        assert json.loads(capsys.readouterr().out) == {
-            "error": "SNF entries exceed 4300 decimal digits"}
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith("ValueError: Exceeds the limit (4300 digits)")
 
     def test_main_prints_json(self, capsys):
         code = main(["abelian", "ext", "--g", "Z28", "--h", "Z2", "--json"])
@@ -698,6 +698,59 @@ class TestDispatch:
         stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in stderr
+
+
+# One row per input rule the library owns: the library call and the argv
+# that reach it with the same bad input
+_CHAIN3 = heyting.heyting_from_chain(3)
+_RULES = [
+    *[pytest.param(lambda c=count: cayley_dickson.RandomSample(count=c),
+                   ["props", "--level", "2", "--mode", "random-sample", "--count", str(count)],
+                   id=f"count {count}")
+      for count in (0, -5, 1001)],
+    *[pytest.param(lambda m=matrix: abelian.smith_normal_form(m),
+                   ["abelian", "snf", "--matrix", json.dumps(matrix)], id=f"snf {name}")
+      for name, matrix in [("41x41", [[1] * 41] * 41), ("ragged", [[1, 2], [3]]),
+                           ("bool", [[True, 2]]), ("float", [[2.7, 0], [0, 3]])]],
+    *[pytest.param(lambda g=g: heyting.filter_generate(_CHAIN3, [g]),
+                   ["heyting", "quotient", "--chain", "3", "--filter", str(g)],
+                   id=f"filter {g}")
+      for g in (-1, _CHAIN3.n)],
+    pytest.param(lambda: cayley_dickson.structure_constants(8).dense_gamma(),
+                 ["table", "--level", "8", "--dense"], id="dense level 8"),
+    pytest.param(lambda: algebras.verify_embeddings(
+                     algebras.tensor_algebra(algebras.matrix2_algebra(), 6)),
+                 ["qalg", "--base", "mat2", "--level", "6", "--op", "tensor"],
+                 id="embeddings mat2 level 6"),
+]
+
+
+class TestLibraryRules:
+    @pytest.mark.parametrize("call, argv", _RULES)
+    def test_library_and_cli_refuse_alike(self, call, argv):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            call()
+        result = payload(argv)
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert result.payload == {
+            "error": f"{type(refused.value).__name__}: {refused.value}"}
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_unprintable_answer_is_one_json_error(self, flags, capsys):
+        # Ext has order P^4: the 3,002-digit P parses, its powers do not print
+        group = f"Z{10 ** 3001 + 7}+Z{10 ** 3001 + 7}"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main(["abelian", "extension-count", "--base", group,
+                         "--fiber", group, *flags])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out = capsys.readouterr().out
+        assert code == 2
+        assert list(json.loads(out)) == ["error"]
 
 
 # Values as JSON text, each with the exact value it names, or None where the

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hyperlab import exact
 from hyperlab.exact import (
     CERTIFICATE_PRIME,
-    CERTIFICATE_PRIMES,
     NumberTooLarge,
     exact_matmul,
     integer_basis,
@@ -112,16 +111,12 @@ class TestCertificate:
         monkeypatch.setattr(exact, "_lift", spy_lift)
         monkeypatch.setattr(exact, "_bareiss_rref", spy_bareiss)
         assert rref([[65537, 1]]) == ([[Fraction(1), Fraction(1, 65537)]], [0])
-        # no lift in bound for the first prime; the second gives a wrong
-        # small rational (-32767/32750), which the exact check rejects
-        assert calls["lift"] == [
-            (CERTIFICATE_PRIMES[0], None),
-            (CERTIFICATE_PRIMES[1], [[Fraction(1), Fraction(-32767, 32750)]]),
-        ]
+        # no lift in bound for the one prime, so Bareiss answers
+        assert calls["lift"] == [(CERTIFICATE_PRIME, None)]
         assert calls["bareiss"] == 1
 
     def test_failed_check_retries_every_prime(self, monkeypatch):
-        # a check that always fails: every prime is tried, then Bareiss
+        # a check that always fails: the one prime is tried, then Bareiss
         # answers, and the answer is still the exact one
         primes = []
         echelon = exact.echelon_mod_p
@@ -135,27 +130,35 @@ class TestCertificate:
                             lambda a, b: np.ones((a.shape[0], b.shape[1]), dtype=np.int64))
         matrix = [[1, 2, 3], [2, 4, 7], [Fraction(1, 2), 1, 0]]
         assert rref(matrix) == oracles.rref(matrix)
-        assert primes == list(CERTIFICATE_PRIMES)
+        assert primes == [CERTIFICATE_PRIME]
 
     def test_wrong_lift_is_never_returned(self, monkeypatch):
-        # the first prime's lift is corrupted; the check rejects it
-        lift, seen = exact._lift, []
+        # the prime's lift is corrupted; the check rejects it and Bareiss
+        # answers
+        lift, seen, bareiss = exact._lift, [], exact._bareiss_rref
+        calls = []
 
-        def corrupt_first(residues, p):
+        def corrupt(residues, p):
             rows = lift(residues, p)
-            if not seen:
-                rows[0][-1] += 1
+            rows[0][-1] += 1
             seen.append(p)
             return rows
 
-        monkeypatch.setattr(exact, "_lift", corrupt_first)
+        def spy_bareiss(rows, ncols):
+            calls.append(len(rows))
+            return bareiss(rows, ncols)
+
+        monkeypatch.setattr(exact, "_lift", corrupt)
+        monkeypatch.setattr(exact, "_bareiss_rref", spy_bareiss)
         matrix = [[1, 2, 3], [4, 5, 6]]
         assert rref(matrix) == oracles.rref(matrix)
-        assert seen == list(CERTIFICATE_PRIMES)
+        assert seen == [CERTIFICATE_PRIME]
+        assert calls == [2]
 
     @pytest.mark.parametrize("entry", [
-        CERTIFICATE_PRIME,  # vanishes mod the first prime only
-        CERTIFICATE_PRIMES[0] * CERTIFICATE_PRIMES[1],  # mod both: Bareiss
+        # each vanishes mod the prime, so Bareiss decides it
+        CERTIFICATE_PRIME,
+        CERTIFICATE_PRIME * 2_147_483_629,
     ])
     def test_prime_multiples_are_decided_exactly(self, entry):
         assert rref([[entry, 0], [0, 0]]) == ([[1, 0], [0, 0]], [0])
