@@ -66,11 +66,13 @@ class InvalidConjugation(ValueError):
     """Doubling seed violates the conjugation axioms."""
 
 
-def _check_level(r: int) -> None:
-    if r < 0:
-        raise LevelTooLarge(f"level must be nonnegative, got {r}")
+def check_level(r) -> None:
+    """The one level rule: an int in 0..DEFAULT_MAX_LEVEL; a huge r never builds 2 ** r."""
+    if type(r) is not int or r < 0:
+        raise LevelTooLarge(f"level must be an integer in 0..{DEFAULT_MAX_LEVEL}: {r!r:.40}")
     if r > DEFAULT_MAX_LEVEL:
-        raise LevelTooLarge(f"level {r} exceeds cap {DEFAULT_MAX_LEVEL} (dim {2 ** r})")
+        dim = 2 ** r if r < 64 else f"2^{r}"
+        raise LevelTooLarge(f"level {r} exceeds cap {DEFAULT_MAX_LEVEL} (dim {dim})")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ def _table(r: int) -> MultiplicationTable:
 def structure_constants(r: int) -> MultiplicationTable:
     """Full multiplication table at level r (at most ``DEFAULT_MAX_LEVEL``),
     generated by the doubling recursion; one cached instance per level."""
-    _check_level(r)
+    check_level(r)
     return _table(r)
 
 
@@ -344,8 +346,7 @@ class CDElement:
         Fractions; anything else, "inf" and "nan" among it, raises
         ValueError."""
         level, coeffs = data.get("level"), data.get("coeffs")
-        if type(level) is not int or not 0 <= level <= DEFAULT_MAX_LEVEL:
-            raise ValueError(f"level must be an integer in 0..{DEFAULT_MAX_LEVEL}")
+        check_level(level)
         if not isinstance(coeffs, list):
             raise ValueError("coeffs must be a list")
         return cls(level, [parse_number(c) for c in coeffs])
@@ -777,7 +778,7 @@ def identity_battery(
     no value beyond entry^D * dim^(D-1), which must lie below
     ``INT64_PRODUCT_BOUND`` (``VerificationError`` otherwise).
     """
-    _check_level(r)
+    check_level(r)
     batch = _MonomialBatch(r) if isinstance(mode, ExhaustiveBasis) else _DenseBatch(r, mode)
     verdicts = {}
     for name, arity, degree, check in _IDENTITIES:

@@ -49,12 +49,19 @@ class InputError(ValueError):
     pass
 
 
+def _decode(text: str, source: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"cannot read {source}: {exc}") from exc
+
+
 def _load_json(path: str, kind: type):
     """The JSON value in ``path``, which must be a ``kind``: dict or list."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = _decode(fh.read(), path)
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, kind):
         raise InputError(f"{path} must hold a JSON {'object' if kind is dict else 'list'}")
@@ -123,12 +130,9 @@ def _cmd_zerodiv(args) -> CommandResult:
 
 
 def _base_algebra(name: str) -> qa.StructureAlgebra:
-    try:
+    if name in qa.BASE_ALGEBRAS:
         return qa.BASE_ALGEBRAS[name]()
-    except KeyError:
-        raise InputError(
-            f"unknown base algebra {name!r}; choose from {sorted(qa.BASE_ALGEBRAS)}"
-        )
+    raise InputError(f"unknown base algebra {name!r}; choose from {sorted(qa.BASE_ALGEBRAS)}")
 
 
 def _cmd_qalg(args) -> CommandResult:
@@ -177,7 +181,7 @@ def _heyting_from_args(args) -> hey.HeytingAlgebra:
     if "meet" in data and "impl" in data:
         return hey.HeytingAlgebra.from_json_dict(data)
     if "meet" in data:
-        return hey.heyting_from_lattice(data["meet"], data["join"])
+        return hey.heyting_from_lattice(data["meet"], data.get("join"))
     raise InputError("input file is not a topology, poset, or lattice")
 
 
@@ -211,7 +215,8 @@ def _cmd_heyting(args) -> CommandResult:
 def _cmd_abelian(args) -> CommandResult:
     if args.action in ("snf", "decompose"):
         # the library checks the matrix
-        matrix = json.loads(args.matrix) if args.input is None else _load_json(args.input, list)
+        matrix = (_decode(args.matrix, "--matrix") if args.input is None
+                  else _load_json(args.input, list))
         if args.action == "decompose":
             group = ab.decompose(matrix)
             return CommandResult(0, {"group": group.to_json_dict(), "name": str(group)})
@@ -447,9 +452,9 @@ def _encode(code: int, payload: dict) -> CommandResult:
 
 def run(argv) -> CommandResult:
     """Parse ``argv``, dispatch and encode the payload once; safe to call
-    repeatedly in one process.  The encoding is inside the error handling,
-    so an answer holding an integer longer than the interpreter prints
-    (``sys.get_int_max_str_digits()``) is exit 2 with a JSON error."""
+    repeatedly.  Exit 2 answers a usage error, an InputError, or a reader's
+    ValueError or OSError, the encoding's included (an integer longer than
+    ``sys.get_int_max_str_digits()``); anything else is a fault and raises."""
     try:
         args = _parser().parse_args(argv)
         result = _HANDLERS[args.command](args)
@@ -460,7 +465,7 @@ def run(argv) -> CommandResult:
         return _encode(2, {"error": "usage"}) if exc.code else _encode(0, {})
     except InputError as exc:
         return _encode(2, {"error": str(exc)})
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _encode(2, {"error": f"{type(exc).__name__}: {exc}"})
 
 

@@ -131,6 +131,8 @@ class FiniteTopology:
         index = {p: i for i, p in enumerate(points)}
         masks = []
         for s in subsets:
+            if not index.keys() >= set(s):
+                raise InvalidTopology("open set refers to missing points")
             mask = 0
             for p in s:
                 mask |= 1 << index[p]
@@ -145,7 +147,7 @@ class FiniteTopology:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteTopology":
-        points, opens = data["points"], data["opens"]
+        points, opens = data.get("points"), data.get("opens")
         if not _is_name_list(points):
             raise InvalidTopology("point names must be strings")
         if not isinstance(opens, list) or not all(map(_is_name_list, opens)):
@@ -181,6 +183,8 @@ class FinitePoset:
         n = len(elements)
         le = [[i == j for j in range(n)] for i in range(n)]
         for a, b in pairs:
+            if a not in index or b not in index:
+                raise InvalidPoset("order pair refers to missing elements")
             le[index[a]][index[b]] = True
         # transitive closure before validation, by Warshall: after round
         # k, i <= j whenever a chain from i to j passes only through 0..k
@@ -201,7 +205,7 @@ class FinitePoset:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FinitePoset":
-        elements, le = data["elements"], data["le"]
+        elements, le = data.get("elements"), data.get("le")
         if not _is_name_list(elements):
             raise InvalidPoset("element names must be strings")
         # building and checking the order take n^3 steps, and the up-set
@@ -389,8 +393,8 @@ class HeytingAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HeytingAlgebra":
-        return cls(data["meet"], data["join"], data["impl"],
-                   data["bottom"], data["top"], labels=data.get("labels"))
+        return cls(data.get("meet"), data.get("join"), data.get("impl"),
+                   data.get("bottom"), data.get("top"), labels=data.get("labels"))
 
     def __repr__(self):
         return f"HeytingAlgebra(n={self.n})"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .cayley_dickson import AlgebraMismatch, CDElement, is_operator_invertible
+from .cayley_dickson import AlgebraMismatch, CDElement, check_level, is_operator_invertible
 from .exact import DEFAULT_TOLERANCE, is_exact, is_scalar, parse_number
 from .polynomials import Poly, poly_matrix_determinant
 
@@ -151,6 +151,8 @@ class PDESystem:
     _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.level is not None:
+            check_level(self.level)
         known = set(self.coords.variables)
         for eq in self.equations:
             missing = eq.variables() - known
@@ -183,7 +185,7 @@ class PDESystem:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PDESystem":
         algebra = data.get("algebra") or {}
-        if not isinstance(algebra, dict) or type(algebra.get("level")) not in (int, type(None)):
+        if not isinstance(algebra, dict):
             raise InvalidSystem('algebra must be null or {"level": integer}')
         if not isinstance(data.get("equations"), list):
             raise InvalidSystem("equations must be a list of polynomials")
@@ -340,25 +342,25 @@ class PointClassification:
 
 
 def _fill_point(system: PDESystem, point: dict):
-    """Complete a partial assignment with zeros and check levels agree."""
-    env = {}
-    level = None
-    for value in point.values():
-        if isinstance(value, CDElement):
-            level = value.level if level is None else level
-            if value.level != level:
-                raise AlgebraMismatch("point mixes algebra levels")
+    """Each jet variable's value (zero where the point names none) and the
+    unit; if the point holds an element, scalars become multiples of it."""
+    known = set(system.coords.variables)
+    for name in point:
+        if name not in known:
+            raise ValueError(f"{name!r:.40} is not a jet variable of the system")
+    levels = {value.level for value in point.values() if isinstance(value, CDElement)}
+    if len(levels) > 1:
+        raise AlgebraMismatch("point mixes algebra levels")
+    level = levels.pop() if levels else None
     if level is not None and system.level is not None and level != system.level:
         raise AlgebraMismatch(
             f"point lives at level {level} but the system is pinned to "
             f"level {system.level}"
         )
-    for name in system.coords.variables:
-        if name in point:
-            env[name] = point[name]
-        else:
-            env[name] = CDElement.zero(level) if level is not None else Fraction(0)
     one = CDElement.one(level) if level is not None else Fraction(1)
+    env = {name: point.get(name, 0 * one) for name in system.coords.variables}
+    if level is not None:
+        env = {name: value * one if is_scalar(value) else value for name, value in env.items()}
     return env, one
 
 

@@ -38,8 +38,8 @@ from hyperlab.cayley_dickson import (
     IdentityVerdict,
     PropertyReport,
     RandomSample,
-    _check_level,
     cd_multiply_recursive,
+    check_level,
     norm_sq,
     quaternion_to_complex_matrix,
     structure_constants,
@@ -394,7 +394,7 @@ def identity_battery(
     canonical zero-divisor pair) are probed ahead of random sampling so
     failing identities report a stable witness.
     """
-    _check_level(r)
+    check_level(r)
     dim = 1 << r
     basis = [CDElement.basis(r, k) for k in range(dim)]
     probe = zero_divisor_probe(r)

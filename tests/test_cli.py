@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import abelian, algebras, cayley_dickson, cli, heyting, jets
+from hyperlab import abelian, algebras, cayley_dickson, cli, grid, heyting, jets
 from hyperlab.abelian import FGAbelianGroup
 from hyperlab.algebras import BASE_ALGEBRAS
 from hyperlab.cayley_dickson import CDElement
@@ -753,6 +753,132 @@ class TestLibraryRules:
         assert list(json.loads(out)) == ["error"]
 
 
+# A document nested deeper than ``json`` decodes, a lattice without its join
+# and the r1 point (1, 2^(-1/4), 2^(-1/4)) in (u1_x, u2_x, u1_y), which is
+# Regular, with u1_x misspelled
+_DEEP = "[" * 100_000 + "]" * 100_000
+_LATTICE = {"meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]]}
+_MISSPELLED = [{"u1x": 1, "u2_x": 2 ** -0.25, "u1_y": 2 ** -0.25}]
+_MIXED = [{"u1_x": {"level": 1, "coeffs": [1, 0]}, "u2_y": 0.5}]
+_HUGE = 10 ** 9
+
+# One row per reader of a document: the reader's call on the document and the
+# file that holds it, the document (raw text, or a value written as JSON), the
+# argv that reaches the reader (FILE names the file) and the class of the
+# refusal
+_READERS = [
+    pytest.param(lambda doc, path: cli._decode(doc, "--matrix"), _DEEP,
+                 ["abelian", "snf", "--matrix", _DEEP], cli.InputError, id="deep --matrix"),
+    pytest.param(lambda doc, path: cli._load_json(path, dict), _DEEP,
+                 ["heyting", "build", "--input", "FILE"], cli.InputError, id="deep --input"),
+    pytest.param(lambda doc, path: cli._load_json(path, list), _DEEP,
+                 ["pde", "scan", "--points", "FILE"], cli.InputError, id="deep --points"),
+    *[pytest.param(lambda doc, path, read=read: read(doc), doc,
+                   ["heyting", "build", "--input", "FILE"], refusal, id=name)
+      for name, read, doc, refusal in [
+          ("topology without points", FiniteTopology.from_json_dict, {"opens": [[]]},
+           heyting.InvalidTopology),
+          ("unknown point", FiniteTopology.from_json_dict,
+           {"points": ["a"], "opens": [[], ["a"], ["b"]]}, heyting.InvalidTopology),
+          ("poset without elements", heyting.FinitePoset.from_json_dict, {"le": []},
+           heyting.InvalidPoset),
+          ("unknown element", heyting.FinitePoset.from_json_dict,
+           {"elements": ["a"], "le": [["a", "b"]]}, heyting.InvalidPoset),
+          ("algebra without bottom", heyting.HeytingAlgebra.from_json_dict,
+           {**_LATTICE, "impl": [[1, 1], [0, 1]], "top": 1}, heyting.InvalidLattice),
+      ]],
+    pytest.param(lambda doc, path: cli._heyting_from_args(
+                     argparse.Namespace(chain=None, input=path, direction="up")),
+                 {"meet": _LATTICE["meet"]}, ["heyting", "build", "--input", "FILE"],
+                 heyting.InvalidLattice, id="lattice without join"),
+    pytest.param(lambda doc, path: jets.scan_points(jets.builtin_systems()["r1"], doc),
+                 _MISSPELLED, ["pde", "scan", "--system", "r1", "--points", "FILE"],
+                 ValueError, id="misspelled scan name"),
+    pytest.param(lambda doc, path: jets.load_point(doc[0]),
+                 [{"u1_x": {"level": 1.5, "coeffs": [1, 0]}}],
+                 ["pde", "scan", "--points", "FILE"], cayley_dickson.LevelTooLarge,
+                 id="element level 1.5"),
+    pytest.param(lambda doc, path: jets.PDESystem.from_json_dict(doc),
+                 {"coordinates": COORDS, "equations": [], "algebra": {"level": 99}},
+                 ["pde", "jacobian", "--input", "FILE"], cayley_dickson.LevelTooLarge,
+                 id="system level 99"),
+    *[pytest.param(lambda doc, path, call=call: call(), None, [*command, "--level", str(_HUGE)],
+                   cayley_dickson.LevelTooLarge, id=f"{' '.join(command)} level 10^9")
+      for command, call in [
+          (["table"], lambda: cayley_dickson.structure_constants(_HUGE)),
+          (["props"], lambda: cayley_dickson.identity_battery(
+              _HUGE, cayley_dickson.ExhaustiveBasis())),
+          (["zerodiv"], lambda: cayley_dickson.find_zero_divisors(_HUGE)),
+          (["qalg"], lambda: algebras.tensor_algebra(BASE_ALGEBRAS["real"](), _HUGE)),
+          (["pde", "heat"], lambda: grid.heat_decoupling_check(_HUGE, 64, 100, None, 0)),
+          (["pde", "dalembert"], lambda: grid.cos_sin_dalembert_check(_HUGE, 64, 1, 2)),
+      ]],
+]
+
+
+class TestReaders:
+    """Each reader refuses a bad document with its own ValueError, and
+    ``cli.run`` answers that refusal, an InputError or an OSError with exit 2
+    and nothing else."""
+
+    @pytest.mark.parametrize("read, document, argv, refusal", _READERS)
+    def test_reader_and_cli_refuse_alike(self, read, document, argv, refusal, tmp_path):
+        path = tmp_path / "document.json"
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        start = time.perf_counter()
+        with pytest.raises(refusal) as refused:
+            read(document, str(path))
+        result = payload(argv)
+        assert time.perf_counter() - start < 1.0
+        assert type(refused.value) is refusal
+        assert result.code == 2
+        prefix = "" if refusal is cli.InputError else f"{refusal.__name__}: "
+        assert result.payload == {"error": f"{prefix}{refused.value}"}
+
+    def test_level_messages_name_the_dimension(self):
+        for level in (9, 10, 12, 20):
+            with pytest.raises(cayley_dickson.LevelTooLarge) as refused:
+                cayley_dickson.check_level(level)
+            assert str(refused.value) == f"level {level} exceeds cap 8 (dim {2 ** level})"
+        for level in (2.0, True, "2", None, -1):
+            with pytest.raises(cayley_dickson.LevelTooLarge, match="an integer in 0..8"):
+                cayley_dickson.check_level(level)
+
+    @staticmethod
+    def _outcome(system, raw):
+        """classify_point's answer at the point, or its residuals off the
+        variety."""
+        try:
+            return jets.classify_point(system, jets.load_point(raw))
+        except jets.OffVariety as exc:
+            return exc.residuals
+
+    @pytest.mark.parametrize("name, mixed, key", [
+        ("r1", _MIXED[0], "u2_y"),  # off the variety
+        ("dalembert", {"u": {"level": 1, "coeffs": [1, 2]}, "u_x": 0.5}, "u_x"),  # Regular
+    ])
+    def test_mixed_point_classifies_like_its_element_form(self, name, mixed, key):
+        system = jets.builtin_systems()[name]
+        element = {**mixed, key: {"level": 1, "coeffs": [mixed[key], 0]}}
+        assert self._outcome(system, mixed) == self._outcome(system, element)
+        assert self._outcome(system, mixed) not in ({}, None)
+
+    def test_mixed_point_answers_its_scan(self, tmp_path):
+        result = payload(with_files(["pde", "scan", "--system", "r1", "--points", _MIXED],
+                                    tmp_path))
+        assert result.code in (0, 1)
+        assert [entry["point"] for entry in result.payload["scan"]] == _MIXED
+
+    def test_a_library_key_error_is_a_fault(self, monkeypatch):
+        def fault(matrix):
+            raise KeyError("fault")
+
+        monkeypatch.setattr(abelian, "smith_normal_form", fault)
+        with pytest.raises(KeyError):
+            run(["abelian", "snf", "--matrix", "[[2]]"])
+
+
 # Values as JSON text, each with the exact value it names, or None where the
 # number rule refuses it
 _NUMBERS = [
@@ -830,10 +956,20 @@ def _write_inputs(directory: Path) -> dict:
         "@element": {"level": 1, "coeffs": ["1", "2"]},
         "@matrix": [[2, 0], [0, 3]],
         "@badshape": {"elements": ["a"], "le": 5},
+        "@nopoints": {"opens": [[]]},
+        "@noelements": {"le": []},
+        "@nojoin": {"meet": _LATTICE["meet"]},
+        "@nobottom": {**_LATTICE, "impl": [[1, 1], [0, 1]], "top": 1},
+        "@unknownpoint": {"points": ["a"], "opens": [[], ["a"], ["b"]]},
+        "@unknownelement": {"elements": ["a"], "le": [["a", "b"]]},
+        "@misspelled": _MISSPELLED,
+        "@mixed": _MIXED,
     }
     paths = {"@missing": str(directory / "missing.json"),
-             "@notjson": str(directory / "notjson.json")}
+             "@notjson": str(directory / "notjson.json"),
+             "@deep": str(directory / "deep.json")}
     (directory / "notjson.json").write_text("{")
+    (directory / "deep.json").write_text(_DEEP)
     for token, data in files.items():
         path = directory / f"{token[1:]}.json"
         path.write_text(json.dumps(data))
@@ -998,14 +1134,16 @@ def _ints(low, high):
 
 _LEVEL = _ints(-1, 3)
 _FILES = st.sampled_from(["@n5", "@topology", "@poset", "@points", "@element",
-                          "@matrix", "@badshape", "@missing", "@notjson"])
+                          "@matrix", "@badshape", "@missing", "@notjson", "@deep",
+                          "@nopoints", "@noelements", "@nojoin", "@nobottom",
+                          "@unknownpoint", "@unknownelement", "@misspelled", "@mixed"])
 _GROUPS = st.sampled_from(["Z28", "Z2", "Z^2+Z4", "Z", "0", "Z2^3", "Z2^-1",
                            "Zx", "Z0", "+", ""])
 _FLOATS = st.sampled_from(["1e-9", "0.001", "0", "-1", "nan", "inf", "x"])
 _HEYTING = {"--chain": _ints(-1, 6), "--input": _FILES,
             "--direction": st.sampled_from(["up", "down"])}
 _MATRIX = {"--matrix": st.sampled_from(["[[2,0],[0,3]]", "[[4]]", "[]", "[[]]",
-                                        "[[1],[2,3]]", "[[1.5]]", "{", "5"]),
+                                        "[[1],[2,3]]", "[[1.5]]", "{", "5", _DEEP]),
            "--input": _FILES}
 _GROUP_PAIR = {"--g": _GROUPS, "--h": _GROUPS}
 _SYSTEM = {"--system": st.sampled_from(sorted(jets.builtin_systems()) + ["nonesuch"]),
