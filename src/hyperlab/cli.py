@@ -446,8 +446,77 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is None or key is True or key is False:
+        return _WORDS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _to_json(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, errors
+    included, without json's generators: each container is one join, and a
+    dict the payload holds in several places (zerodiv's elements) is written
+    once per depth.  Every dict met is the payload's, alive for the call, so
+    its id cannot be reused while the memo holds it."""
+    memo = {}
+
+    def encode(o, pad):
+        # ``pad`` is the newline and indentation of the line that holds o
+        kind = type(o)
+        if kind is str:
+            return _ESCAPE(o)
+        if kind is int:
+            return int.__repr__(o)
+        if kind is not dict and kind is not list:
+            if isinstance(o, str):
+                return _ESCAPE(o)
+            if o is None or o is True or o is False:
+                return _WORDS[o]
+            if isinstance(o, int):
+                return int.__repr__(o)
+            if isinstance(o, float):
+                return _float_text(o)
+            if not isinstance(o, (list, tuple, dict)):
+                raise TypeError(f"Object of type {o.__class__.__name__} "
+                                f"is not JSON serializable")
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        inner = pad + "  "
+        if not isinstance(o, dict):
+            return "[" + inner + ("," + inner).join([encode(v, inner) for v in o]) + pad + "]"
+        key = (id(o), len(pad))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = "{" + inner + ("," + inner).join([
+                _ESCAPE(_key_text(k)) + ": " + encode(v, inner)
+                for k, v in sorted(o.items())]) + pad + "}"
+        return text
+
+    return encode(obj, "\n")
+
+
 def _encode(code: int, payload: dict) -> CommandResult:
-    return CommandResult(code, payload, json.dumps(payload, indent=2, sort_keys=True))
+    return CommandResult(code, payload, _to_json(payload))
 
 
 def run(argv) -> CommandResult:

@@ -181,10 +181,13 @@ def residual(system: PDESystem, fields: dict, spacings):
     algebra_valued = isinstance(sample, CDElement)
     one = CDElement.one(sample.level) if algebra_valued else Fraction(1)
 
+    def embed(value):
+        # base coordinates enter as multiples of the unit, with exact zeros
+        # off it, so that mixed monomials stay inside the algebra
+        return CDElement.basis(sample.level, 0, value) if algebra_valued else value * one
+
     def env_at(i, j):
-        # base coordinates enter as multiples of the unit so that mixed
-        # monomials stay inside the algebra
-        env = {x_name: i * h1 * one, y_name: j * h2 * one}
+        env = {x_name: embed(i * h1), y_name: embed(j * h2)}
         for dep, g in grids.items():
             u = g[i, j]
             env[dep] = u

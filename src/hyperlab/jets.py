@@ -343,7 +343,8 @@ class PointClassification:
 
 def _fill_point(system: PDESystem, point: dict):
     """Each jet variable's value (zero where the point names none) and the
-    unit; if the point holds an element, scalars become multiples of it."""
+    unit; if the point holds an element, a scalar becomes its multiple of
+    the unit, with exact zeros off the unit."""
     known = set(system.coords.variables)
     for name in point:
         if name not in known:
@@ -360,7 +361,8 @@ def _fill_point(system: PDESystem, point: dict):
     one = CDElement.one(level) if level is not None else Fraction(1)
     env = {name: point.get(name, 0 * one) for name in system.coords.variables}
     if level is not None:
-        env = {name: value * one if is_scalar(value) else value for name, value in env.items()}
+        env = {name: CDElement.basis(level, 0, value) if is_scalar(value) else value
+               for name, value in env.items()}
     return env, one
 
 

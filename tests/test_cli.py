@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import abelian, algebras, cayley_dickson, cli, grid, heyting, jets
@@ -294,6 +295,17 @@ class TestPde:
         result = payload(["pde", "scan", "--system", "r1", "--points", str(path)])
         assert result.code == 1
         assert result.payload["scan"][0]["classification"] == "OffVariety"
+
+    def test_scalar_in_an_element_point_has_exact_zeros_off_the_unit(self, tmp_path):
+        # -u_x is the minor at column 4: its coefficient off the unit is an
+        # exact zero, which no sign can make -0.0
+        point = [{"u": {"level": 1, "coeffs": [1, 2]}, "u_x": 0.5}]
+        result = payload(with_files(["pde", "scan", "--system", "dalembert", "--points",
+                                     point], tmp_path))
+        minors = {tuple(m["cols"]): m["value"]["coeffs"]
+                  for m in result.payload["scan"][0]["minor_diagnostics"]}
+        assert minors[(4,)] == ["-0.5", "0"]
+        assert "-0.0" not in result.to_json()
 
     def test_malformed_point_error_is_short(self, tmp_path):
         # the whole point was echoed: 1,488,942 bytes of JSON for this file
@@ -1042,6 +1054,78 @@ class TestRepeatedRuns:
         assert cli._parser() is cli._parser()
 
 
+
+def _dumps(value) -> str:
+    """The oracle of ``cli._to_json``."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300,
+                     "", "\x00\x1f\x7f\n", "\u00e9\u2028\U0001f600", '"\\/']))
+
+
+def _dicts(children):
+    # one kind of key per dict, so that the keys sort: text, numbers with
+    # bools among them, or None
+    numbers = st.one_of(st.integers(), st.floats(), st.booleans())
+    return st.one_of(st.dictionaries(st.text(max_size=4), children, max_size=4),
+                     st.dictionaries(numbers, children, max_size=4),
+                     st.dictionaries(st.none(), children, max_size=1))
+
+
+def _shared(children):
+    # one dict held at two depths, and twice at the first
+    return st.tuples(_dicts(children), children).map(
+        lambda drawn: [drawn[0], {"deeper": [drawn[0], drawn[1]]}, drawn[0]])
+
+
+_JSON = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    _dicts(children), _shared(children)), max_leaves=30)
+
+
+class TestEncoder:
+    """``cli._to_json`` writes the bytes of ``json.dumps(value, indent=2,
+    sort_keys=True)`` and raises its errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON)
+    @example(value=[[], {}, [[]], {"a": {}}, ((),), {"": [{}, ()]}])
+    @example(value={1: True, True: 2, 2.5: [False, 0, 1]})
+    def test_equals_json_dumps(self, value):
+        assert cli._to_json(value) == _dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        {"a": object()}, [1, {2, 3}], Fraction(1, 2), {1: "a", "b": 2},
+        {None: 0, "a": 1}, {(1, 2): 3}, [10 ** 4999], {10 ** 4999: 0},
+    ], ids=["object", "set", "Fraction", "int and str keys", "None and str keys",
+            "tuple key", "5,000-digit int", "5,000-digit key"])
+    def test_refuses_like_json_dumps(self, value):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises((TypeError, ValueError)) as expected:
+                _dumps(value)
+            with pytest.raises((TypeError, ValueError)) as got:
+                cli._to_json(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_every_mixed_run_equals_json_dumps(self, input_files, capsys):
+        for argv in TestRepeatedRuns.MIXED:
+            result = run(_resolve(argv, input_files))
+            assert result.to_json() == _dumps(result.payload), argv
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_zerodiv_equals_json_dumps(self, level):
+        result = run(["zerodiv", "--level", str(level)])
+        assert result.to_json() == _dumps(result.payload)
+
+
 # One valid argv per action (per command where there are no actions), chosen
 # so that the handler reaches every flag the action declares; "@" tokens
 # stand for the input files of _write_inputs.
@@ -1223,9 +1307,24 @@ def input_files(tmp_path_factory):
     return _write_inputs(tmp_path_factory.mktemp("inputs"))
 
 
+# each action that reads a file, with the document nested too deep and the
+# scan point that mixes an element and a number
+_FILE_READERS = [["heyting", "build", "--input"], ["abelian", "snf", "--input"],
+                 ["pde", "scan", "--points"], ["pde", "jacobian", "--input"],
+                 ["qalg", "--op", "classic-limit", "--input"]]
+
+
+def _with_every_reader(test):
+    for reader in _FILE_READERS:
+        for token in ("@deep", "@mixed"):
+            test = example(argv=[*reader, token])(test)
+    return test
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(argv=_argvs())
+    @_with_every_reader
     def test_run_answers_every_argv(self, argv, input_files):
         start = time.perf_counter()
         result = run(_resolve(argv, input_files))

@@ -20,7 +20,7 @@ from hyperlab.grid import (
     separable_dalembert_check,
     single_mode_decay_factor,
 )
-from hyperlab.jets import builtin_systems
+from hyperlab.jets import PDESystem, builtin_systems
 
 from oracles import max_abs
 
@@ -110,6 +110,16 @@ class TestResidual:
         ]
         out = residual(systems["dalembert"], {"u": grid}, (h, h))
         assert max_abs(out[0]) < 1e-12
+
+    def test_base_coordinates_have_exact_zeros_off_the_unit(self):
+        # the residual of -x on float elements: its coefficient off the unit
+        # is an exact zero, not -0.0
+        system = PDESystem.from_json_dict({
+            "coordinates": {"independents": ["x", "y"], "dependents": ["u"], "order": 1},
+            "equations": [[{"coeff": -1, "powers": {"x": 1}}]]})
+        grid = [[CDElement(1, [0.5, 0.0]) for _ in range(3)] for _ in range(3)]
+        (value,), = residual(system, {"u": grid}, (0.5, 0.5))[0]
+        assert [str(c) for c in value.coeffs] == ["-0.5", "0"]
 
     def test_too_small_grid(self, systems):
         one = CDElement.one(2)

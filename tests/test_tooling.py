@@ -78,6 +78,30 @@ def test_numpy_import_check_flags_function_local_imports():
     assert numpy_imports(tree) == [4, 5]
 
 
+def json_dumps_calls(tree):
+    """Line of each call of ``json.dumps``, or of ``dumps`` imported from
+    json, in ``tree``."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for alias in node.names if alias.name == "dumps"}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                 or isinstance(node.func, ast.Name) and node.func.id in imported)]
+
+
+def test_one_json_encoder():
+    # cli._to_json writes every payload; json.dumps is the tests' oracle
+    calls = {file: json_dumps_calls(tree) for file, tree in _source_trees().items()}
+    assert {file: lines for file, lines in calls.items() if lines} == {}
+
+
+def test_json_dumps_check_flags_both_spellings():
+    tree = ast.parse("import json\nfrom json import dumps as d\n"
+                     "json.dumps(1)\nd(2)\njson.loads('1')\n")
+    assert json_dumps_calls(tree) == [3, 4]
+
+
 def _loaded(node):
     """Every name and attribute name that ``node`` loads."""
     for sub in ast.walk(node):
