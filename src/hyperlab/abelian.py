@@ -126,7 +126,16 @@ class FGAbelianGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FGAbelianGroup":
-        return cls.from_divisors(*([0] * int(data["rank"])), *data["torsion"])
+        """Reads ``{"rank": r, "torsion": [d1, ...]}``: r a nonnegative int
+        and the d_i ints, normalized as ``from_divisors`` does; anything
+        else raises ValueError."""
+        rank, torsion = data.get("rank"), data.get("torsion")
+        if type(rank) is not int or rank < 0:
+            raise ValueError(f"rank must be a nonnegative integer: {rank!r:.40}")
+        if not isinstance(torsion, list) or any(type(d) is not int for d in torsion):
+            raise ValueError("torsion must be a list of integers")
+        finite = cls.from_divisors(*torsion)
+        return cls(rank + finite.rank, finite.torsion)
 
 
 TRIVIAL = FGAbelianGroup()

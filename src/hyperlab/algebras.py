@@ -180,11 +180,18 @@ class StructureAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "") -> "StructureAlgebra":
-        gamma = [
-            [[parse_number(g) for g in vec] for vec in row] for row in data["gamma"]
-        ]
-        unit = [parse_number(u) for u in data["unit"]]
-        return cls(gamma, unit, name=name)
+        """Reads ``to_json_dict``'s ``gamma``, a list of rows of coefficient
+        lists, and its ``unit`` list, each number by ``exact.parse_number``;
+        any other shape raises InvalidAlgebra."""
+        gamma, unit = data.get("gamma"), data.get("unit")
+        if not isinstance(gamma, list) or not all(
+                isinstance(row, list) and all(isinstance(vec, list) for vec in row)
+                for row in gamma):
+            raise InvalidAlgebra("gamma must be a list of rows of coefficient lists")
+        if not isinstance(unit, list):
+            raise InvalidAlgebra("unit must be a list of coefficients")
+        gamma = [[[parse_number(g) for g in vec] for vec in row] for row in gamma]
+        return cls(gamma, [parse_number(u) for u in unit], name=name)
 
     def __repr__(self):
         return f"StructureAlgebra({self.name}, dim={self.dim})"

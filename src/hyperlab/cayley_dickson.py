@@ -390,22 +390,26 @@ def _conj_vec(v):
     return [v[0]] + [-c for c in v[1:]]
 
 
+def _double(mul, conj, gamma, x, y):
+    """The one statement of the doubling formula: split x = (a, b) and
+    y = (c, d) into halves and return
+
+        (a, b)(c, d) = (a c + gamma * conj(d) b,  d a + b conj(c))
+
+    given the product ``mul`` and conjugation ``conj`` of the halves."""
+    h = len(x) // 2
+    a, b = x[:h], x[h:]
+    c, d = y[:h], y[h:]
+    first = [u + gamma * v for u, v in zip(mul(a, c), mul(conj(d), b))]
+    second = [u + v for u, v in zip(mul(d, a), mul(b, conj(c)))]
+    return first + second
+
+
 def _mul_vec_recursive(x, y):
-    n = len(x)
-    if n == 1:
+    # gamma = -1: in IEEE arithmetic u + (-1) * v is u - v, signed zeros too
+    if len(x) == 1:
         return [x[0] * y[0]]
-    h = n // 2
-    a1, a2 = x[:h], x[h:]
-    b1, b2 = y[:h], y[h:]
-    left = [
-        u - v
-        for u, v in zip(_mul_vec_recursive(a1, b1), _mul_vec_recursive(_conj_vec(b2), a2))
-    ]
-    right = [
-        u + v
-        for u, v in zip(_mul_vec_recursive(b2, a1), _mul_vec_recursive(a2, _conj_vec(b1)))
-    ]
-    return left + right
+    return _double(_mul_vec_recursive, _conj_vec, -1, x, y)
 
 
 def cd_multiply_recursive(a: CDElement, b: CDElement) -> CDElement:
@@ -881,7 +885,8 @@ class ConjugatedAlgebra:
     # vector helpers -------------------------------------------------------
 
     def _zero_vec(self):
-        return [0 * self.mult[0][0][0] for _ in range(self.dim)]
+        # one shared zero: the coefficients are immutable
+        return [0 * self.mult[0][0][0]] * self.dim
 
     def unit_vector(self):
         vec = self._zero_vec()
@@ -922,42 +927,35 @@ class ConjugatedAlgebra:
     def validate(self) -> None:
         """Conjugation axioms: involution fixing the unit, an
         anti-endomorphism, with u + conj(u) and u*conj(u) scalar."""
-        n = self.dim
         unit = self.unit_vector()
-        for p in range(n):
-            e_p = [0 * unit[0]] * n
-            e_p = list(e_p)
+        basis, conj = [], []
+        for p in range(self.dim):
+            e_p = self._zero_vec()
             e_p[p] = e_p[p] + 1
             if any(a != b for a, b in zip(self.multiply(unit, e_p), e_p)):
                 raise InvalidConjugation("first basis vector is not a left unit")
             if any(a != b for a, b in zip(self.multiply(e_p, unit), e_p)):
                 raise InvalidConjugation("first basis vector is not a right unit")
-            twice = self.conjugate_vector(self.conjugate_vector(e_p))
-            if any(a != b for a, b in zip(twice, e_p)):
+            c_p = self.conjugate_vector(e_p)
+            if any(a != b for a, b in zip(self.conjugate_vector(c_p), e_p)):
                 raise InvalidConjugation("conjugation is not an involution")
+            basis.append(e_p)
+            conj.append(c_p)
         if any(a != b for a, b in zip(self.conjugate_vector(unit), unit)):
             raise InvalidConjugation("conjugation moves the unit")
-        basis = []
-        for p in range(n):
-            vec = self._zero_vec()
-            vec[p] = vec[p] + 1
-            basis.append(vec)
-        for p in range(n):
-            self.trace_of(basis[p])  # raises if not scalar
-        for p in range(n):
-            for q in range(n):
+        for e_p, c_p in zip(basis, conj):
+            self._scalar_part([a + b for a, b in zip(e_p, c_p)], "u + conj(u)")
+        for e_p, c_p in zip(basis, conj):
+            for e_q, c_q in zip(basis, conj):
                 # polarized form of u*conj(u) scalar
-                uv = self.multiply(basis[p], self.conjugate_vector(basis[q]))
-                vu = self.multiply(basis[q], self.conjugate_vector(basis[p]))
+                uv = self.multiply(e_p, c_q)
+                vu = self.multiply(e_q, c_p)
                 self._scalar_part(
                     [a + b for a, b in zip(uv, vu)],
                     "u*conj(v) + v*conj(u)",
                 )
-                lhs = self.conjugate_vector(self.multiply(basis[p], basis[q]))
-                rhs = self.multiply(
-                    self.conjugate_vector(basis[q]), self.conjugate_vector(basis[p])
-                )
-                if any(a != b for a, b in zip(lhs, rhs)):
+                lhs = self.conjugate_vector(self.multiply(e_p, e_q))
+                if any(a != b for a, b in zip(lhs, self.multiply(c_q, c_p))):
                     raise InvalidConjugation("conjugation is not an anti-endomorphism")
 
     # conversions -------------------------------------------------------------
@@ -1008,49 +1006,10 @@ def cayley_extension(base: ConjugatedAlgebra, gamma) -> ConjugatedAlgebra:
     """
     n = base.dim
     zero = 0 * gamma
-
-    def pad(first=None, second=None):
-        vec = [zero] * (2 * n)
-        if first is not None:
-            for k, c in enumerate(first):
-                vec[k] = vec[k] + c
-        if second is not None:
-            for k, c in enumerate(second):
-                vec[n + k] = vec[n + k] + c
-        return vec
-
-    basis = []
-    for p in range(n):
-        vec = [zero] * n
-        vec[p] = vec[p] + 1
-        basis.append(vec)
-
-    mult = [[None] * (2 * n) for _ in range(2 * n)]
-    for p in range(2 * n):
-        for q in range(2 * n):
-            if p < n and q < n:
-                mult[p][q] = pad(first=base.mult[p][q])
-            elif p < n:
-                qq = q - n
-                mult[p][q] = pad(second=base.multiply(basis[qq], basis[p]))
-            elif q < n:
-                pp = p - n
-                mult[p][q] = pad(
-                    second=base.multiply(basis[pp], base.conjugate_vector(basis[q]))
-                )
-            else:
-                pp, qq = p - n, q - n
-                prod = base.multiply(base.conjugate_vector(basis[qq]), basis[pp])
-                mult[p][q] = pad(first=[gamma * c for c in prod])
-
-    conj = []
-    for p in range(n):
-        conj.append(pad(first=base.conj[p]))
-    for p in range(n):
-        vec = [zero] * n
-        vec[p] = vec[p] - 1
-        conj.append(pad(second=vec))
-
+    units = [[zero] * p + [zero + 1] + [zero] * (2 * n - 1 - p) for p in range(2 * n)]
+    mult = [[_double(base.multiply, base.conjugate_vector, gamma, e_p, e_q) for e_q in units]
+            for e_p in units]
+    conj = [base.conjugate_vector(e_p[:n]) + [zero - c for c in e_p[n:]] for e_p in units]
     return ConjugatedAlgebra(mult=mult, conj=conj)
 
 

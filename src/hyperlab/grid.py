@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cayley_dickson import AlgebraMismatch, CDElement, structure_constants
+from .cayley_dickson import AlgebraMismatch, CDElement, check_level, structure_constants
 from .exact import DEFAULT_TOLERANCE, SLAB_ENTRIES, integer_vector, rref
 from .jets import PDESystem
 
@@ -121,7 +121,7 @@ def heat_decoupling_check(level: int, nodes: int, steps: int, dt=None,
     component evolves bitwise as it does alone.  Checks the inputs first."""
     _bounded(nodes, "nodes", 1, MAX_NODES["heat"])
     # LevelTooLarge beyond DEFAULT_MAX_LEVEL, before any sample is built
-    structure_constants(level)
+    check_level(level)
     _bounded(steps, "steps", 0, MAX_STEPS)
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -388,7 +388,7 @@ def cos_sin_dalembert_check(level: int, nodes: int, f_axis: int, g_axis: int,
     of [0, 1].  Checks the inputs before any sample is built."""
     _bounded(nodes, "nodes", 1, MAX_NODES["dalembert"])
     # LevelTooLarge beyond DEFAULT_MAX_LEVEL
-    structure_constants(level)
+    check_level(level)
     if min(f_axis, g_axis) < 0:
         raise ValueError("f_axis and g_axis must be >= 0")
     dim = 1 << level

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from hyperlab.cayley_dickson import (
     norm_sq,
     quadratic_algebra,
     quaternion_to_complex_matrix,
+    quaternion_type_algebra,
     structure_constants,
     trace,
 )
@@ -598,6 +600,136 @@ class TestCayleyExtension:
         base.conj[1] = [Fraction(0), Fraction(1)]  # identity map: u*conj(u) not scalar
         with pytest.raises(InvalidConjugation):
             cayley_extension(base, Fraction(-1))
+
+    # (alpha, beta, gamma) of a quaternion-type algebra and the gamma' that
+    # doubles it to dimension 8; no gamma' is -1
+    OCTONION_TYPES = [
+        (Fraction(-1), Fraction(0), Fraction(-1), Fraction(2)),
+        (Fraction(1), Fraction(1), Fraction(1), Fraction(1, 3)),
+        (Fraction(2, 3), Fraction(-1, 2), Fraction(3), Fraction(-5, 2)),
+        (Fraction(-3), Fraction(2), Fraction(1, 2), Fraction(1)),
+        (Fraction(1, 4), Fraction(0), Fraction(-2), Fraction(-3)),
+        (Fraction(5), Fraction(-1, 3), Fraction(-3, 4), Fraction(3, 4)),
+    ]
+
+    @staticmethod
+    def _norm_multiplicative(algebra, rng):
+        x, y = ([Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(algebra.dim)]
+                for _ in range(2))
+        return algebra.norm_of(algebra.multiply(x, y)) == algebra.norm_of(x) * algebra.norm_of(y)
+
+    @pytest.mark.parametrize("alpha, beta, gamma, gamma2", OCTONION_TYPES)
+    def test_octonion_type_norm_is_multiplicative(self, alpha, beta, gamma, gamma2):
+        # the double of an associative quaternion-type algebra is alternative,
+        # so N(uv) = N(u)N(v) for every gamma'.  A swapped operand in the
+        # formula goes unseen over a commutative base (dimension 4) but breaks
+        # this; the double of the double is not multiplicative, which shows
+        # that the check can fail
+        rng = random.Random(8)
+        octonions = cayley_extension(quaternion_type_algebra(alpha, beta, gamma), gamma2)
+        assert all(self._norm_multiplicative(octonions, rng) for _ in range(30))
+        sedenions = cayley_extension(octonions, gamma2)
+        assert not all(self._norm_multiplicative(sedenions, rng) for _ in range(10))
+
+
+def _conjugated_tables(dim, products, conj):
+    """Dense ``mult`` and ``conj`` of a ConjugatedAlgebra from sparse ones:
+    ``products[p, q]`` and ``conj[p]`` map a basis index to its coefficient.
+    A product b_p b_q left out is the other factor when p or q is 0, and
+    zero otherwise."""
+    def dense(terms):
+        vec = [Fraction(0)] * dim
+        for k, c in terms.items():
+            vec[k] = Fraction(c)
+        return vec
+    mult = [[dense(products.get((p, q), {p + q: 1} if 0 in (p, q) else {}))
+             for q in range(dim)] for p in range(dim)]
+    return mult, [dense(conj[p]) for p in range(dim)]
+
+
+def _broken_axioms(mult, conj):
+    """The axioms ``ConjugatedAlgebra.validate`` checks that the tables
+    break, each evaluated directly on the dense tables."""
+    n = len(mult)
+
+    def times(x, y):
+        return [sum(x[p] * y[q] * mult[p][q][k] for p in range(n) for q in range(n))
+                for k in range(n)]
+
+    def bar(x):
+        return [sum(x[p] * conj[p][k] for p in range(n)) for k in range(n)]
+
+    def scalar(x):
+        return not any(x[1:])
+
+    basis = [[int(k == p) for k in range(n)] for p in range(n)]
+    pairs = [(u, v) for u in basis for v in basis]
+    holds = {
+        "left unit": all(times(basis[0], u) == u for u in basis),
+        "right unit": all(times(u, basis[0]) == u for u in basis),
+        "involution": all(bar(bar(u)) == u for u in basis),
+        "fixes the unit": bar(basis[0]) == basis[0],
+        "trace scalar": all(scalar([a + b for a, b in zip(u, bar(u))]) for u in basis),
+        "polar form scalar": all(
+            scalar([a + b for a, b in zip(times(u, bar(v)), times(v, bar(u)))])
+            for u, v in pairs),
+        "anti-endomorphism": all(bar(times(u, v)) == times(bar(v), bar(u))
+                                 for u, v in pairs),
+    }
+    return {name for name, ok in holds.items() if not ok}
+
+
+_STANDARD_CONJ = {0: {0: 1}, 1: {1: -1}, 2: {2: -1}}
+
+# One input per InvalidConjugation message of validate, in the order it
+# checks them: (dimension, sparse products, sparse conjugation, the axioms the
+# input breaks, the message).  Only the anti-endomorphism can be broken
+# alone.  The axioms are not independent:
+# - with the unit fixed, u + conj(u) scalar makes conj an involution;
+# - the unit, an involution and an anti-endomorphism fix the unit
+#   (conj(e) is then a two-sided unit), and with the unit fixed they make a
+#   one-sided unit two-sided;
+# - u conj(v) + v conj(u) at v = e is u + conj(u);
+# - with an involutive anti-endomorphism, u conj(v) + v conj(u) is the
+#   trace of u conj(v).
+# So no single-axiom input reaches the left unit, right unit, involution,
+# moves-the-unit, u + conj(u) or u*conj(v) + v*conj(u) message; each input
+# below breaks the named axiom and one other.
+_INVALID_CONJUGATIONS = [
+    pytest.param(2, {(0, 1): {0: 1, 1: 1}, (1, 1): {0: -1}}, _STANDARD_CONJ,
+                 {"left unit", "anti-endomorphism"},
+                 "first basis vector is not a left unit", id="left unit"),
+    pytest.param(2, {(1, 0): {0: 1, 1: 1}, (1, 1): {0: -1}}, _STANDARD_CONJ,
+                 {"right unit", "anti-endomorphism"},
+                 "first basis vector is not a right unit", id="right unit"),
+    pytest.param(1, {}, {0: {}}, {"involution", "fixes the unit"},
+                 "conjugation is not an involution", id="involution"),
+    pytest.param(1, {}, {0: {0: -1}}, {"fixes the unit", "anti-endomorphism"},
+                 "conjugation moves the unit", id="moves the unit"),
+    pytest.param(2, {(1, 1): {0: -1}}, {0: {0: 1}, 1: {1: 1}},
+                 {"trace scalar", "polar form scalar"},
+                 "u + conj(u) is not a multiple of the unit", id="trace"),
+    pytest.param(2, {(1, 1): {1: 1}}, _STANDARD_CONJ,
+                 {"polar form scalar", "anti-endomorphism"},
+                 "u*conj(v) + v*conj(u) is not a multiple of the unit", id="polar form"),
+    pytest.param(3, {(1, 2): {0: 1}, (2, 1): {0: -1}}, _STANDARD_CONJ,
+                 {"anti-endomorphism"},
+                 "conjugation is not an anti-endomorphism", id="anti-endomorphism"),
+]
+
+
+class TestValidate:
+    def test_complex_numbers_break_nothing(self):
+        mult, conj = _conjugated_tables(2, {(1, 1): {0: -1}}, _STANDARD_CONJ)
+        assert _broken_axioms(mult, conj) == set()
+        assert ConjugatedAlgebra(mult, conj).norm_of([Fraction(3), Fraction(4)]) == 25
+
+    @pytest.mark.parametrize("dim, products, conj, broken, message", _INVALID_CONJUGATIONS)
+    def test_each_message(self, dim, products, conj, broken, message):
+        mult, conj = _conjugated_tables(dim, products, conj)
+        assert _broken_axioms(mult, conj) == broken
+        with pytest.raises(InvalidConjugation, match=f"^{re.escape(message)}$"):
+            ConjugatedAlgebra(mult, conj)
 
 
 class TestPauli:

@@ -828,10 +828,36 @@ _READERS = [
 ]
 
 
+# Readers the CLI does not reach: (reader, document, class of the refusal)
+_LIBRARY_READERS = [
+    *[pytest.param(FGAbelianGroup.from_json_dict, doc, ValueError, id=f"group {doc}")
+      for doc in [{}, {"rank": 0}, {"rank": 0, "torsion": 5}, {"rank": -1, "torsion": []},
+                  {"rank": 1.5, "torsion": []}, {"rank": True, "torsion": []},
+                  {"rank": 0, "torsion": ["6"]}]],
+    *[pytest.param(algebras.StructureAlgebra.from_json_dict, doc, algebras.InvalidAlgebra,
+                   id=f"algebra {doc}")
+      for doc in [{}, {"gamma": 3, "unit": [1]}, {"gamma": [[1]], "unit": [1]},
+                  {"gamma": [[[1]]]}, {"gamma": [[[1]]], "unit": 1},
+                  {"gamma": [[[1, 0]]], "unit": [1]}]],
+]
+
+
 class TestReaders:
     """Each reader refuses a bad document with its own ValueError, and
     ``cli.run`` answers that refusal, an InputError or an OSError with exit 2
     and nothing else."""
+
+    @pytest.mark.parametrize("read, document, refusal", _LIBRARY_READERS)
+    def test_library_reader_refuses(self, read, document, refusal):
+        with pytest.raises(refusal) as refused:
+            read(document)
+        assert type(refused.value) is refusal
+
+    def test_group_reader_normalizes_torsion(self):
+        read = FGAbelianGroup.from_json_dict
+        assert read({"rank": 1, "torsion": [0, -4, 6, 1]}) == FGAbelianGroup(2, (2, 12))
+        # a rank past any list of divisors the reader could build
+        assert read({"rank": 10 ** 12, "torsion": []}).rank == 10 ** 12
 
     @pytest.mark.parametrize("read, document, argv, refusal", _READERS)
     def test_reader_and_cli_refuse_alike(self, read, document, argv, refusal, tmp_path):

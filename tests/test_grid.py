@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import grid
+from hyperlab import cayley_dickson, grid
 from hyperlab.cayley_dickson import CDElement
 from hyperlab.grid import (
     GridField,
@@ -284,6 +284,13 @@ class TestActionChecks:
         assert out["componentwise_decoupling"] is True
         assert out["dt"] == 1 / 128
         assert (out["nodes"], out["steps"], out["level"], len(out["final_mean"])) == (8, 3, 2, 4)
+
+    def test_heat_builds_no_table(self, monkeypatch):
+        # heat multiplies nothing, so checking its level builds no sign table
+        built = []
+        monkeypatch.setattr(cayley_dickson, "_table", built.append)
+        assert heat_decoupling_check(8, 4, 1)["componentwise_decoupling"] is True
+        assert built == []
 
     @pytest.mark.parametrize("args, error", [
         ((2, 0, 3), "nodes must lie in 1..1024, got 0"),

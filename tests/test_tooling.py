@@ -1,6 +1,8 @@
 """Source-level rules for the package itself."""
 
 import ast
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -164,3 +166,37 @@ def test_reachability_flags_test_helpers_put_back():
         <= {node.name for node in helpers}
     trees["heyting.py"].body.extend(helpers)
     assert unreached(trees) == sorted(("heyting.py", node.name) for node in helpers)
+
+
+def benchmark_lookups():
+    """(module, dotted attribute) of each program name the benchmark reads
+    by name: every target ``perfbench/spans.py`` wraps, and the recursive
+    product and element reader that ``perfbench/checks.py`` re-multiplies
+    zero divisors with."""
+    path = TESTS.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [(module, attr) for module, attr, *_ in spans.TARGETS] + [
+        ("cayley_dickson", "cd_multiply_recursive"),
+        ("cayley_dickson", "CDElement.from_json_dict"),
+        ("cayley_dickson", "CDElement.is_zero"),
+    ]
+
+
+def resolve(module, attr):
+    found = importlib.import_module(f"hyperlab.{module}")
+    for part in attr.split("."):
+        found = getattr(found, part)
+    return found
+
+
+@pytest.mark.parametrize("module, attr", benchmark_lookups())
+def test_benchmark_lookups_resolve(module, attr):
+    # a rename fails here, not only in the benchmark's traced runs
+    assert callable(resolve(module, attr))
+
+
+def test_lookup_check_flags_a_rename():
+    with pytest.raises(AttributeError):
+        resolve("cayley_dickson", "CDElement.from_json")
