@@ -8,15 +8,24 @@ plain equality.  The chain comes from gcd/lcm swaps (Z/a + Z/b is
 Z/gcd(a, b) + Z/lcm(a, b)), never from factoring.  All matrix work uses
 Python's arbitrary-precision ints.
 
-``smith_normal_form`` carries U^-1 and V^-1 through the elementary
-operations it applies to U and V, and certifies its answer exactly:
+``smith_normal_form`` certifies its answer exactly, by one of two routes
+chosen from the input alone.  Both check that D is diagonal and that its
+diagonal is a divisibility chain.
 
-- D is diagonal and its diagonal is a divisibility chain;
-- U * U^-1 = I and V^-1 * V = I.  All four are integer matrices, so
-  det U * det U^-1 = 1 with both determinants integers, hence
-  det U = +-1 and U is unimodular; likewise V;
-- U * M = D * V^-1, which with V^-1 * V = I gives U * M * V = D.  D is
-  diagonal, so the right side only scales rows of V^-1.
+- M square with det M != 0: det M comes first, from forward-only
+  fraction-free elimination (``exact.integer_determinant``) of the input
+  M, not of U or V, whose entries can run to hundreds of digits.  No
+  inverse is carried.  Then (U * M) * V = D and |d1 * ... * dn| = |det M|
+  are checked.  det U * det M * det V = d1 * ... * dn, so |det U * det V|
+  = 1 with both determinants integers, hence U and V are unimodular.
+- Otherwise (M rectangular or singular, where det M says nothing about
+  det U * det V): U^-1 and V^-1 are carried through the elementary
+  operations applied to U and V, and U * U^-1 = I and V^-1 * V = I are
+  checked.  All four are integer matrices, so det U * det U^-1 = 1 with
+  both determinants integers, hence det U = +-1 and U is unimodular;
+  likewise V.  Last, U * M = D * V^-1, which with V^-1 * V = I gives
+  U * M * V = D.  D is diagonal, so the right side only scales rows of
+  V^-1.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
 
-from .exact import VerificationError
+from .exact import VerificationError, integer_determinant
 
 
 class InfiniteGroup(ValueError):
@@ -212,44 +221,52 @@ def smith_normal_form(matrix):
     """U * M * V = D with d1 | d2 | ... and U, V unimodular.
 
     Returns (factors, U, V, D); ``factors`` is the full diagonal of D
-    including zeros.  The matrix is checked first (``_check_matrix``).
-    U^-1 and V^-1 are carried through the same elementary operations and
-    the result is certified before returning (see ``_verify_snf``).
+    including zeros.  The matrix is checked first (``_check_matrix``).  The
+    result is certified before returning, by det M when M is square with
+    det M != 0 (``_verify_snf_by_det``) and otherwise by U^-1 and V^-1,
+    carried through the same elementary operations (``_verify_snf``).
     """
     _check_matrix(matrix)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
+    det = integer_determinant(matrix) if m == n else 0
+    carry = det == 0  # only the inverse certificate reads U^-1 and V^-1
     a = [list(row) for row in matrix]
     u = _identity(m)
     u_inv_t = _identity(m)  # columns of U^-1
     v_t = _identity(n)  # columns of V
     v_inv = _identity(n)
+    # the matrices whose rows move with the rows, or the columns, of M
+    row_mats = (a, u, u_inv_t) if carry else (a, u)
+    col_mats = (v_t, v_inv) if carry else (v_t,)
 
-    # Each operation on U or V is paired with its inverse on U^-1 or V^-1:
-    # E U has inverse U^-1 E^-1, V E has inverse E^-1 V^-1.
+    # When carried, each operation on U or V is paired with its inverse on
+    # U^-1 or V^-1: E U has inverse U^-1 E^-1, V E has inverse E^-1 V^-1.
     def row_op(i, j, k):  # row_i -= k * row_j
         a[i] = [x - k * y for x, y in zip(a[i], a[j])]
         u[i] = [x - k * y for x, y in zip(u[i], u[j])]
-        u_inv_t[j] = [x + k * y for x, y in zip(u_inv_t[j], u_inv_t[i])]
+        if carry:
+            u_inv_t[j] = [x + k * y for x, y in zip(u_inv_t[j], u_inv_t[i])]
 
     def col_op(i, j, k, rows):  # col_i -= k * col_j; rows: those with row[j] != 0
         for row in rows:
             row[i] -= k * row[j]
         v_t[i] = [x - k * y for x, y in zip(v_t[i], v_t[j])]
-        v_inv[j] = [x + k * y for x, y in zip(v_inv[j], v_inv[i])]
+        if carry:
+            v_inv[j] = [x + k * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def swap_rows(i, j):
-        for mat in (a, u, u_inv_t):
+        for mat in row_mats:
             mat[i], mat[j] = mat[j], mat[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for mat in (v_t, v_inv):
+        for mat in col_mats:
             mat[i], mat[j] = mat[j], mat[i]
 
     def negate_row(i):
-        for mat in (a, u, u_inv_t):
+        for mat in row_mats:
             mat[i] = [-x for x in mat[i]]
 
     t = 0
@@ -299,8 +316,11 @@ def smith_normal_form(matrix):
 
     factors = [a[i][i] for i in range(min(m, n))]
     v = [list(row) for row in zip(*v_t)]
-    u_inv = [list(row) for row in zip(*u_inv_t)]
-    _verify_snf(matrix, factors, u, u_inv, v, v_inv, a)
+    if carry:
+        u_inv = [list(row) for row in zip(*u_inv_t)]
+        _verify_snf(matrix, factors, u, u_inv, v, v_inv, a)
+    else:
+        _verify_snf_by_det(matrix, det, factors, u, v, a)
     return factors, u, v, a
 
 
@@ -313,10 +333,9 @@ def _is_identity(rows, cols) -> bool:
     )
 
 
-def _verify_snf(matrix, factors, u, u_inv, v, v_inv, d) -> None:
-    """Certify U * M * V = D with U, V unimodular, D diagonal and the
-    factors a divisibility chain, from U * M = D * V^-1, U * U^-1 = I and
-    V^-1 * V = I (see the module docstring)."""
+def _verify_diagonal(matrix, factors, d) -> None:
+    """D is diagonal, ``factors`` is its diagonal, and the factors form a
+    divisibility chain with any zeros last."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if any(d[i][j] != 0 for i in range(m) for j in range(n) if i != j):
@@ -328,8 +347,33 @@ def _verify_snf(matrix, factors, u, u_inv, v, v_inv, d) -> None:
             raise VerificationError("divisibility chain broken")
         if x == 0 and y != 0:
             raise VerificationError("zero factor precedes nonzero")
-    columns = [list(col) for col in zip(*matrix)]
-    um = [[sum(map(mul, row, col)) for col in columns] for row in u]
+
+
+def _product(left, right):
+    """left * right for integer matrices given as lists of rows."""
+    columns = [list(col) for col in zip(*right)]
+    return [[sum(map(mul, row, col)) for col in columns] for row in left]
+
+
+def _verify_snf_by_det(matrix, det, factors, u, v, d) -> None:
+    """Certify U * M * V = D for a square M with ``det`` = det M != 0: D is
+    diagonal with a divisibility chain, (U * M) * V = D, and |prod d_i| =
+    |det M| (see the module docstring)."""
+    _verify_diagonal(matrix, factors, d)
+    if _product(_product(u, matrix), v) != d:
+        raise VerificationError("U*M*V does not equal D")
+    if abs(prod(factors)) != abs(det):
+        raise VerificationError("product of the factors is not +-det M")
+
+
+def _verify_snf(matrix, factors, u, u_inv, v, v_inv, d) -> None:
+    """Certify U * M * V = D with U, V unimodular, D diagonal and the
+    factors a divisibility chain, from U * M = D * V^-1, U * U^-1 = I and
+    V^-1 * V = I (see the module docstring)."""
+    _verify_diagonal(matrix, factors, d)
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    um = _product(u, matrix)
     # D is diagonal, so D * V^-1 scales row i of V^-1 by d_i
     dv = [[f * x for x in row] for f, row in zip(factors, v_inv)]
     dv += [[0] * n] * (m - len(dv))

@@ -23,6 +23,7 @@ from .cayley_dickson import (
     AlgebraMismatch,
     CDElement,
     LevelMismatch,
+    dimensions_agree,
     sparse_products,
     structure_constants,
     structure_multiply,
@@ -79,10 +80,7 @@ class StructureAlgebra:
         self.classic_limit_functional = (
             _frac_vec(classic_limit) if classic_limit is not None else None
         )
-        if len(self.unit) != self.dim or any(
-            len(row) != self.dim or any(len(vec) != self.dim for vec in row)
-            for row in gamma
-        ):
+        if not dimensions_agree(gamma, [self.unit]):
             raise InvalidAlgebra("gamma/unit dimensions are inconsistent")
         self.products = sparse_products(gamma)
         self._check_unit()

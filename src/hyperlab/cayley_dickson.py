@@ -173,6 +173,14 @@ def structure_constants(r: int) -> MultiplicationTable:
     return _table(r)
 
 
+def dimensions_agree(mult, vectors) -> bool:
+    """True when ``mult`` is an n x n table of length-n vectors, n =
+    len(mult), and each of ``vectors`` has length n."""
+    n = len(mult)
+    return all(len(vec) == n for vec in vectors) and all(
+        len(row) == n and all(len(vec) == n for vec in row) for row in mult)
+
+
 def sparse_products(mult):
     """Sparse form of a dense table: ``products[p][q]`` is the tuple of
     nonzero ``(k, coefficient)`` pairs of the basis product b_p b_q."""
@@ -872,10 +880,14 @@ class ConjugatedAlgebra:
     and ``conj[p]`` the vector of the conjugate of b_p.  The unit is always
     the first basis vector.  Entries may be Fractions or polynomials, so
     the doubling below can run with symbolic parameters.  Construction
-    checks the conjugation axioms (``validate``).
+    checks the table shapes (``dimensions_agree``) and then the conjugation
+    axioms (``validate``).
     """
 
     def __init__(self, mult, conj):
+        # the unit is the first basis vector, so there must be one
+        if not mult or not dimensions_agree(mult, [conj, *conj]):
+            raise InvalidConjugation("mult/conj dimensions are inconsistent or zero")
         self.dim = len(mult)
         self.mult = [[list(vec) for vec in row] for row in mult]
         self.products = sparse_products(self.mult)

@@ -191,6 +191,31 @@ def _bareiss_rref(rows: list, ncols: int) -> tuple:
     return [[Fraction(x, m[r][c]) for x in m[r]] for r, c in enumerate(pivots)], pivots
 
 
+def integer_determinant(matrix) -> int:
+    """Determinant of a square integer matrix (1 when it is 0 x 0) by
+    forward-only fraction-free elimination (Bareiss 1968).
+
+    Each step moves the first row with a nonzero leading entry to the top,
+    a cyclic shift of sign (-1)^i, and replaces the rows below it by their
+    2 x 2 minors with it divided by the previous pivot.  The division is
+    exact: every entry is then a minor of the row-permuted matrix, and the
+    last pivot is its determinant.
+    """
+    m = [list(row) for row in matrix]
+    sign, previous = 1, 1
+    while m:
+        i = next((i for i, row in enumerate(m) if row[0]), None)
+        if i is None:
+            return 0
+        if i % 2:
+            sign = -sign
+        pivot, *top = m.pop(i)
+        m = [[(pivot * x - row[0] * y) // previous for x, y in zip(row[1:], top)]
+             for row in m]
+        previous = pivot
+    return sign * previous
+
+
 def rref(matrix):
     """Reduced row echelon form over the rationals, certified as the module
     docstring describes.

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperlab import abelian
 from hyperlab.abelian import (
     TRIVIAL,
     FGAbelianGroup,
@@ -117,6 +118,10 @@ class TestSmithNormalForm:
            st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=8),
            st.integers())
+    # both certificates: det M != 0, then a singular square and a wide M
+    @example(5, 5, 5, 0).via("the det M certificate")
+    @example(5, 5, 3, 0).via("the inverse certificate, singular")
+    @example(3, 6, 3, 0).via("the inverse certificate, rectangular")
     def test_matches_determinant_oracle(self, m, n, rank, seed):
         # a product of m x r and r x n factors has rank at most r; r = 0
         # gives the zero matrix
@@ -162,6 +167,64 @@ class TestSmithNormalForm:
         out = _verify_under_optimize(matrix, tamper)
         assert out == f"1 VerificationError {message}\n", out
 
+    @pytest.mark.parametrize("tamper, message", [
+        # det U = 2 with D scaled to match, so U * M * V = D still holds
+        ("u[2] = [2 * x for x in u[2]]; d[2][2] *= 2; factors[2] *= 2",
+         "product of the factors is not +-det M"),
+        ("v[0][1] += 1", "U*M*V does not equal D"),
+        # the divisibility chain still holds
+        ("d[2][2] += factors[1]; factors[2] = d[2][2]", "U*M*V does not equal D"),
+        ("d[0][1] = 1", "D not diagonal"),
+    ])
+    def test_tampered_det_certificate_rejected(self, tamper, message):
+        matrix = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]  # det M = -144
+        out = _verify_under_optimize(matrix, tamper, by_det=True)
+        assert out == f"1 VerificationError {message}\n", out
+
+    @pytest.mark.parametrize("matrix, expected", [
+        ([], ([], [], [], [])),
+        ([[]], ([], [[1]], [], [[]])),
+        ([[0]], ([0], [[1]], [[1]], [[0]])),
+        ([[1, 2], [2, 4]],
+         ([1, 0], [[1, 0], [-2, 1]], [[1, -2], [0, 1]], [[1, 0], [0, 0]])),
+        ([[2, 4, 4, -1, 3], [-6, 6, 12, 0, 5], [10, -4, -16, 7, -2]],
+         ([1, 1, 6], [[-1, 0, 0], [0, 1, 0], [-7, 5, -1]],
+          [[0, 0, 0, 1, 0], [0, 1, -5, -39, 28], [0, 0, 0, 0, 1],
+           [1, 1, -2, -10, 8], [0, -1, 6, 48, -36]],
+          [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 6, 0, 0]])),
+    ])
+    def test_edge_cases_pinned(self, matrix, expected):
+        assert smith_normal_form(matrix) == expected
+
+    @pytest.mark.parametrize("matrix, route", [
+        ([], "det"),
+        ([[-3]], "det"),
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], "det"),
+        ([[0]], "inverse"),
+        ([[1, 2], [2, 4]], "inverse"),
+        ([[]], "inverse"),
+        ([[1, 2, 3]], "inverse"),
+        ([[1], [2], [3]], "inverse"),
+        ([[2, 4, 4, -1, 3], [-6, 6, 12, 0, 5], [10, -4, -16, 7, -2]], "inverse"),
+    ])
+    def test_certificate_route(self, monkeypatch, matrix, route):
+        # a square M with det M != 0 never reaches the inverse certificate;
+        # singular and rectangular ones always do
+        calls = []
+
+        def spy(name, label):
+            real = getattr(abelian, name)
+
+            def verify(*args):
+                calls.append(label)
+                return real(*args)
+            monkeypatch.setattr(abelian, name, verify)
+
+        spy("_verify_snf", "inverse")
+        spy("_verify_snf_by_det", "det")
+        smith_normal_form(matrix)
+        assert calls == [route]
+
     def test_decompose_cokernel(self):
         assert decompose([[2, 0], [0, 3]]) == cyclic(6)
         # rows are relations among column generators
@@ -177,22 +240,26 @@ def _inverse(mat):
     return [[int(x) for x in row[n:]] for row in rows]
 
 
-def _verify_under_optimize(matrix, tamper):
-    """Run ``_verify_snf`` under python -O on the SNF of ``matrix`` with its
-    inverses, after the statement ``tamper``; return what it printed."""
+def _verify_under_optimize(matrix, tamper, by_det=False):
+    """Run ``_verify_snf`` (``_verify_snf_by_det`` when ``by_det``) under
+    python -O on the SNF of ``matrix`` with its inverses (its determinant),
+    after the statement ``tamper``; return what it printed."""
     import hyperlab
 
     factors, u, v, d = smith_normal_form(matrix)
+    verify = ("_verify_snf_by_det(m, det, factors, u, v, d)" if by_det
+              else "_verify_snf(m, factors, u, u_inv, v, v_inv, d)")
     script = (
         "import sys\n"
-        "from hyperlab.abelian import _verify_snf\n"
+        "from hyperlab.abelian import _verify_snf, _verify_snf_by_det\n"
         "from hyperlab.exact import VerificationError\n"
         f"m, factors, u, v, d = {(matrix, factors, u, v, d)!r}\n"
         f"u_inv, v_inv = {(_inverse(u), _inverse(v))!r}\n"
-        "_verify_snf(m, factors, u, u_inv, v, v_inv, d)\n"
+        f"det = {oracles.det(matrix) if by_det else None}\n"
+        f"{verify}\n"
         f"{tamper}\n"
         "try:\n"
-        "    _verify_snf(m, factors, u, u_inv, v, v_inv, d)\n"
+        f"    {verify}\n"
         "except VerificationError as exc:\n"
         "    print(sys.flags.optimize, 'VerificationError', exc)\n"
     )

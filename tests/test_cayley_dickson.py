@@ -731,6 +731,17 @@ class TestValidate:
         with pytest.raises(InvalidConjugation, match=f"^{re.escape(message)}$"):
             ConjugatedAlgebra(mult, conj)
 
+    @pytest.mark.parametrize("mult, conj", [
+        ([[[1, 0]]], [[1]]),  # a product vector longer than the dimension
+        ([[[1]]], [[1, 0]]),  # a conjugate longer than the dimension
+        ([[[1]]], [[1], [0]]),  # more conjugates than basis vectors
+        ([[[1]], [[0]]], [[1]]),  # two rows of one product each
+        ([], []),  # no unit basis vector
+    ])
+    def test_table_shapes_checked(self, mult, conj):
+        with pytest.raises(InvalidConjugation, match="dimensions are inconsistent"):
+            ConjugatedAlgebra(mult, conj)
+
 
 class TestPauli:
     def test_unit_maps_to_identity(self):

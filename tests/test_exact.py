@@ -15,6 +15,7 @@ from hyperlab.exact import (
     NumberTooLarge,
     exact_matmul,
     integer_basis,
+    integer_determinant,
     is_scalar,
     matrix_rank_exact,
     matrix_rank_mod_p,
@@ -91,6 +92,55 @@ class TestSympy:
                 for row in rows] == reduced.tolist()
         assert [[sympy.Rational(x.numerator, x.denominator) for x in vec]
                 for vec in nullspace(matrix)] == [list(v) for v in m.nullspace()]
+
+
+@st.composite
+def square_matrices(draw, entries=st.one_of(SMALL, HUGE), max_size=7):
+    """Square integer matrices from 0 x 0 up; about half of those with two
+    or more rows have one row a combination of two others, so they are
+    singular."""
+    n = draw(st.integers(0, max_size))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        s, t = draw(SMALL), draw(SMALL)
+        i = draw(st.integers(2, n - 1))
+        rows[i] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+class TestDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_matches_fraction_elimination(self, matrix):
+        assert integer_determinant(matrix) == oracles.det(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(SMALL, max_size=6))
+    def test_matches_sympy(self, matrix):
+        sympy = pytest.importorskip("sympy")
+        n = len(matrix)
+        assert integer_determinant(matrix) == sympy.Matrix(n, n, sum(matrix, [])).det()
+
+    @pytest.mark.parametrize("matrix, det", [
+        ([], 1),
+        ([[0]], 0),
+        ([[-7]], -7),
+        ([[0, 1], [1, 0]], -1),  # the pivot row moves up
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+        ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], 1),
+        ([[1, 2], [2, 4]], 0),
+        ([[1, 2, 3], [0, 0, 4], [0, 0, 5]], 0),  # no pivot in a later column
+    ])
+    def test_small_cases(self, matrix, det):
+        assert integer_determinant(matrix) == det
+        assert integer_determinant(matrix) == oracles.det(matrix)
+
+    def test_input_is_not_modified(self):
+        matrix = [[0, 2], [3, 4]]
+        assert integer_determinant(matrix) == -6
+        assert matrix == [[0, 2], [3, 4]]
 
 
 class TestCertificate:
