@@ -177,7 +177,7 @@ class StructureAlgebra:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, name: str = "") -> "StructureAlgebra":
+    def from_json_dict(cls, data: dict) -> "StructureAlgebra":
         """Reads ``to_json_dict``'s ``gamma``, a list of rows of coefficient
         lists, and its ``unit`` list, each number by ``exact.parse_number``;
         any other shape raises InvalidAlgebra."""
@@ -189,7 +189,7 @@ class StructureAlgebra:
         if not isinstance(unit, list):
             raise InvalidAlgebra("unit must be a list of coefficients")
         gamma = [[[parse_number(g) for g in vec] for vec in row] for row in gamma]
-        return cls(gamma, [parse_number(u) for u in unit], name=name)
+        return cls(gamma, [parse_number(u) for u in unit])
 
     def __repr__(self):
         return f"StructureAlgebra({self.name}, dim={self.dim})"

@@ -719,32 +719,33 @@ class _DenseBatch:
         self.cap = max(1, (1 << 14) >> (2 * r))
         self.mode = mode
         self.probe = zero_divisor_probe(r)
-        # arity -> (generator, drawn tuples as an (arity, n, dim) array)
+        # arity -> (generator, (arity, total, dim) tuple array, tuples drawn)
         self.drawn = {}
 
     def total(self, arity: int) -> int:
         return self.mode.count + (arity == 2 and self.probe is not None)
 
     def _tuples(self, arity: int, stop: int):
-        """The first ``stop`` tuples of the arity's sample stream: the probe
-        pair first for arity 2, then tuples of ``arity`` vectors of ``dim``
-        draws of randint(-3, 3) from Random(seed * 7919 + arity).  Every
-        identity of one arity reads the same stream, so it is drawn once,
-        and only as far as a slab has reached."""
+        """The arity's tuple array, drawn up to ``stop``: the probe pair
+        first for arity 2, then tuples of ``arity`` vectors of ``dim`` draws
+        of randint(-3, 3) from Random(seed * 7919 + arity).  Every identity
+        of one arity reads the same stream, so it is drawn once, into one
+        array, and only as far as a slab has reached."""
         dim = 1 << self.r
         if arity not in self.drawn:
-            head = [[x.coeffs for x in self.probe]] if arity == 2 and self.probe else []
-            rows = np.array(head, dtype=np.int64).reshape(-1, arity, dim)
-            self.drawn[arity] = (random.Random(self.mode.seed * 7919 + arity),
-                                 rows.transpose(1, 0, 2))
-        rng, tuples = self.drawn[arity]
-        missing = stop - tuples.shape[1]
-        if missing > 0:
-            new = np.array([rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
-                            for _ in range(missing * arity * dim)], dtype=np.int64)
-            tuples = np.concatenate(
-                [tuples, new.reshape(missing, arity, dim).transpose(1, 0, 2)], axis=1)
-            self.drawn[arity] = (rng, tuples)
+            total = self.total(arity)
+            tuples = np.empty((arity, total, dim), dtype=np.int64)
+            head = total - self.mode.count
+            if head:
+                tuples[:, 0] = [x.coeffs for x in self.probe]
+            self.drawn[arity] = (random.Random(self.mode.seed * 7919 + arity), tuples, head)
+        rng, tuples, drawn = self.drawn[arity]
+        if stop > drawn:
+            new = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+                   for _ in range((stop - drawn) * arity * dim)]
+            tuples[:, drawn:stop] = np.array(new, dtype=np.int64).reshape(
+                stop - drawn, arity, dim).transpose(1, 0, 2)
+            self.drawn[arity] = (rng, tuples, stop)
         return tuples
 
     def slab(self, arity: int, start: int, stop: int):

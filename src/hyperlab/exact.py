@@ -15,9 +15,9 @@ form gives.  Those n - rank_p vectors then lie in the nullspace, whose
 dimension is at most n - rank_p (reduction mod p only loses rank), so they
 span it; the lifted rows span its orthogonal complement, the row space, and
 a reduced form of the row space is unique.  A failed lift or check falls
-back to fraction-free elimination (Bareiss 1968, Math. Comp. 22), exact by
-construction: a second prime has the same lift bound, so it would fail the
-same lifts again.
+back to the fraction-free pass of ``integer_determinant`` (Bareiss 1968,
+Math. Comp. 22) and integer back-substitution (Nakos et al. 1997, SIGSAM
+Bull. 31), not to a second prime, whose lift bound is the same.
 """
 
 from __future__ import annotations
@@ -169,51 +169,50 @@ def _lift(residues: np.ndarray, p: int):
     return [[lifted[u] for u in row] for row in residues.tolist()]
 
 
-def _bareiss_rref(rows: list, ncols: int) -> tuple:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968): each division
-    by the previous pivot is exact, so entries stay integers until the
-    pivot rows are normalised at the end."""
+def _echelon(rows: list, ncols: int) -> tuple:
+    """Forward fraction-free elimination: each step moves the first row
+    nonzero in the next column up, a shift of sign (-1)^i, and replaces each
+    row below by its 2 x 2 minors with it over the previous pivot, exactly,
+    as each entry is a minor of the permuted rows.  Returns the pivot rows,
+    each from its pivot column on, those columns and the sign times the last
+    pivot (1 if none), the determinant of square nonsingular rows."""
     m = [list(row) for row in rows]
-    pivots, previous = [], 1
+    echelon, pivots, sign, previous = [], [], 1, 1
     for col in range(ncols):
-        r = len(pivots)
-        i = next((i for i in range(r, len(m)) if m[i][col]), None)
+        i = next((i for i, row in enumerate(m) if row[0]), None)
         if i is None:
+            m = [row[1:] for row in m]
             continue
-        m[r], m[i] = m[i], m[r]
-        pivot = m[r][col]
-        for k in range(len(m)):
-            if k != r:
-                f = m[k][col]
-                m[k] = [(pivot * x - f * y) // previous for x, y in zip(m[k], m[r])]
-        previous = pivot
+        sign *= (-1) ** i
+        pivot, *rest = top = m.pop(i)
+        m = [[(pivot * x - r[0] * y) // previous for x, y in zip(r[1:], rest)] for r in m]
+        echelon.append(top)
         pivots.append(col)
-    return [[Fraction(x, m[r][c]) for x in m[r]] for r, c in enumerate(pivots)], pivots
+        previous = pivot
+    return echelon, pivots, sign * previous
 
 
 def integer_determinant(matrix) -> int:
-    """Determinant of a square integer matrix (1 when it is 0 x 0) by
-    forward-only fraction-free elimination (Bareiss 1968).
+    """Determinant of a square integer matrix by ``_echelon``, 1 when 0 x 0."""
+    _, pivots, det = _echelon(matrix, len(matrix))
+    return det if len(pivots) == len(matrix) else 0
 
-    Each step moves the first row with a nonzero leading entry to the top,
-    a cyclic shift of sign (-1)^i, and replaces the rows below it by their
-    2 x 2 minors with it divided by the previous pivot.  The division is
-    exact: every entry is then a minor of the row-permuted matrix, and the
-    last pivot is its determinant.
-    """
-    m = [list(row) for row in matrix]
-    sign, previous = 1, 1
-    while m:
-        i = next((i for i, row in enumerate(m) if row[0]), None)
-        if i is None:
-            return 0
-        if i % 2:
-            sign = -sign
-        pivot, *top = m.pop(i)
-        m = [[(pivot * x - row[0] * y) // previous for x, y in zip(row[1:], top)]
-             for row in m]
-        previous = pivot
-    return sign * previous
+
+def _bareiss_rref(rows: list, ncols: int) -> tuple:
+    """The nonzero reduced rows, as Fractions, and the pivot columns.  With
+    E_i, p_i, c_i the pivot rows, pivots and columns of ``_echelon``, D its
+    +-det B (B: the input's pivot rows P on the pivot columns), from the last
+    up D R_i = (D E_i - sum_{j>i} E_i[c_j] D R_j) / p_i, exact as D R = +-adj(B) P."""
+    echelon, pivots, delta = _echelon(rows, ncols)
+    scaled = []  # D R_j of the later pivot rows, last first, each from c_j on
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        acc = [delta * x for x in row]
+        for later, tail in zip(reversed(pivots), scaled):
+            if f := row[later - col]:
+                acc[later - col:] = [a - f * y for a, y in zip(acc[later - col:], tail)]
+        scaled.append([a // row[0] for a in acc])
+    return [[Fraction(0)] * col + [Fraction(x, delta) for x in tail]
+            for col, tail in zip(pivots, reversed(scaled))], pivots
 
 
 def rref(matrix):

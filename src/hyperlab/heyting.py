@@ -465,7 +465,7 @@ def heyting_from_poset_upsets(poset: FinitePoset, direction: str = "up") -> Heyt
     return heyting_from_topology(topology)
 
 
-def heyting_from_lattice(meet, join, labels=None) -> HeytingAlgebra:
+def heyting_from_lattice(meet, join) -> HeytingAlgebra:
     """Search the implication of a bounded lattice.
 
     For each a, one slab finds for every b the first c with a /\\ c <= b
@@ -495,8 +495,7 @@ def heyting_from_lattice(meet, join, labels=None) -> HeytingAlgebra:
             b = int(np.argmin(found))
             raise NotHeyting(f"no greatest c with {a} /\\ c <= {b}", witness=(a, b))
         impl[a] = np.argmax(greatest, axis=1)
-    return HeytingAlgebra(meet, join, impl.tolist(), int(bottoms[-1]), int(tops[-1]),
-                          labels=labels)
+    return HeytingAlgebra(meet, join, impl.tolist(), int(bottoms[-1]), int(tops[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from hyperlab.cayley_dickson import (
     trace,
 )
 from hyperlab import cayley_dickson
-from hyperlab.cayley_dickson import _int64_product_fits, _MonomialBatch
+from hyperlab.cayley_dickson import _DenseBatch, _int64_product_fits, _MonomialBatch
 from hyperlab.exact import CERTIFICATE_PRIME, VerificationError, matrix_rank_mod_p
 
 
@@ -469,6 +469,19 @@ class TestBatteryMatchesLoopOracle:
         assert start > 0
         assert pos == (start if edge == "first" else start + size - 1)
         assert _same_json(report, oracles.identity_battery(r))
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_sample_tuples_fill_one_array(self, arity):
+        # a level-8 slab holds one tuple; each slab draws into the array
+        # allocated for all of the arity's tuples, not a longer copy
+        batch = _DenseBatch(8, RandomSample(count=6, seed=1))
+        assert batch.cap == 1
+        batch.slab(arity, 0, 1)
+        tuples = batch.drawn[arity][1]
+        assert tuples.shape == (arity, batch.total(arity), 256)
+        for start in range(1, batch.total(arity)):
+            batch.slab(arity, start, start + 1)
+            assert batch.drawn[arity][1] is tuples
 
     def test_overflow_bound_is_a_verification_error(self, monkeypatch):
         # the deepest check, z^6 at level 2, reaches 3^6 * 4^5 = 746,496

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import exact
+from hyperlab.cayley_dickson import structure_constants
 from hyperlab.exact import (
     CERTIFICATE_PRIME,
     NumberTooLarge,
@@ -31,10 +32,10 @@ HUGE = st.integers(-10**30, 10**30)
 
 
 @st.composite
-def matrices(draw, entries=st.one_of(SMALL, RATIONAL), max_cols=6):
+def matrices(draw, entries=st.one_of(SMALL, RATIONAL), max_cols=6, max_rows=6):
     ncols = draw(st.integers(0, max_cols))
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
-                         max_size=6))
+                         max_size=max_rows))
     if len(rows) >= 2 and draw(st.booleans()):
         # a combination of two rows: rank-deficient matrices are common
         s, t = draw(SMALL), draw(SMALL)
@@ -61,14 +62,30 @@ class TestAgainstOracle:
         ncols = (len(matrix[0]) if matrix else 0) + (0 if matrix else extra)
         assert nullspace(matrix, ncols) == oracles.nullspace(matrix, ncols)
 
-    @settings(max_examples=200, deadline=None)
-    @given(matrices(st.one_of(SMALL, HUGE)))
-    def test_bareiss_matches_oracle(self, matrix):
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(matrices(st.one_of(SMALL, HUGE)),
+                     matrices(st.one_of(SMALL, HUGE), max_cols=4, max_rows=12),
+                     matrices(st.one_of(SMALL, HUGE), max_cols=12, max_rows=3)),
+           st.lists(st.integers(0, 12), max_size=3))
+    def test_bareiss_matches_oracle(self, matrix, zero_rows):
         ncols = len(matrix[0]) if matrix else 0
+        for i in zero_rows:
+            matrix.insert(min(i, len(matrix)), [0] * ncols)
         rows, pivots = exact._bareiss_rref(matrix, ncols)
         expected, expected_pivots = oracles.rref(matrix)
         assert pivots == expected_pivots
         assert rows == expected[:len(pivots)]
+
+    def test_bareiss_on_a_zero_divisor_operator(self):
+        # the left operator of the level-6 zero divisor e3 + e10, 64 x 64 of
+        # rank 48
+        a = np.zeros(64, dtype=np.int64)
+        a[[3, 10]] = 1
+        matrix = structure_constants(6).operator(a).tolist()
+        rows, pivots = exact._bareiss_rref(matrix, 64)
+        expected, expected_pivots = oracles.rref(matrix)
+        assert len(pivots) == 48
+        assert (rows, pivots) == (expected[:48], expected_pivots)
 
     def test_input_is_not_modified(self):
         matrix = [[2, 4], [Fraction(1, 3), 5]]
