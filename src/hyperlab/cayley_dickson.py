@@ -408,13 +408,18 @@ def _double(mul, conj, gamma, x, y):
     h = len(x) // 2
     a, b = x[:h], x[h:]
     c, d = y[:h], y[h:]
-    first = [u + gamma * v for u, v in zip(mul(a, c), mul(conj(d), b))]
+    pairs = zip(mul(a, c), mul(conj(d), b))
+    if type(gamma) is int and gamma == -1:
+        # u + (-1) * v is u - v, signed zeros too; another -1 (a float, a
+        # Fraction) could change the type of an integer v, so it multiplies
+        first = [u - v for u, v in pairs]
+    else:
+        first = [u + gamma * v for u, v in pairs]
     second = [u + v for u, v in zip(mul(d, a), mul(b, conj(c)))]
     return first + second
 
 
 def _mul_vec_recursive(x, y):
-    # gamma = -1: in IEEE arithmetic u + (-1) * v is u - v, signed zeros too
     if len(x) == 1:
         return [x[0] * y[0]]
     return _double(_mul_vec_recursive, _conj_vec, -1, x, y)

@@ -11,14 +11,15 @@ is built.
 
 Every law is checked on all pairs and all triples, as whole-table numpy
 comparisons on int32 copies of the tables: a law in two variables is one
-n x n comparison, and a law in three runs one n x n slab of all (b, c)
-per first argument a, so no array ever holds n^3 entries.  Only the
-construction check of algebras of at most LOOP_MAX elements stays a plain
-loop, which finishes before numpy's per-call cost is paid back.  When a
-check fails, both forms name the law that the loop over a, then b, then c
-finds first.  The implication of a topology is the interior of
-(complement of a) union b; opens are closed under union, so that interior
-is the union of the opens it contains, found for all b of one a at once.
+n x n comparison, and a law in three runs one (k, n, n) comparison of all
+(a, b, c) per block of k = max(1, _BUDGET // n^2) first arguments a, so no
+array holds more than max(_BUDGET, n^2) entries.  Only the construction
+check of algebras of at most LOOP_MAX elements stays a plain loop, which
+finishes before numpy's per-call cost is paid back.  When a check fails,
+both forms name the law that the loop over a, then b, then c finds first.
+The implication of a topology is the interior of (complement of a) union
+b; opens are closed under union, so that interior is the union of the
+opens it contains, found for all b of a block of a at once.
 
 Filters, quotients and complements come from the order, not from
 searches: every filter of a finite lattice is the up-set of one element m,
@@ -40,7 +41,14 @@ MAX_LATTICE = 256
 # Up to this many elements construction checks the laws by plain Python
 # loops: each numpy call costs microseconds whatever the table size, and
 # below about this size the loops finish first.
-LOOP_MAX = 8
+LOOP_MAX = 5
+# Entries of one block of a three-variable law.  Each numpy call costs
+# microseconds whatever its size, so the laws run on blocks of first
+# arguments, all of them in one block up to 25 elements.  A block's int32
+# arrays stay at 64 KiB, below the size from which glibc's malloc maps
+# fresh pages for each array: blocks of 2^16 entries made 64 and 128
+# elements slower than one first argument per block.
+_BUDGET = 1 << 14
 
 
 class InvalidTopology(ValueError):
@@ -256,6 +264,14 @@ _TRIPLE_LAWS = ("meet not associative", "join not associative",
                 "join does not distribute over meet", "residuation law fails")
 
 
+def _blocks(n: int) -> list:
+    """Slices of k = max(1, _BUDGET // n^2) consecutive first arguments,
+    so that a three-variable law on one block is a (k, n, n) array of at
+    most max(_BUDGET, n^2) entries."""
+    k = max(1, _BUDGET // (n * n))
+    return [slice(start, start + k) for start in range(0, n, k)]
+
+
 def _int32_tables(*tables):
     """Fresh int32 arrays of index tables (at n = 256 the slab gathers ran
     about twice as fast on 4-byte entries as on 8-byte ones)."""
@@ -295,38 +311,50 @@ def check_laws_by_loops(meet, join, impl, bottom: int, top: int) -> None:
                     raise InvalidLattice(_TRIPLE_LAWS[4])
 
 
+def _raise_first_failure(laws, messages) -> None:
+    """Raise InvalidLattice with the message of the loops' first failure.
+
+    Each law is a boolean array of its failures indexed like the loops,
+    [a, b] or [a, b, c]; a law of a alone is an (n, 1) column, failing at
+    every b, so it comes before the pair laws of its row.  argmax over
+    their union finds the first failing tuple in loop order, and the
+    message is that of the first law failing there."""
+    bad = functools.reduce(np.logical_or, laws)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise InvalidLattice(next(message for message, law in zip(messages, laws)
+                                  if np.broadcast_to(law, bad.shape)[first]))
+
+
 def check_laws_by_slabs(meet, join, impl, bottom: int, top: int) -> None:
-    """The same laws as whole-table comparisons: the pair laws at once,
-    the triple laws on one [b, c] slab per a.  argmax over the failures,
-    laid out in loop order, finds the loop's first failure."""
+    """The same laws as whole-table comparisons: the pair laws at once, the
+    triple laws on one [a, b, c] array per block of first arguments a."""
     meet, join, impl = _int32_tables(meet, join, impl)
     n = len(meet)
     idx = np.arange(n)
     leq = meet == idx[:, None]  # leq[a, b]: a <= b
     leq_t = np.ascontiguousarray(leq.T)
-    # one row per a: idempotence and bounds, then commutativity (meet,
-    # join) and absorption for each b in turn
-    own = np.stack([(meet[idx, idx] != idx) | (join[idx, idx] != idx),
-                    ~leq[bottom] | ~leq[:, top]], axis=1)
-    absorption = ((np.take_along_axis(meet, join, axis=1) != idx[:, None])
-                  | (np.take_along_axis(join, meet, axis=1) != idx[:, None]))
-    pairs = np.stack([meet != meet.T, join != join.T, absorption], axis=2)
-    rows = np.concatenate([own, pairs.reshape(n, -1)], axis=1)
-    if rows.any():
-        k = int(np.argmax(rows)) % rows.shape[1]
-        raise InvalidLattice(_PAIR_LAWS[k if k < 2 else 2 + (k - 2) % 3])
-    for a in range(n):
-        ma, ja = meet[a], join[a]
-        slab = (
-            meet[ma] != ma[meet],
-            join[ja] != ja[join],
-            ma[join] != join[ma][:, ma],
-            ja[meet] != meet[ja][:, ja],
-            leq[ma].T != leq_t[impl[a]],
-        )
-        if np.logical_or.reduce(slab).any():
-            k = int(np.argmax(np.stack(slab, axis=2))) % len(slab)
-            raise InvalidLattice(_TRIPLE_LAWS[k])
+    _raise_first_failure((
+        ((meet[idx, idx] != idx) | (join[idx, idx] != idx))[:, None],
+        (~leq[bottom] | ~leq[:, top])[:, None],
+        meet != meet.T,
+        join != join.T,
+        (np.take_along_axis(meet, join, axis=1) != idx[:, None])
+        | (np.take_along_axis(join, meet, axis=1) != idx[:, None]),
+    ), _PAIR_LAWS)
+    # np.take casts its indices to intp on every call: at 256 elements that
+    # is a 512 KiB copy per call, which made the blocks slower than the
+    # per-a slabs, so the two index tables are cast once
+    meet_ix, join_ix = meet.astype(np.intp), join.astype(np.intp)
+    for block in _blocks(n):
+        ma, ja = meet[block], join[block]
+        _raise_first_failure((
+            meet[ma] != np.take(ma, meet_ix, axis=1),
+            join[ja] != np.take(ja, join_ix, axis=1),
+            np.take(ma, join_ix, axis=1) != join[ma[:, :, None], ma[:, None, :]],
+            np.take(ja, meet_ix, axis=1) != meet[ja[:, :, None], ja[:, None, :]],
+            leq[ma].transpose(0, 2, 1) != leq_t[impl[block]],
+        ), _TRIPLE_LAWS)
 
 
 class HeytingAlgebra:
@@ -405,17 +433,18 @@ class HeytingAlgebra:
 def heyting_from_topology(topology: FiniteTopology) -> HeytingAlgebra:
     """Elements are the open sets ordered by inclusion; a -> b is the
     interior of (complement of a) union b, the union of the opens o with
-    o & a & ~b == 0, computed for all b of one a at a time.  A topology
-    has at most MAX_LATTICE opens."""
+    o & a & ~b == 0, computed for all b of a block of a at a time.  A
+    topology has at most MAX_LATTICE opens."""
     opens = sorted(topology.opens, key=lambda m: (_popcount(m), m))
     masks = np.array(opens, dtype=np.int64)
     index = np.zeros(topology.full_mask + 1, dtype=np.int64)
     index[masks] = np.arange(len(opens))  # element index of each open mask
     column = masks[:, None]
     impl = np.empty((len(opens), len(opens)), dtype=np.int64)
-    for i, a in enumerate(opens):
-        inside = column & (a & ~masks) == 0  # [o, b]: o lies in (~a | b)
-        impl[i] = index[np.bitwise_or.reduce(np.where(inside, column, 0), axis=0)]
+    for block in _blocks(len(opens)):
+        # [a, o, b]: o lies in (~a | b)
+        inside = column & (masks[block, None] & ~masks)[:, None] == 0
+        impl[block] = index[np.bitwise_or.reduce(np.where(inside, column, 0), axis=1)]
     labels = ["{" + ",".join(topology.mask_name(m)) + "}" for m in opens]
     return HeytingAlgebra(index[column & masks].tolist(),
                           index[column | masks].tolist(), impl.tolist(),
@@ -556,7 +585,8 @@ _AXIOM_NAMES = [
 
 def _intuitionistic_axioms(h: HeytingAlgebra, meet, join, impl) -> dict:
     """The eleven propositional axioms, quantified over all tuples: pairs
-    as whole tables indexed [x, y], triples as one [y, z] slab per x."""
+    as whole tables indexed [x, y], triples as one [x, y, z] array per
+    block of x."""
     top, bot = h.top, h.bottom
     col, row = np.arange(h.n)[:, None], np.arange(h.n)[None, :]
     entails = impl == top  # entails[x, y]: x -> y is top
@@ -570,16 +600,16 @@ def _intuitionistic_axioms(h: HeytingAlgebra, meet, join, impl) -> dict:
     results["join_left"] = bool(entails[col, join].all())
     results["join_right"] = bool(entails[row, join].all())
     results["ex_falso"] = bool(entails[bot].all())
-    for x in range(h.n):
-        ix = impl[x]
+    for block in _blocks(h.n):
+        ix = impl[block]
         if results["distribution_of_implication"]:
             # (x -> (y -> z)) -> ((x -> y) -> (x -> z))
-            results["distribution_of_implication"] = bool(
-                entails[ix[impl], impl[ix][:, ix]].all())
+            results["distribution_of_implication"] = bool(entails[
+                np.take(ix, impl, axis=1), impl[ix[:, :, None], ix[:, None, :]]].all())
         if results["case_split"]:
             # (x -> z) -> ((y -> z) -> ((x \/ y) -> z))
             results["case_split"] = bool(
-                entails[ix[None, :], impl[impl, impl[join[x]]]].all())
+                entails[ix[:, None, :], impl[impl, impl[join[block]]]].all())
     return results
 
 
@@ -620,8 +650,8 @@ def law_report(h: HeytingAlgebra) -> LawReport:
     seven mutually equivalent stronger conditions, which passes or fails as
     one (their agreement is itself reported).  Each law in two variables is
     one comparison over the whole table of pairs, or of the pairs of
-    regular elements; the two axioms in three variables run one slab per
-    first variable."""
+    regular elements; the two axioms in three variables run one array per
+    block of first variables."""
     meet, join, impl = _int32_tables(h.meet, h.join, h.impl)
     idx = np.arange(h.n)
     neg = impl[:, h.bottom]

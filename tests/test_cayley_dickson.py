@@ -158,6 +158,37 @@ class TestMultiplication:
             expected = oracles.table_loop_product(a, b)
             assert list(map(repr, cd_multiply(a, b).coeffs)) == list(map(repr, expected))
 
+    @pytest.mark.parametrize("level", range(1, 6))
+    def test_recursive_float_product_bit_identical_to_the_gamma_formula(self, level):
+        # the recursive product subtracts where the doubling formula reads
+        # u + gamma * v with gamma = -1; signed zeros must land the same
+        def by_formula(x, y):
+            if len(x) == 1:
+                return [x[0] * y[0]]
+            h = len(x) // 2
+            a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+
+            def conj(v):
+                return [v[0]] + [-t for t in v[1:]]
+
+            first = [u + -1 * v for u, v in zip(by_formula(a, c), by_formula(conj(d), b))]
+            return first + [u + v for u, v in zip(by_formula(d, a), by_formula(b, conj(c)))]
+
+        rng = random.Random(level)
+        special = [0.0, -0.0, math.inf, 1e308, -1e308, 5e-324]
+        for _ in range(20):
+            a, b = ([rng.choice(special) if rng.random() < 0.6 else rng.uniform(-3, 3)
+                     for _ in range(1 << level)] for _ in range(2))
+            product = cd_multiply_recursive(CDElement(level, a), CDElement(level, b))
+            assert list(map(repr, product.coeffs)) == list(map(repr, by_formula(a, b)))
+
+    @pytest.mark.parametrize("gamma", [-1.0, Fraction(-1)])
+    def test_doubling_by_a_non_int_minus_one_multiplies(self, gamma):
+        # gamma * v makes the integer zeros of the base's products take
+        # gamma's type, as u - v would not
+        doubled = cayley_extension(quadratic_algebra(-1, 0), gamma)
+        assert [type(x) for x in doubled.mult[1][1]] == [type(gamma)] * 2 + [int] * 2
+
     def test_products_above_the_level_cap(self):
         # the cap guards the level-taking functions, not elements built
         # directly: level 9 runs the int64 gather and the kernel

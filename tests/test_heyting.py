@@ -4,12 +4,14 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hyperlab import heyting
 from hyperlab.heyting import (
     MAX_LATTICE,
     FinitePoset,
@@ -702,6 +704,19 @@ class TestWholeTableChecks:
         assert failure(lambda: check_laws_by_slabs(*tables)) == expected
         assert failure(lambda: HeytingAlgebra(*tables)) == expected
 
+    # the budget set per example, so that each block holds exactly
+    # per_block first arguments (the default makes one block up to 25
+    # elements); the fixture restores it after the last example
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tables=mutated_tables())
+    def test_verify_fails_like_the_loops_across_blocks(self, tables, per_block,
+                                                      monkeypatch):
+        monkeypatch.setattr(heyting, "_BUDGET", per_block * len(tables[0]) ** 2)
+        expected = failure(lambda: check_laws_by_loops(*tables))
+        assert failure(lambda: check_laws_by_slabs(*tables)) == expected
+
     # commutative, idempotent, bounded and absorptive tables, each failing
     # first at a different triple law (found by a random search)
     TRIPLE_FAILURES = {
@@ -737,6 +752,26 @@ class TestWholeTableChecks:
         h = UncheckedTables(*tables)
         assert (json.dumps(law_report(h).to_json_dict())
                 == json.dumps(law_report_by_loops(h).to_json_dict()))
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tables=mutated_tables())
+    def test_law_report_on_mutated_tables_matches_the_loops_across_blocks(
+            self, tables, per_block, monkeypatch):
+        h = UncheckedTables(*tables)
+        monkeypatch.setattr(heyting, "_BUDGET", per_block * h.n ** 2)
+        assert (json.dumps(law_report(h).to_json_dict())
+                == json.dumps(law_report_by_loops(h).to_json_dict()))
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_topology_implication_across_blocks(self, per_block, monkeypatch):
+        posets = [antichain(5), *workload_posets().values()]
+        expected = [heyting_from_poset_upsets(p).impl for p in posets]
+        for poset, impl in zip(posets, expected):
+            n = len(impl)
+            monkeypatch.setattr(heyting, "_BUDGET", per_block * n * n)
+            assert heyting_from_poset_upsets(poset).impl == impl
 
     @pytest.mark.parametrize("name", ["chain", "boolean", "poset"])
     def test_law_report_matches_the_loops(self, name):
@@ -783,6 +818,27 @@ class TestWholeTableChecks:
         assert h.n == MAX_LATTICE and cls.is_boolean
         assert report.all_mandatory_pass() and report.seven_block_passes()
         assert elapsed < 10.0
+
+    @pytest.mark.parametrize("make", [lambda: heyting_from_chain(64),
+                                      lambda: heyting_from_poset_upsets(antichain(8))],
+                             ids=["chain64", "antichain8"])
+    def test_checks_within_the_block_budget(self, make):
+        # no array of the checks holds more than max(_BUDGET, n^2) entries:
+        # the int32 and intp copies of the tables take at most 28 bytes per
+        # such entry, and a few block arrays at most 4 bytes each, while
+        # one block of all 64 first arguments peaked at 3.3 MB, and one
+        # n^3 array at 256 elements would take 16 MiB even as booleans
+        h = make()
+        entries = max(heyting._BUDGET, h.n ** 2)
+        tables = (h.meet, h.join, h.impl, h.bottom, h.top)
+        for check in (lambda: check_laws_by_slabs(*tables), lambda: law_report(h)):
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * entries
 
 
 class TestInputShape:
