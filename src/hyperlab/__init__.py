@@ -81,6 +81,7 @@ from .heyting import (
 from .jets import (
     JetCoordinateSystem,
     PDESystem,
+    builtin_system,
     builtin_systems,
     classify_point,
     formal_jacobian,

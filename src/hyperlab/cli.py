@@ -129,7 +129,12 @@ def _cmd_zerodiv(args) -> CommandResult:
     return CommandResult(0, payload)
 
 
+@functools.cache
 def _base_algebra(name: str) -> qa.StructureAlgebra:
+    """The process's one copy of each base algebra, built and checked on
+    first use.  No operation changes a base algebra; the tensor algebras
+    built on it are not kept (one at dimension 128 holds a 16 MB integer
+    tensor once ``centre`` has run)."""
     if name in qa.BASE_ALGEBRAS:
         return qa.BASE_ALGEBRAS[name]()
     raise InputError(f"unknown base algebra {name!r}; choose from {sorted(qa.BASE_ALGEBRAS)}")
@@ -251,14 +256,20 @@ def _cmd_abelian(args) -> CommandResult:
     return CommandResult(0, report.to_json_dict())
 
 
+@functools.cache
+def _stock_system(name: str) -> jets.PDESystem:
+    """The process's one copy of each stock system, built on first use, so
+    that the nonzero minors a scan computes serve every later scan.  No
+    command changes a system."""
+    if name in jets.BUILTIN_SYSTEMS:
+        return jets.builtin_system(name)
+    raise InputError(f"unknown system {name!r}; builtins: {sorted(jets.BUILTIN_SYSTEMS)}")
+
+
 def _pde_system(args) -> jets.PDESystem:
     if args.input is not None:
         return jets.PDESystem.from_json_dict(_load_json(args.input, dict))
-    name = "r1" if args.system is None else args.system
-    systems = jets.builtin_systems()
-    if name not in systems:
-        raise InputError(f"unknown system {name!r}; builtins: {sorted(systems)}")
-    return systems[name]
+    return _stock_system("r1" if args.system is None else args.system)
 
 
 def _cmd_pde(args) -> CommandResult:

@@ -600,16 +600,23 @@ def _intuitionistic_axioms(h: HeytingAlgebra, meet, join, impl) -> dict:
     results["join_left"] = bool(entails[col, join].all())
     results["join_right"] = bool(entails[row, join].all())
     results["ex_falso"] = bool(entails[bot].all())
+    # np.take and a fancy index cast an int32 index table to intp on every
+    # use, so impl is cast once, as in check_laws_by_slabs; and entails is
+    # read flat at x * n + y (below 2^16, so int32 holds it), one index
+    # array to cast per law and block instead of two
+    impl_ix = impl.astype(np.intp)
+    entails_at = entails.ravel()
     for block in _blocks(h.n):
         ix = impl[block]
+        rows = ix * h.n  # the flat row of each x -> y
         if results["distribution_of_implication"]:
             # (x -> (y -> z)) -> ((x -> y) -> (x -> z))
-            results["distribution_of_implication"] = bool(entails[
-                np.take(ix, impl, axis=1), impl[ix[:, :, None], ix[:, None, :]]].all())
+            results["distribution_of_implication"] = bool(entails_at[
+                np.take(rows, impl_ix, axis=1) + impl[ix[:, :, None], ix[:, None, :]]].all())
         if results["case_split"]:
             # (x -> z) -> ((y -> z) -> ((x \/ y) -> z))
             results["case_split"] = bool(
-                entails[ix[:, None, :], impl[impl, impl[join[block]]]].all())
+                entails_at[rows[:, None, :] + impl[impl_ix, impl[join[block]]]].all())
     return results
 
 

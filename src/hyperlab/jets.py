@@ -201,47 +201,72 @@ def _v(name: str) -> Poly:
     return Poly.variable(name)
 
 
-def builtin_systems() -> dict:
-    """The stock first-order singular systems plus the heat and product
-    (separable d'Alembert) equations, transcribed with their coordinate
-    orderings."""
-    systems = {}
+# the stock first-order singular systems plus the heat and product
+# (separable d'Alembert) equations, transcribed with their coordinate
+# orderings; one builder each, so that a caller builds only what it names
 
-    c1 = JetCoordinateSystem(("x", "y"), ("u1", "u2"), order=1)
-    u1x, u1y = _v("u1_x"), _v("u1_y")
-    u2x, u2y = _v("u2_x"), _v("u2_y")
-    systems["r1"] = PDESystem(
-        "r1", c1,
+def _r1() -> PDESystem:
+    u1x, u1y, u2x, u2y = map(_v, ("u1_x", "u1_y", "u2_x", "u2_y"))
+    return PDESystem(
+        "r1", JetCoordinateSystem(("x", "y"), ("u1", "u2"), order=1),
         [u1x ** 4 + u2y ** 4 - u1x ** 2,
          u2x ** 6 + u1y ** 6 - u2x * u1y],
     )
-    systems["s1"] = PDESystem(
-        "s1", c1,
+
+
+def _s1() -> PDESystem:
+    u1x, u1y, u2x, u2y = map(_v, ("u1_x", "u1_y", "u2_x", "u2_y"))
+    return PDESystem(
+        "s1", JetCoordinateSystem(("x", "y"), ("u1", "u2"), order=1),
         [u1x ** 4 + u2y ** 4 - u1x ** 3 + u2y ** 2,
          u2x ** 4 + u1y ** 4 - u2x ** 2 * u1y - u2x * u1y ** 2],
     )
 
-    c2 = JetCoordinateSystem(("x", "y"), ("u1", "u2", "u3"), order=1)
+
+def _t1() -> PDESystem:
     u1, u2, u3 = _v("u1"), _v("u2"), _v("u3")
     u3y = _v("u3_y")
-    systems["t1"] = PDESystem(
-        "t1", c2,
+    return PDESystem(
+        "t1", JetCoordinateSystem(("x", "y"), ("u1", "u2", "u3"), order=1),
         [u1 ** 2 - _v("u1_x") * _v("u2_y") ** 2,
          u2 ** 2 - _v("u2_x") ** 2 - _v("u1_y") ** 2,
          u3 ** 3 + u3y ** 3 + _v("u2_x") * u3y],
     )
 
-    heat_coords = JetCoordinateSystem(("t", "x"), ("u",), order=2, symmetric=True)
-    systems["heat"] = PDESystem(
-        "heat", heat_coords, [_v("u_xx") - _v("u_t")]
+
+def _heat() -> PDESystem:
+    return PDESystem(
+        "heat", JetCoordinateSystem(("t", "x"), ("u",), order=2, symmetric=True),
+        [_v("u_xx") - _v("u_t")],
     )
 
-    d_coords = JetCoordinateSystem(("x", "y"), ("u",), order=2, symmetric=True)
-    systems["dalembert"] = PDESystem(
-        "dalembert", d_coords,
+
+def _dalembert() -> PDESystem:
+    return PDESystem(
+        "dalembert", JetCoordinateSystem(("x", "y"), ("u",), order=2, symmetric=True),
         [_v("u") * _v("u_xy") - _v("u_x") * _v("u_y")],
     )
-    return systems
+
+
+BUILTIN_SYSTEMS = {
+    "r1": _r1,
+    "s1": _s1,
+    "t1": _t1,
+    "heat": _heat,
+    "dalembert": _dalembert,
+}
+
+
+def builtin_system(name: str) -> PDESystem:
+    """A fresh copy of the stock system ``name``, one of BUILTIN_SYSTEMS,
+    built alone (the others are not built); KeyError for any other name.
+    Each call returns a new system with no minors computed yet."""
+    return BUILTIN_SYSTEMS[name]()
+
+
+def builtin_systems() -> dict:
+    """A fresh copy of every stock system, by name."""
+    return {name: build() for name, build in BUILTIN_SYSTEMS.items()}
 
 
 # ---------------------------------------------------------------------------

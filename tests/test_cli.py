@@ -147,8 +147,22 @@ class TestQalg:
         assert result.payload["classic_limit"] == "1"
 
     def test_unknown_base(self):
+        cached = cli._base_algebra.cache_info().currsize
         result = payload(["qalg", "--base", "nonesuch", "--op", "centre"])
         assert result.code == 2
+        assert result.payload == {"error": "unknown base algebra 'nonesuch'; choose from "
+                                           "['complex', 'mat2', 'real', 'upper2']"}
+        assert cli._base_algebra.cache_info().currsize == cached
+
+    def test_base_algebra_is_built_once_per_process(self, monkeypatch):
+        build = BASE_ALGEBRAS["mat2"]
+        built = []
+        monkeypatch.setitem(BASE_ALGEBRAS, "mat2", lambda: built.append(1) or build())
+        cli._base_algebra.cache_clear()
+        answers = {run(["qalg", "--base", "mat2", "--level", "1", "--op", op]).code
+                   for op in ("tensor", "centre", "nucleus", "classic-limit", "tensor")}
+        assert answers == {0} and built == [1]
+        cli._base_algebra.cache_clear()
 
     def test_centre_cap(self):
         # mat2 (x) A5 (dim 128) is the largest centre; A6 (dim 256) is refused
@@ -359,16 +373,66 @@ class TestPde:
         result = payload(["pde", "jacobian", "--system", "nonesuch"])
         assert result.code == 2
 
-    def test_heat_and_dalembert_build_no_systems(self, monkeypatch):
-        def refuse():
-            raise RuntimeError("builtin systems built")
+    @pytest.mark.parametrize("action", [["jacobian"], ["minors"],
+                                        ["scan", "--points", "nothere.json"]])
+    def test_unknown_system_lists_the_builtins(self, action):
+        cached = cli._stock_system.cache_info().currsize
+        result = payload(["pde", action[0], "--system", "nonesuch", *action[1:]])
+        assert result.code == 2
+        assert result.payload == {"error": "unknown system 'nonesuch'; builtins: "
+                                           "['dalembert', 'heat', 'r1', 's1', 't1']"}
+        assert cli._stock_system.cache_info().currsize == cached
 
-        monkeypatch.setattr(jets, "builtin_systems", refuse)
+    @staticmethod
+    def _refuse_builders(monkeypatch):
+        """Make every stock system's builder raise, with the CLI's cache
+        empty, so that any system a command builds shows."""
+        def refuse(name):
+            raise RuntimeError(f"builtin system {name} built")
+
+        cli._stock_system.cache_clear()
+        for name in jets.BUILTIN_SYSTEMS:
+            monkeypatch.setitem(jets.BUILTIN_SYSTEMS, name, lambda name=name: refuse(name))
+
+    def test_heat_and_dalembert_build_no_systems(self, monkeypatch):
+        self._refuse_builders(monkeypatch)
         assert run(["pde", "heat", "--nodes", "8", "--steps", "2",
                     "--level", "1"]).code == 0
         assert run(["pde", "dalembert", "--nodes", "4", "--level", "1"]).code == 0
-        with pytest.raises(RuntimeError, match="builtin systems built"):
+        with pytest.raises(RuntimeError, match="builtin system r1 built"):
             run(["pde", "jacobian", "--system", "r1"])
+
+    @pytest.mark.parametrize("name", sorted(jets.BUILTIN_SYSTEMS))
+    def test_a_command_builds_only_the_system_it_names(self, name, monkeypatch):
+        build = jets.BUILTIN_SYSTEMS[name]
+        self._refuse_builders(monkeypatch)
+        built = []
+        monkeypatch.setitem(jets.BUILTIN_SYSTEMS, name,
+                            lambda: built.append(name) or build())
+        for action in (["jacobian"], ["minors", "--size", "1"]):
+            assert run(["pde", *action, "--system", name]).code == 0
+        assert built == [name]
+        cli._stock_system.cache_clear()
+
+    def test_a_second_scan_reuses_the_minors(self, monkeypatch, tmp_path):
+        # the all-zero point satisfies r1, so the first scan computes minors
+        argv = with_files(["pde", "scan", "--system", "r1", "--minor-size", "2",
+                           "--points", [{}, {"u2_y": 1}]], tmp_path)
+        cli._stock_system.cache_clear()
+        calls = []
+        original = jets.minor_determinants
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(jets, "minor_determinants", counted)
+        first = run(argv)
+        assert first.code == 1 and len(calls) == 1
+        calls.clear()
+        second = run(argv)
+        assert calls == []
+        assert (second.code, second.to_json()) == (first.code, first.to_json())
 
     @pytest.mark.parametrize("action", ["heat", "dalembert"])
     def test_level_cap(self, action):
@@ -1069,6 +1133,48 @@ class TestRepeatedRuns:
             "usage: hyperlab pde")
         assert answers[("--help",)][0][2].startswith("usage: hyperlab")
         assert answers[("--help",)][0][1] == "{}"
+
+    @staticmethod
+    def _stock_argvs(tmp_path):
+        """jacobian of every stock system, minors and scan at size 1 and at
+        its number of equations, and every qalg op over every base algebra."""
+        argvs = []
+        for name, system in jets.builtin_systems().items():
+            variables = system.coords.variables
+            # on the variety, off it (mostly), and an algebra-valued point
+            points = tmp_path / f"{name}.json"
+            points.write_text(json.dumps([
+                {}, {variables[-1]: "1"},
+                {system.coords.dependents[0]: {"level": 2, "coeffs": [1, 0, 0, 1]}}]))
+            for size in sorted({1, len(system.equations)}):
+                argvs += [["pde", "minors", "--system", name, "--size", str(size)],
+                          ["pde", "scan", "--system", name, "--minor-size", str(size),
+                           "--points", str(points)]]
+            argvs.append(["pde", "jacobian", "--system", name])
+        for base in BASE_ALGEBRAS:
+            argvs += [["qalg", "--base", base, "--level", "1", "--op", op]
+                      for op in ("tensor", "centre", "nucleus", "classic-limit")]
+        return argvs
+
+    def test_stock_systems_and_base_algebras_answer_every_order_alike(self, tmp_path):
+        argvs = self._stock_argvs(tmp_path)
+        first = {}
+        for argv in argvs:
+            cli._stock_system.cache_clear()
+            cli._base_algebra.cache_clear()
+            result = run(argv)
+            first[tuple(argv)] = (result.code, result.to_json())
+        assert {code for code, _ in first.values()} == {0, 1}
+        cli._stock_system.cache_clear()
+        cli._base_algebra.cache_clear()
+        for order in (argvs, argvs[::-1]):
+            for argv in order:
+                result = run(argv)
+                assert (result.code, result.to_json()) == first[tuple(argv)], argv
+        assert cli._stock_system.cache_info().currsize == len(jets.BUILTIN_SYSTEMS)
+        assert cli._base_algebra.cache_info().currsize == len(BASE_ALGEBRAS)
+        assert cli._stock_system("r1") is cli._stock_system("r1")
+        assert cli._base_algebra("mat2") is cli._base_algebra("mat2")
 
     def test_cached_parser_parses_like_a_fresh_one(self):
         for argv in self.MIXED[:8]:

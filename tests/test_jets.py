@@ -16,6 +16,7 @@ from hyperlab.jets import (
     JetCoordinateSystem,
     OffVariety,
     PDESystem,
+    builtin_system,
     builtin_systems,
     classify_point,
     formal_jacobian,
@@ -318,6 +319,23 @@ class TestScan:
 
 
 class TestBuiltinSystems:
+    @pytest.mark.parametrize("name", sorted(jets.BUILTIN_SYSTEMS))
+    def test_one_system_is_built_alone(self, name, monkeypatch):
+        expected = builtin_systems()[name].to_json_dict()
+        build = jets.BUILTIN_SYSTEMS[name]
+        for other in jets.BUILTIN_SYSTEMS:
+            monkeypatch.setitem(jets.BUILTIN_SYSTEMS, other, None)
+        monkeypatch.setitem(jets.BUILTIN_SYSTEMS, name, build)
+        assert builtin_system(name).to_json_dict() == expected
+
+    def test_each_call_builds_a_fresh_system(self):
+        assert sorted(builtin_systems()) == sorted(jets.BUILTIN_SYSTEMS)
+        first, second = builtin_system("r1"), builtin_system("r1")
+        assert first is not second and first.nonzero_minors(2) is not second.nonzero_minors(2)
+        assert builtin_systems()["r1"] is not builtin_systems()["r1"]
+        with pytest.raises(KeyError):
+            builtin_system("nonesuch")
+
     def test_equation_counts(self, systems):
         assert len(systems["r1"].equations) == 2
         assert len(systems["s1"].equations) == 2
