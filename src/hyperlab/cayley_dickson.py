@@ -25,6 +25,7 @@ from .exact import (
     CERTIFICATE_PRIME,
     DEFAULT_TOLERANCE,
     INT64_PRODUCT_BOUND,
+    SLAB_ENTRIES,
     VerificationError,
     integer_vector,
     is_exact,
@@ -208,6 +209,52 @@ def structure_multiply(products, x, y, out):
             for k, g in row[q]:
                 out[k] = out[k] + c * g
     return out
+
+
+def structure_multiply_rows(level: int, x, y):
+    """Row-wise products x[n] y[n] of two (rows, 2^level) float arrays,
+    bit for bit the floats ``structure_multiply`` gives for the same rows
+    as lists of Python floats, and the mask of the coefficients that
+    received a term there (the others it leaves as the int 0).
+
+    For fixed k, q = p ^ k, so ``structure_multiply`` gives coefficient k
+    the sum of x_p y_{p^k} sign[p][p^k] over the p with both factors
+    nonzero, added in ascending p to the int 0.  Here each term is one
+    elementwise product (read through the ``_gather`` of the table: its
+    ``cols`` is p ^ k and its "right" signs transposed are sign[p][p^k]),
+    a term with a zero factor is +0.0, and the sum is one in-place add per
+    p onto +0.0: never matmul or a reduction, whose order of summation is
+    unspecified.  A sum that starts at +0.0 is never -0.0 in round to
+    nearest, so adding +0.0 changes it nowhere, and 0 * inf, which would be
+    NaN, never forms.  For the same reason only the p with x_p nonzero in
+    some row take part, so sparse rows cost little.  Rows run in blocks
+    whose terms hold at most ``SLAB_ENTRIES`` entries.
+    """
+    cols, signs = _table(level)._gather
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rows, dim = x.shape
+    active = np.flatnonzero((x != 0).any(axis=0))
+    x = x[:, active]
+    # [i, k] = p_i ^ k and sign[p_i][p_i ^ k] for the active p_i
+    cols = cols[active]
+    sign = signs["right"].T[active]
+    out = np.zeros((rows, dim))
+    termed = np.zeros((rows, dim), dtype=bool)
+    block = max(1, SLAB_ENTRIES // max(1, len(active) * dim))
+    # overflow and inf - inf are quiet in Python float arithmetic too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, rows, block):
+            xb = x[lo:lo + block]
+            yk = y[lo:lo + block].take(cols, axis=-1)
+            both = (xb != 0)[:, :, None] & (yk != 0)
+            yk *= sign
+            terms = np.multiply(xb[:, :, None], yk, out=np.zeros_like(yk), where=both)
+            acc = out[lo:lo + block]
+            for i in range(len(active)):
+                acc += terms[:, i]
+            both.any(axis=1, out=termed[lo:lo + block])
+    return out, termed
 
 
 # ---------------------------------------------------------------------------

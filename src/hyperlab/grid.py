@@ -7,6 +7,12 @@ field literally the same float operations as evolving each of the dim real
 component fields.  Residual evaluation plugs central differences into the
 differential polynomials of a system, with monomials multiplied in the
 written order inside the coefficient algebra.
+
+The separable d'Alembert check forms u u_xy - u_x u_y at every node pair.
+On finite float samples it runs as whole arrays, two row-wise products
+(``cayley_dickson.structure_multiply_rows``) for all pairs at once, and
+gives bit for bit the floats of the six ``CDElement`` products per pair
+that exact, mixed and non-finite samples still take.
 """
 
 from __future__ import annotations
@@ -18,7 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cayley_dickson import AlgebraMismatch, CDElement, check_level, structure_constants
+from .cayley_dickson import (
+    AlgebraMismatch,
+    CDElement,
+    check_level,
+    structure_constants,
+    structure_multiply_rows,
+)
 from .exact import DEFAULT_TOLERANCE, SLAB_ENTRIES, integer_vector, rref
 from .jets import PDESystem
 
@@ -330,6 +342,93 @@ def _values_commute_associate(values, tolerance: float) -> bool:
     return _exact_commute_associate(exact)
 
 
+def _largest(mags, tolerance: float):
+    """The per-pair loop's verdict on the residual norms ``mags`` in
+    row-major order: the largest one (0.0 when none is positive; NaN never
+    counts) and, when it exceeds the tolerance, the index of its first
+    occurrence, else None."""
+    worst, hit = 0.0, None
+    for n, mag in enumerate(mags):
+        if mag > worst:
+            worst = mag
+            if mag > tolerance:
+                hit = n
+    return worst, hit
+
+
+def _pair_residuals(f_values, g_values, f_derivs, g_derivs):
+    """R at every node pair, in row-major order, from six ``CDElement``
+    products each: the path of exact, mixed and non-finite samples."""
+    out = []
+    for f, fp in zip(f_values, f_derivs):
+        for g, gp in zip(g_values, g_derivs):
+            u = f * g
+            u_x = fp * g
+            u_y = f * gp
+            u_xy = fp * gp
+            out.append(u * u_xy - u_x * u_y)
+    return out
+
+
+def _batched_residuals(level: int, f, fp, g, gp):
+    """R at every pair of rows (i, j) of the float arrays f, f' (n1, dim)
+    and g, g' (n2, dim), in row-major order, from two
+    ``structure_multiply_rows`` calls, [f g, f' g, f g', f' g'] and then
+    [u u_xy, u_x u_y], with the mask of the coefficients that the per-pair
+    loop forms as floats (it leaves the others as the int 0).  The
+    subtraction treats an int 0 as +0.0, as Python does."""
+    n1, n2, dim = len(f), len(g), f.shape[1]
+    shape = (4, n1, n2, dim)
+    left = np.broadcast_to(np.stack([f, fp, f, fp])[:, :, None], shape)
+    right = np.broadcast_to(np.stack([g, g, gp, gp])[:, None], shape)
+    u, u_x, u_y, u_xy = structure_multiply_rows(
+        level, left.reshape(-1, dim), right.reshape(-1, dim))[0].reshape(4, n1 * n2, dim)
+    products, termed = structure_multiply_rows(
+        level, np.concatenate([u, u_x]), np.concatenate([u_xy, u_y]))
+    a, b = products.reshape(2, n1 * n2, dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a - b, termed.reshape(2, n1 * n2, dim).any(axis=0)
+
+
+def _batched_residual_norms(level: int, f_values, g_values, f_derivs, g_derivs):
+    """The norms of R at every node pair, in row-major order, and a function
+    that builds R at one pair, from ``_batched_residuals`` on blocks of f
+    rows whose products hold at most ``SLAB_ENTRIES`` entries.
+
+    Every step repeats a float operation of the per-pair loop, so the
+    norms and residuals are bit for bit those of ``_pair_residuals``: the
+    squares are summed in coefficient order from +0.0 as ``sum`` adds
+    them, and the square root is Python's ``** 0.5`` of each sum."""
+    def rows(values):
+        return np.array([x.coeffs for x in values], dtype=float)
+
+    f, fp, g, gp = map(rows, (f_values, f_derivs, g_values, g_derivs))
+    n2, dim = g.shape
+    step = max(1, SLAB_ENTRIES // (4 * n2 * dim))
+    sums = []
+    for lo in range(0, len(f), step):
+        r, _ = _batched_residuals(level, f[lo:lo + step], fp[lo:lo + step], g, gp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = r * r
+            total = squares[:, 0] + 0.0
+            for k in range(1, dim):
+                total += squares[:, k]
+        sums += total.tolist()
+
+    def residual_at(n):
+        i, j = divmod(n, n2)
+        r, termed = _batched_residuals(level, f[i:i + 1], fp[i:i + 1],
+                                       g[j:j + 1], gp[j:j + 1])
+        return CDElement(level, [c if t else 0
+                                 for c, t in zip(r[0].tolist(), termed[0].tolist())])
+
+    return [s ** 0.5 for s in sums], residual_at
+
+
+def _finite_floats(values) -> bool:
+    return all(type(c) is float and math.isfinite(c) for x in values for c in x.coeffs)
+
+
 def separable_dalembert_check(
     f_values, g_values, f_derivs, g_derivs, tolerance: float = DEFAULT_TOLERANCE
 ) -> SeparableReport:
@@ -337,11 +436,19 @@ def separable_dalembert_check(
 
     ``f_values``/``f_derivs`` sample an algebra-valued f and its derivative
     on a 1-d grid (analytic derivatives or central differences, caller's
-    choice), likewise for g.  R vanishes identically whenever all sampled
-    values and derivatives lie in one commutative associative subalgebra;
-    the report carries the commutativity diagnosis and, as witness, the
-    node with the largest residual when that residual's euclidean norm
-    exceeds the tolerance.
+    choice), likewise for g; each list of values needs one derivative per
+    value and at least one value, else ValueError before any product.
+    R vanishes identically whenever all sampled values and derivatives lie
+    in one commutative associative subalgebra; the report carries the
+    commutativity diagnosis and, as witness, the first node pair in
+    row-major order with the largest residual when that residual's
+    euclidean norm exceeds the tolerance.
+
+    When every sample coefficient is a finite Python float, the residuals
+    of all node pairs come from two batched products
+    (``cayley_dickson.structure_multiply_rows``), bit for bit the values of
+    the six ``CDElement`` products per pair that exact, mixed and
+    non-finite samples still take.
 
     The diagnosis is exact when every sample is exact (int/Fraction): it
     checks commutators and associators on an exact basis of the samples'
@@ -350,34 +457,30 @@ def separable_dalembert_check(
     |((ab)c - a(bc))_k| over all sample triples; exact samples among
     floats are also checked exactly among themselves.
     """
-    levels = {v.level for v in (*f_values, *g_values, *f_derivs, *g_derivs)}
+    sizes = tuple(map(len, (f_values, f_derivs, g_values, g_derivs)))
+    if not sizes[0] or not sizes[2] or sizes[0] != sizes[1] or sizes[2] != sizes[3]:
+        raise ValueError("need as many derivatives as values, and at least one value, "
+                         "for f and for g; got {} f values, {} f derivatives, "
+                         "{} g values, {} g derivatives".format(*sizes))
+    samples = [*f_values, *g_values, *f_derivs, *g_derivs]
+    levels = {v.level for v in samples}
     if len(levels) != 1:
         raise AlgebraMismatch("samples mix algebra levels")
-    worst = 0.0
-    witness = None
-    count = 0
-    for i, (f, fp) in enumerate(zip(f_values, f_derivs)):
-        for j, (g, gp) in enumerate(zip(g_values, g_derivs)):
-            u = f * g
-            u_x = fp * g
-            u_y = f * gp
-            u_xy = fp * gp
-            r = u * u_xy - u_x * u_y
-            count += 1
-            mag = float(sum(float(c) * float(c) for c in r.coeffs)) ** 0.5
-            if mag > worst:
-                worst = mag
-                if mag > tolerance:
-                    witness = (i, j, r)
-    commutative = _values_commute_associate(
-        list(f_values) + list(g_values) + list(f_derivs) + list(g_derivs),
-        tolerance,
-    )
+    level, = levels
+    if _finite_floats(samples):
+        mags, residual_at = _batched_residual_norms(level, f_values, g_values,
+                                                    f_derivs, g_derivs)
+    else:
+        residuals = _pair_residuals(f_values, g_values, f_derivs, g_derivs)
+        mags = [float(sum(float(c) * float(c) for c in r.coeffs)) ** 0.5 for r in residuals]
+        residual_at = residuals.__getitem__
+    worst, hit = _largest(mags, tolerance)
+    n2 = sizes[2]
     return SeparableReport(
         max_residual=worst,
-        witness=witness,
-        commutative_subalgebra=commutative,
-        nodes_checked=count,
+        witness=None if hit is None else (hit // n2, hit % n2, residual_at(hit)),
+        commutative_subalgebra=_values_commute_associate(samples, tolerance),
+        nodes_checked=len(mags),
     )
 
 

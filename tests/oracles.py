@@ -9,7 +9,10 @@ normal form with its determinant check, and invariant factors by prime
 factoring: independent of the carried inverses and the gcd/lcm chain in
 ``hyperlab.abelian``.  The identity battery as a loop of ``CDElement``
 products, one sample tuple at a time: independent of the batch forms and
-slabs of ``hyperlab.cayley_dickson.identity_battery``.
+slabs of ``hyperlab.cayley_dickson.identity_battery``.  The d'Alembert
+residual of a separable solution from six ``CDElement`` products per node
+pair: independent of the batched products of
+``hyperlab.grid.separable_dalembert_check``.
 
 Also enumeration routes and symbolic expectations: homomorphism and Ext
 orders of cyclic groups by enumeration, H / mH from a presentation, every
@@ -654,6 +657,23 @@ def max_abs(values) -> float:
                 mag = abs(float(v))
             worst = max(worst, mag)
     return worst
+
+
+def dalembert_pair_loop(f_values, g_values, f_derivs, g_derivs, tolerance):
+    """The d'Alembert residual R = u u_xy - u_x u_y of u = f g as the
+    per-pair loop forms it, six ``CDElement`` products per node pair:
+    (largest euclidean norm, witness (i, j, R) or None), the witness being
+    the pair that last raised the largest norm, when above ``tolerance``."""
+    worst, witness = 0.0, None
+    for i, (f, fp) in enumerate(zip(f_values, f_derivs)):
+        for j, (g, gp) in enumerate(zip(g_values, g_derivs)):
+            r = (f * g) * (fp * gp) - (fp * g) * (f * gp)
+            mag = float(sum(float(c) * float(c) for c in r.coeffs)) ** 0.5
+            if mag > worst:
+                worst = mag
+                if mag > tolerance:
+                    witness = (i, j, r)
+    return worst, witness
 
 
 def table_loop_product(a, b):

@@ -36,6 +36,7 @@ from hyperlab.cayley_dickson import (
     quaternion_to_complex_matrix,
     quaternion_type_algebra,
     structure_constants,
+    structure_multiply_rows,
     trace,
 )
 from hyperlab import cayley_dickson
@@ -157,6 +158,31 @@ class TestMultiplication:
                     for _ in range(2))
             expected = oracles.table_loop_product(a, b)
             assert list(map(repr, cd_multiply(a, b).coeffs)) == list(map(repr, expected))
+
+    @pytest.mark.parametrize("level", range(0, 7))
+    @pytest.mark.parametrize("slab", [1, cayley_dickson.SLAB_ENTRIES])
+    def test_row_products_bit_identical_to_the_table_loop(self, level, slab, monkeypatch):
+        # every coefficient as the loop leaves it: the same float, or the
+        # int 0 where the mask says no term arrived; rows of zeros,
+        # infinities and NaN among them, in blocks of one row or one block
+        rng = random.Random(100 + level)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+        dim = 1 << level
+
+        def draw(density):
+            if rng.random() >= density:
+                return rng.choice([0.0, -0.0])
+            return rng.choice(special) if rng.random() < 0.2 else rng.uniform(-3, 3)
+
+        pairs = [[[draw(density) for _ in range(dim)] for _ in range(2)]
+                 for density in (0.0, 0.2, 0.5, 0.8, 1.0) for _ in range(4)]
+        monkeypatch.setattr(cayley_dickson, "SLAB_ENTRIES", slab)
+        values, termed = structure_multiply_rows(
+            level, [x for x, _ in pairs], [y for _, y in pairs])
+        for (x, y), row, mask in zip(pairs, values.tolist(), termed.tolist()):
+            expected = oracles.table_loop_product(CDElement(level, x), CDElement(level, y))
+            got = [c if t else 0 for c, t in zip(row, mask)]
+            assert list(map(repr, got)) == list(map(repr, expected))
 
     @pytest.mark.parametrize("level", range(1, 6))
     def test_recursive_float_product_bit_identical_to_the_gamma_formula(self, level):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from hyperlab.grid import (
 )
 from hyperlab.jets import PDESystem, builtin_systems
 
-from oracles import max_abs
+from oracles import dalembert_pair_loop, max_abs
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,138 @@ class TestSeparable:
 
         with pytest.raises(AlgebraMismatch):
             separable_dalembert_check(f, g, f, g)
+
+    @pytest.mark.parametrize("counts, got", [
+        ((2, 0, 2, 0), "got 2 f values, 2 f derivatives, 0 g values, 0 g derivatives"),
+        ((2, 1, 1, 1), "got 2 f values, 1 f derivatives, 1 g values, 1 g derivatives"),
+        ((0, 0, 0, 0), "got 0 f values, 0 f derivatives, 0 g values, 0 g derivatives"),
+    ])
+    @pytest.mark.parametrize("coeffs", [[0.5, 1.0, 0.0, 0.0], [Fraction(1, 2), 1, 0, 0]])
+    def test_ragged_or_empty_samples_refused_before_any_product(
+            self, counts, got, coeffs, monkeypatch):
+        # zip would truncate them: (2, 0, 2, 0) reported a vanishing
+        # residual on no node, and (2, 1, 1, 1) checked one node
+        def product(*args):
+            raise AssertionError("a product ran")
+
+        monkeypatch.setattr(cayley_dickson, "cd_multiply", product)
+        monkeypatch.setattr(grid, "structure_multiply_rows", product)
+        a = CDElement(2, coeffs)
+        f, g, fp, gp = ([a] * n for n in counts)
+        with pytest.raises(ValueError, match=got):
+            separable_dalembert_check(f, g, fp, gp)
+
+
+# coefficients whose products underflow (5e-324, 1e-200, -1e-170) or
+# whose residual products overflow (1e150), and signed zeros
+EXTREMES = [0.0, -0.0, 5e-324, 1e-200, -1e-170, 1e150, -1e150]
+
+
+@st.composite
+def float_dalembert_samples(draw):
+    """(f, g, f', g') of finite Python floats, levels 0-5 and 1-4 nodes a
+    side, sparse or dense."""
+    level = draw(st.integers(0, 5))
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7, 0.95]))
+    extremes = draw(st.sampled_from([0.0, 0.2, 0.6]))
+
+    def coeff():
+        if rng.random() < zeros:
+            return rng.choice([0.0, -0.0])
+        if rng.random() < extremes:
+            return rng.choice(EXTREMES)
+        return rng.uniform(-2.0, 2.0)
+
+    def elements(n):
+        return [CDElement(level, [coeff() for _ in range(1 << level)]) for _ in range(n)]
+
+    return elements(n1), elements(n2), elements(n1), elements(n2)
+
+
+def assert_loop_report(report, samples, tolerance):
+    """The report carries the per-pair loop's residual and witness, to the
+    repr of every float: an int 0 where the loop leaves one prints "0"."""
+    worst, witness = dalembert_pair_loop(*samples, tolerance)
+    assert repr(report.max_residual) == repr(worst)
+    assert report.nodes_checked == len(samples[0]) * len(samples[1])
+    assert (report.witness is None) == (witness is None)
+    if witness is not None:
+        assert report.witness[:2] == witness[:2]
+        assert list(map(repr, report.witness[2].coeffs)) == list(map(repr, witness[2].coeffs))
+
+
+class TestBatchedResidual:
+    @settings(max_examples=200, deadline=None)
+    @given(float_dalembert_samples(), st.sampled_from([0, 1e-9, 0.5]), st.booleans())
+    def test_equals_the_pair_loop(self, samples, tolerance, one_row_blocks):
+        # one node pair per block of rows, and one product row per block
+        saved = grid.SLAB_ENTRIES
+        for module in (grid, cayley_dickson):
+            module.SLAB_ENTRIES = 1 if one_row_blocks else saved
+        try:
+            report = separable_dalembert_check(*samples, tolerance=tolerance)
+        finally:
+            grid.SLAB_ENTRIES = cayley_dickson.SLAB_ENTRIES = saved
+        assert_loop_report(report, samples, tolerance)
+
+    @pytest.mark.parametrize("level, nodes, f_axis, g_axis", [(3, 5, 2, 5), (3, 4, 6, 6),
+                                                              (0, 3, 1, 1), (6, 2, 9, 40)])
+    def test_float_samples_make_no_element_product(
+            self, level, nodes, f_axis, g_axis, monkeypatch):
+        calls = []
+
+        def counted(a, b, product=cayley_dickson.cd_multiply):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(cayley_dickson, "cd_multiply", counted)
+        report = cos_sin_dalembert_check(level, nodes, f_axis, g_axis)
+        assert calls == []
+        assert report.nodes_checked == nodes * nodes
+
+    @pytest.mark.parametrize("kind", ["fraction", "mixed", "nan", "inf"])
+    def test_other_samples_take_the_pair_loop(self, kind, monkeypatch):
+        def product(*args):
+            raise AssertionError("the batched product ran")
+
+        monkeypatch.setattr(grid, "structure_multiply_rows", product)
+        rng = random.Random(kind)
+
+        def coeff(k):
+            if kind == "fraction":
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if kind == "mixed" and k % 2:
+                return rng.randint(-3, 3)
+            return rng.uniform(-2.0, 2.0)
+
+        samples = [[CDElement(2, [coeff(k) for k in range(4)]) for _ in range(3)]
+                   for _ in range(4)]
+        if kind in ("nan", "inf"):
+            coeffs = list(samples[1][2].coeffs)
+            coeffs[3] = math.nan if kind == "nan" else -math.inf
+            samples[1][2] = CDElement(2, coeffs)
+        report = separable_dalembert_check(*samples, tolerance=1e-9)
+        assert_loop_report(report, samples, 1e-9)
+
+    def test_level_5_at_64_nodes_runs_in_blocks(self):
+        # 16,384 product rows of 32 coefficients: dense samples take all 32
+        # terms per coefficient, 128 MiB of terms in one array
+        rng = random.Random(5)
+        dense = [[CDElement(5, [rng.uniform(-1.0, 1.0) for _ in range(32)])
+                  for _ in range(64)] for _ in range(4)]
+        tracemalloc.start()
+        try:
+            cos_sin_dalembert_check(5, 64, 3, 5)
+            cos_sin_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = separable_dalembert_check(*dense)
+            dense_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.nodes_checked == 64 * 64 and report.witness is not None
+        assert max(cos_sin_peak, dense_peak) < 48 * 2 ** 20
 
 
 def commute_associate_oracle(values, tolerance):
