@@ -214,8 +214,8 @@ def structure_multiply(products, x, y, out):
 def structure_multiply_rows(level: int, x, y):
     """Row-wise products x[n] y[n] of two (rows, 2^level) float arrays,
     bit for bit the floats ``structure_multiply`` gives for the same rows
-    as lists of Python floats, and the mask of the coefficients that
-    received a term there (the others it leaves as the int 0).
+    as lists of Python floats, a coefficient that no term reaches being
+    +0.0 here and the int 0 there.
 
     For fixed k, q = p ^ k, so ``structure_multiply`` gives coefficient k
     the sum of x_p y_{p^k} sign[p][p^k] over the p with both factors
@@ -240,7 +240,6 @@ def structure_multiply_rows(level: int, x, y):
     cols = cols[active]
     sign = signs["right"].T[active]
     out = np.zeros((rows, dim))
-    termed = np.zeros((rows, dim), dtype=bool)
     block = max(1, SLAB_ENTRIES // max(1, len(active) * dim))
     # overflow and inf - inf are quiet in Python float arithmetic too
     with np.errstate(over="ignore", invalid="ignore"):
@@ -253,8 +252,7 @@ def structure_multiply_rows(level: int, x, y):
             acc = out[lo:lo + block]
             for i in range(len(active)):
                 acc += terms[:, i]
-            both.any(axis=1, out=termed[lo:lo + block])
-    return out, termed
+    return out
 
 
 # ---------------------------------------------------------------------------

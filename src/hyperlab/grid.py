@@ -9,10 +9,10 @@ differential polynomials of a system, with monomials multiplied in the
 written order inside the coefficient algebra.
 
 The separable d'Alembert check forms u u_xy - u_x u_y at every node pair.
-On finite float samples it runs as whole arrays, two row-wise products
-(``cayley_dickson.structure_multiply_rows``) for all pairs at once, and
-gives bit for bit the floats of the six ``CDElement`` products per pair
-that exact, mixed and non-finite samples still take.
+On float samples the norms run as whole arrays, two row-wise products
+(``cayley_dickson.structure_multiply_rows``) for all pairs at once, bit
+for bit the floats of the six ``CDElement`` products per pair that exact
+and mixed samples take, and that form the witness.
 """
 
 from __future__ import annotations
@@ -286,26 +286,28 @@ def _float_commute_associate(values, tolerance: float) -> bool:
         return bool(deviation.max() <= tolerance)
 
     blocks = [v[lo:lo + block] for lo in range(0, m, block)]
-    for va in blocks:
-        # [(k, a), b] = (ab)_k - (ba)_k
-        if not within(times_samples(table.operator(va))
-                      - times_samples(table.operator(va, "right"))):
-            return False
-    for vb in blocks:
-        n = len(vb)
-        # [j, (b, c)] = (bc)_j, so that one matrix product gives a(bc)
-        bc = times_samples(table.operator(vb)).reshape(dim, n * m)
-        # reused for every a: fresh arrays of this size cost page faults
-        # that took longer than the products
-        abc = np.empty((dim, n * m))
-        a_bc = np.empty((dim, n * m))
-        for a in v:
-            la = table.operator(a)
-            # [(k, b), c] = ((ab)c)_k, ab being row b of vb @ la.T
-            times_samples(table.operator(vb @ la.T), out=abc.reshape(dim * n, m))
-            np.matmul(la, bc, out=a_bc)
-            if not within(np.subtract(abc, a_bc, out=abc)):
+    # overflow and inf - inf are quiet in Python float arithmetic too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for va in blocks:
+            # [(k, a), b] = (ab)_k - (ba)_k
+            if not within(times_samples(table.operator(va))
+                          - times_samples(table.operator(va, "right"))):
                 return False
+        for vb in blocks:
+            n = len(vb)
+            # [j, (b, c)] = (bc)_j, so that one matrix product gives a(bc)
+            bc = times_samples(table.operator(vb)).reshape(dim, n * m)
+            # reused for every a: fresh arrays of this size cost page faults
+            # that took longer than the products
+            abc = np.empty((dim, n * m))
+            a_bc = np.empty((dim, n * m))
+            for a in v:
+                la = table.operator(a)
+                # [(k, b), c] = ((ab)c)_k, ab being row b of vb @ la.T
+                times_samples(table.operator(vb @ la.T), out=abc.reshape(dim * n, m))
+                np.matmul(la, bc, out=a_bc)
+                if not within(np.subtract(abc, a_bc, out=abc)):
+                    return False
     return True
 
 
@@ -358,7 +360,8 @@ def _largest(mags, tolerance: float):
 
 def _pair_residuals(f_values, g_values, f_derivs, g_derivs):
     """R at every node pair, in row-major order, from six ``CDElement``
-    products each: the path of exact, mixed and non-finite samples."""
+    products each: the path of exact and mixed samples, and of the one
+    witness pair."""
     out = []
     for f, fp in zip(f_values, f_derivs):
         for g, gp in zip(g_values, g_derivs):
@@ -370,63 +373,39 @@ def _pair_residuals(f_values, g_values, f_derivs, g_derivs):
     return out
 
 
-def _batched_residuals(level: int, f, fp, g, gp):
-    """R at every pair of rows (i, j) of the float arrays f, f' (n1, dim)
-    and g, g' (n2, dim), in row-major order, from two
-    ``structure_multiply_rows`` calls, [f g, f' g, f g', f' g'] and then
-    [u u_xy, u_x u_y], with the mask of the coefficients that the per-pair
-    loop forms as floats (it leaves the others as the int 0).  The
-    subtraction treats an int 0 as +0.0, as Python does."""
-    n1, n2, dim = len(f), len(g), f.shape[1]
-    shape = (4, n1, n2, dim)
-    left = np.broadcast_to(np.stack([f, fp, f, fp])[:, :, None], shape)
-    right = np.broadcast_to(np.stack([g, g, gp, gp])[:, None], shape)
-    u, u_x, u_y, u_xy = structure_multiply_rows(
-        level, left.reshape(-1, dim), right.reshape(-1, dim))[0].reshape(4, n1 * n2, dim)
-    products, termed = structure_multiply_rows(
-        level, np.concatenate([u, u_x]), np.concatenate([u_xy, u_y]))
-    a, b = products.reshape(2, n1 * n2, dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a - b, termed.reshape(2, n1 * n2, dim).any(axis=0)
-
-
 def _batched_residual_norms(level: int, f_values, g_values, f_derivs, g_derivs):
-    """The norms of R at every node pair, in row-major order, and a function
-    that builds R at one pair, from ``_batched_residuals`` on blocks of f
-    rows whose products hold at most ``SLAB_ENTRIES`` entries.
+    """The norms of R at every node pair, in row-major order, from two
+    ``structure_multiply_rows`` calls per block of f rows, [f g, f' g,
+    f g', f' g'] and then [u u_xy, u_x u_y]; a block's products hold at
+    most ``SLAB_ENTRIES`` entries.
 
     Every step repeats a float operation of the per-pair loop, so the
-    norms and residuals are bit for bit those of ``_pair_residuals``: the
-    squares are summed in coefficient order from +0.0 as ``sum`` adds
-    them, and the square root is Python's ``** 0.5`` of each sum."""
-    def rows(values):
-        return np.array([x.coeffs for x in values], dtype=float)
-
-    f, fp, g, gp = map(rows, (f_values, f_derivs, g_values, g_derivs))
+    norms are bit for bit those of ``_pair_residuals``: a coefficient that
+    the loop leaves as the int 0 is +0.0 here, which the subtraction treats
+    alike, as Python does; the squares are summed in coefficient order from
+    +0.0 as ``sum`` adds them, and the square root is Python's ``** 0.5``
+    of each sum."""
+    f, fp, g, gp = (np.array([x.coeffs for x in values], dtype=float)
+                    for values in (f_values, f_derivs, g_values, g_derivs))
     n2, dim = g.shape
     step = max(1, SLAB_ENTRIES // (4 * n2 * dim))
     sums = []
     for lo in range(0, len(f), step):
-        r, _ = _batched_residuals(level, f[lo:lo + step], fp[lo:lo + step], g, gp)
+        fb, fpb = f[lo:lo + step], fp[lo:lo + step]
+        shape = (4, len(fb), n2, dim)
+        left = np.broadcast_to(np.stack([fb, fpb, fb, fpb])[:, :, None], shape)
+        right = np.broadcast_to(np.stack([g, g, gp, gp])[:, None], shape)
+        u, u_x, u_y, u_xy = structure_multiply_rows(
+            level, left.reshape(-1, dim), right.reshape(-1, dim)).reshape(4, -1, dim)
+        a, b = structure_multiply_rows(
+            level, np.concatenate([u, u_x]), np.concatenate([u_xy, u_y])).reshape(2, -1, dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            squares = r * r
+            squares = np.square(a - b)
             total = squares[:, 0] + 0.0
             for k in range(1, dim):
                 total += squares[:, k]
         sums += total.tolist()
-
-    def residual_at(n):
-        i, j = divmod(n, n2)
-        r, termed = _batched_residuals(level, f[i:i + 1], fp[i:i + 1],
-                                       g[j:j + 1], gp[j:j + 1])
-        return CDElement(level, [c if t else 0
-                                 for c, t in zip(r[0].tolist(), termed[0].tolist())])
-
-    return [s ** 0.5 for s in sums], residual_at
-
-
-def _finite_floats(values) -> bool:
-    return all(type(c) is float and math.isfinite(c) for x in values for c in x.coeffs)
+    return [s ** 0.5 for s in sums]
 
 
 def separable_dalembert_check(
@@ -444,11 +423,11 @@ def separable_dalembert_check(
     row-major order with the largest residual when that residual's
     euclidean norm exceeds the tolerance.
 
-    When every sample coefficient is a finite Python float, the residuals
-    of all node pairs come from two batched products
-    (``cayley_dickson.structure_multiply_rows``), bit for bit the values of
-    the six ``CDElement`` products per pair that exact, mixed and
-    non-finite samples still take.
+    When every sample coefficient is a Python float, the residual norms
+    come from ``_batched_residual_norms``, bit for bit those of the six
+    ``CDElement`` products per pair that exact and mixed samples take; the
+    witness is always those six products at its pair.  Samples that are
+    not all exact get ``check_level`` before any product.
 
     The diagnosis is exact when every sample is exact (int/Fraction): it
     checks commutators and associators on an exact basis of the samples'
@@ -467,18 +446,23 @@ def separable_dalembert_check(
     if len(levels) != 1:
         raise AlgebraMismatch("samples mix algebra levels")
     level, = levels
-    if _finite_floats(samples):
-        mags, residual_at = _batched_residual_norms(level, f_values, g_values,
-                                                    f_derivs, g_derivs)
+    if not all(x.is_exact for x in samples):
+        check_level(level)
+    if all(type(c) is float for x in samples for c in x.coeffs):
+        mags = _batched_residual_norms(level, f_values, g_values, f_derivs, g_derivs)
     else:
-        residuals = _pair_residuals(f_values, g_values, f_derivs, g_derivs)
-        mags = [float(sum(float(c) * float(c) for c in r.coeffs)) ** 0.5 for r in residuals]
-        residual_at = residuals.__getitem__
+        mags = [float(sum(float(c) * float(c) for c in r.coeffs)) ** 0.5
+                for r in _pair_residuals(f_values, g_values, f_derivs, g_derivs)]
     worst, hit = _largest(mags, tolerance)
-    n2 = sizes[2]
+    witness = None
+    if hit is not None:
+        i, j = divmod(hit, sizes[2])
+        r, = _pair_residuals(f_values[i:i + 1], g_values[j:j + 1],
+                             f_derivs[i:i + 1], g_derivs[j:j + 1])
+        witness = (i, j, r)
     return SeparableReport(
         max_residual=worst,
-        witness=None if hit is None else (hit // n2, hit % n2, residual_at(hit)),
+        witness=witness,
         commutative_subalgebra=_values_commute_associate(samples, tolerance),
         nodes_checked=len(mags),
     )

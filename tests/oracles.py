@@ -659,20 +659,28 @@ def max_abs(values) -> float:
     return worst
 
 
-def dalembert_pair_loop(f_values, g_values, f_derivs, g_derivs, tolerance):
+def dalembert_pair_residuals(f_values, g_values, f_derivs, g_derivs):
     """The d'Alembert residual R = u u_xy - u_x u_y of u = f g as the
     per-pair loop forms it, six ``CDElement`` products per node pair:
-    (largest euclidean norm, witness (i, j, R) or None), the witness being
-    the pair that last raised the largest norm, when above ``tolerance``."""
-    worst, witness = 0.0, None
+    (i, j, R, euclidean norm of R) for every pair in row-major order."""
+    out = []
     for i, (f, fp) in enumerate(zip(f_values, f_derivs)):
         for j, (g, gp) in enumerate(zip(g_values, g_derivs)):
             r = (f * g) * (fp * gp) - (fp * g) * (f * gp)
-            mag = float(sum(float(c) * float(c) for c in r.coeffs)) ** 0.5
-            if mag > worst:
-                worst = mag
-                if mag > tolerance:
-                    witness = (i, j, r)
+            out.append((i, j, r, float(sum(float(c) * float(c) for c in r.coeffs)) ** 0.5))
+    return out
+
+
+def dalembert_pair_loop(f_values, g_values, f_derivs, g_derivs, tolerance):
+    """(largest euclidean norm, witness (i, j, R) or None) of the residuals
+    of ``dalembert_pair_residuals``, the witness being the pair that last
+    raised the largest norm, when above ``tolerance``."""
+    worst, witness = 0.0, None
+    for i, j, r, mag in dalembert_pair_residuals(f_values, g_values, f_derivs, g_derivs):
+        if mag > worst:
+            worst = mag
+            if mag > tolerance:
+                witness = (i, j, r)
     return worst, witness
 
 

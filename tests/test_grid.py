@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import cayley_dickson, grid
-from hyperlab.cayley_dickson import CDElement
+from hyperlab.cayley_dickson import CDElement, LevelTooLarge
 from hyperlab.grid import (
     GridField,
     ResolutionTooSmall,
@@ -23,7 +24,7 @@ from hyperlab.grid import (
 )
 from hyperlab.jets import PDESystem, builtin_systems
 
-from oracles import dalembert_pair_loop, max_abs
+from oracles import dalembert_pair_loop, dalembert_pair_residuals, max_abs
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,29 @@ class TestSeparable:
         with pytest.raises(ValueError, match=got):
             separable_dalembert_check(f, g, fp, gp)
 
+    @pytest.mark.parametrize("kind", ["float", "mixed"])
+    def test_level_of_inexact_samples_checked_before_any_product(self, kind, monkeypatch):
+        # the float diagnosis stops above the cap: dense level-9 float
+        # samples had formed every residual first
+        def product(*args):
+            raise AssertionError("a product ran")
+
+        monkeypatch.setattr(cayley_dickson, "cd_multiply", product)
+        monkeypatch.setattr(grid, "structure_multiply_rows", product)
+        rng = random.Random(9)
+        coeffs = [rng.uniform(-1.0, 1.0) for _ in range(512)]
+        if kind == "mixed":
+            coeffs[1::2] = [1] * 256
+        f = [CDElement(9, coeffs)] * 4
+        with pytest.raises(LevelTooLarge, match="level 9 exceeds cap 8"):
+            separable_dalembert_check(f, f, f, f)
+
+    def test_exact_samples_above_the_cap_still_check(self):
+        a, b = CDElement.basis(9, 3), CDElement.basis(9, 300)
+        report = separable_dalembert_check([a], [b], [b], [a])
+        assert report.nodes_checked == 1
+        assert not report.commutative_subalgebra
+
 
 # coefficients whose products underflow (5e-324, 1e-200, -1e-170) or
 # whose residual products overflow (1e150), and signed zeros
@@ -221,17 +245,20 @@ EXTREMES = [0.0, -0.0, 5e-324, 1e-200, -1e-170, 1e150, -1e150]
 
 @st.composite
 def float_dalembert_samples(draw):
-    """(f, g, f', g') of finite Python floats, levels 0-5 and 1-4 nodes a
-    side, sparse or dense."""
+    """(f, g, f', g') of Python floats, levels 0-5 and 1-4 nodes a side,
+    sparse or dense, some with infinities and NaN."""
     level = draw(st.integers(0, 5))
     n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rng = draw(st.randoms(use_true_random=False))
     zeros = draw(st.sampled_from([0.0, 0.3, 0.7, 0.95]))
     extremes = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    non_finite = draw(st.sampled_from([0.0, 0.0, 0.02, 0.2]))
 
     def coeff():
         if rng.random() < zeros:
             return rng.choice([0.0, -0.0])
+        if rng.random() < non_finite:
+            return rng.choice([math.inf, -math.inf, math.nan])
         if rng.random() < extremes:
             return rng.choice(EXTREMES)
         return rng.uniform(-2.0, 2.0)
@@ -254,57 +281,103 @@ def assert_loop_report(report, samples, tolerance):
         assert list(map(repr, report.witness[2].coeffs)) == list(map(repr, witness[2].coeffs))
 
 
+@contextmanager
+def slab_entries(entries):
+    """Set ``SLAB_ENTRIES`` of grid and of the row kernel; hypothesis
+    tests cannot take the function-scoped monkeypatch."""
+    saved = grid.SLAB_ENTRIES
+    grid.SLAB_ENTRIES = cayley_dickson.SLAB_ENTRIES = entries
+    try:
+        yield
+    finally:
+        grid.SLAB_ENTRIES = cayley_dickson.SLAB_ENTRIES = saved
+
+
+def counted_element_products(monkeypatch):
+    """The list that gains one entry per ``cd_multiply`` call from now on."""
+    calls = []
+
+    def counted(a, b, product=cayley_dickson.cd_multiply):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(cayley_dickson, "cd_multiply", counted)
+    return calls
+
+
+def random_samples(kind):
+    """(f, g, f', g') of three level-2 elements each: Fractions, floats
+    with int odd coefficients, or floats with one NaN or -inf."""
+    rng = random.Random(kind)
+
+    def coeff(k):
+        if kind == "fraction":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        if kind == "mixed" and k % 2:
+            return rng.randint(-3, 3)
+        return rng.uniform(-2.0, 2.0)
+
+    samples = [[CDElement(2, [coeff(k) for k in range(4)]) for _ in range(3)]
+               for _ in range(4)]
+    if kind in ("nan", "inf"):
+        coeffs = list(samples[1][2].coeffs)
+        coeffs[3] = math.nan if kind == "nan" else -math.inf
+        samples[1][2] = CDElement(2, coeffs)
+    return samples
+
+
 class TestBatchedResidual:
     @settings(max_examples=200, deadline=None)
     @given(float_dalembert_samples(), st.sampled_from([0, 1e-9, 0.5]), st.booleans())
     def test_equals_the_pair_loop(self, samples, tolerance, one_row_blocks):
         # one node pair per block of rows, and one product row per block
-        saved = grid.SLAB_ENTRIES
-        for module in (grid, cayley_dickson):
-            module.SLAB_ENTRIES = 1 if one_row_blocks else saved
-        try:
+        with slab_entries(1 if one_row_blocks else grid.SLAB_ENTRIES):
             report = separable_dalembert_check(*samples, tolerance=tolerance)
-        finally:
-            grid.SLAB_ENTRIES = cayley_dickson.SLAB_ENTRIES = saved
         assert_loop_report(report, samples, tolerance)
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_dalembert_samples(), st.booleans())
+    def test_every_norm_equals_the_pair_loop(self, samples, one_row_blocks):
+        with slab_entries(1 if one_row_blocks else grid.SLAB_ENTRIES):
+            norms = grid._batched_residual_norms(samples[0][0].level, *samples)
+        assert list(map(repr, norms)) == \
+            [repr(mag) for *_, mag in dalembert_pair_residuals(*samples)]
 
     @pytest.mark.parametrize("level, nodes, f_axis, g_axis", [(3, 5, 2, 5), (3, 4, 6, 6),
                                                               (0, 3, 1, 1), (6, 2, 9, 40)])
     def test_float_samples_make_no_element_product(
             self, level, nodes, f_axis, g_axis, monkeypatch):
-        calls = []
-
-        def counted(a, b, product=cayley_dickson.cd_multiply):
-            calls.append(1)
-            return product(a, b)
-
-        monkeypatch.setattr(cayley_dickson, "cd_multiply", counted)
+        # none for the residuals: the six of the loop are for the witness
+        calls = counted_element_products(monkeypatch)
         report = cos_sin_dalembert_check(level, nodes, f_axis, g_axis)
-        assert calls == []
+        assert (report.witness is None) == (f_axis == g_axis)
+        assert len(calls) == (0 if report.witness is None else 6)
         assert report.nodes_checked == nodes * nodes
 
-    @pytest.mark.parametrize("kind", ["fraction", "mixed", "nan", "inf"])
+    @pytest.mark.parametrize("kind", ["fraction", "mixed"])
     def test_other_samples_take_the_pair_loop(self, kind, monkeypatch):
         def product(*args):
             raise AssertionError("the batched product ran")
 
         monkeypatch.setattr(grid, "structure_multiply_rows", product)
-        rng = random.Random(kind)
-
-        def coeff(k):
-            if kind == "fraction":
-                return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            if kind == "mixed" and k % 2:
-                return rng.randint(-3, 3)
-            return rng.uniform(-2.0, 2.0)
-
-        samples = [[CDElement(2, [coeff(k) for k in range(4)]) for _ in range(3)]
-                   for _ in range(4)]
-        if kind in ("nan", "inf"):
-            coeffs = list(samples[1][2].coeffs)
-            coeffs[3] = math.nan if kind == "nan" else -math.inf
-            samples[1][2] = CDElement(2, coeffs)
+        samples = random_samples(kind)
         report = separable_dalembert_check(*samples, tolerance=1e-9)
+        assert_loop_report(report, samples, 1e-9)
+
+    @pytest.mark.parametrize("kind", ["nan", "inf"])
+    def test_non_finite_floats_take_the_batched_route(self, kind, monkeypatch):
+        batched = []
+
+        def product(*args, kernel=grid.structure_multiply_rows):
+            batched.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(grid, "structure_multiply_rows", product)
+        calls = counted_element_products(monkeypatch)
+        samples = random_samples(kind)
+        report = separable_dalembert_check(*samples, tolerance=1e-9)
+        assert len(batched) == 2
+        assert report.witness is not None and len(calls) == 6
         assert_loop_report(report, samples, 1e-9)
 
     def test_level_5_at_64_nodes_runs_in_blocks(self):
@@ -470,13 +543,9 @@ class TestCommutativeSubalgebra:
     @settings(max_examples=100, deadline=None)
     @given(sample_sets(kinds=("float", "mixed")))
     def test_blocks_of_one_row_equal_the_oracle(self, values):
-        saved = grid.SLAB_ENTRIES
-        grid.SLAB_ENTRIES = 1
-        try:
+        with slab_entries(1):
             assert grid._values_commute_associate(values, 1e-9) == \
                 commute_associate_oracle(values, 1e-9)
-        finally:
-            grid.SLAB_ENTRIES = saved
 
     @pytest.mark.parametrize("slab_entries", [1, grid.SLAB_ENTRIES])
     def test_offending_samples_in_the_last_block(self, slab_entries, monkeypatch):
