@@ -670,14 +670,15 @@ def _moufang_c(m, a, x, y):
 
 
 def _power_associative(m, z):
-    """z^n z^(total-n) == z^total for 1 <= n < total <= 6, with z^k built
-    as z^(k-1) z."""
+    """z^n z^(total-n) == z^total for 1 <= n < total - 1 and total <= 6,
+    with z^k built as z^(k-1) z: n = total - 1 is that product itself, so it
+    holds by construction and is not formed again."""
     powers = [None, z]
     for _ in range(5):
         powers.append(m.mul(powers[-1], z))
     ok = True
-    for total in range(2, 7):
-        for n in range(1, total):
+    for total in range(3, 7):
+        for n in range(1, total - 1):
             ok = ok & m.eq(m.mul(powers[n], powers[total - n]), powers[total])
     return ok
 

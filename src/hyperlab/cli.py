@@ -332,109 +332,118 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+# command -> (help, its actions or None); a leaf is a command without
+# actions or one action of a command, and reads the flags ``_declare`` gives it
+_COMMANDS = {
+    "table": ("structure constants of a doubling level", None),
+    "props": ("identity battery", None),
+    "zerodiv": ("two-term signed zero-divisor search", None),
+    "qalg": ("tensor-product algebras", None),
+    "heyting": ("finite Heyting algebras", ("build", "laws", "quotient")),
+    "abelian": ("finitely generated abelian groups", (
+        "snf", "decompose", "hom", "ext", "tensor", "homology", "sphere",
+        "extension-count")),
+    "pde": ("differential-polynomial systems",
+            ("jacobian", "minors", "scan", "heat", "dalembert")),
+}
+
+
+def _flag_or_input(p, flag, input_help, required=True, **kwargs):
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument(flag, **kwargs)
+    group.add_argument("--input", help=input_help)
+
+
+def _declare(p, command, action):
+    """Add to ``p`` the flags of one leaf (``action`` is None for a command
+    without actions): only the flags its handler reads."""
+    p.add_argument("--json", action="store_true", help="emit raw JSON")
+    if command in ("table", "props", "zerodiv"):
+        p.add_argument("--level", type=int, required=True)
+    if command == "table":
+        p.add_argument("--compare", action="store_true",
+                       help="compare against the embedded reference table")
+        p.add_argument("--dense", action="store_true",
+                       help="emit the dense gamma array")
+    elif command == "props":
+        p.add_argument("--mode", choices=["exhaustive-basis", "random-sample"],
+                       default="exhaustive-basis")
+        p.add_argument("--count", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+    elif command == "qalg":
+        p.add_argument("--base", default="real",
+                       help=f"one of {sorted(qa.BASE_ALGEBRAS)}")
+        p.add_argument("--level", type=int, default=0)
+        p.add_argument("--op", choices=["tensor", "centre", "nucleus", "classic-limit"],
+                       default="tensor")
+        p.add_argument("--input", help="element file for classic-limit")
+    elif command == "heyting":
+        _flag_or_input(p, "--chain", "topology/poset/lattice JSON file", type=int,
+                       help="n-element chain")
+        p.add_argument("--direction", choices=["up", "down"], default="up",
+                       help="up-sets or down-sets of a poset file")
+        if action == "quotient":
+            p.add_argument("--filter", help="comma-separated generator indices")
+    elif command == "abelian":
+        if action in ("snf", "decompose"):
+            _flag_or_input(p, "--matrix", "matrix JSON file",
+                           help="JSON rows, e.g. '[[2,0],[0,3]]'")
+        elif action in ("hom", "ext", "tensor"):
+            p.add_argument("--g", required=True, help="group, e.g. Z28 or Z^2+Z4")
+            p.add_argument("--h", required=True, help="group")
+        elif action == "homology":
+            p.add_argument("--order", type=int, required=True, help="cyclic group order")
+            p.add_argument("--degree", type=int, required=True, help="homology degree")
+        elif action == "sphere":
+            p.add_argument("--n", type=int, required=True, help="sphere dimension")
+            p.add_argument("--p", type=int, default=0, help="homology degree")
+        else:  # extension-count
+            p.add_argument("--base", required=True, help="group")
+            p.add_argument("--fiber", required=True, help="group")
+    elif action in ("jacobian", "minors", "scan"):
+        _flag_or_input(p, "--system", "system JSON file", required=False,
+                       help="builtin system (default r1)")
+        if action == "minors":
+            p.add_argument("--size", type=int, default=2, help="minor size")
+        elif action == "scan":
+            p.add_argument("--points", required=True,
+                           help="JSON file with an array of points")
+            p.add_argument("--minor-size", type=int, dest="minor_size",
+                           help="default: the number of equations")
+    elif action in ("heat", "dalembert"):
+        p.add_argument("--nodes", type=int, default=64)
+        p.add_argument("--level", type=int, default=4)
+        if action == "heat":
+            p.add_argument("--steps", type=int, default=100)
+            p.add_argument("--dt", type=float, help="default: 1 / (2 nodes^2)")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE, help=(
+                "checked to be finite and >= 0, otherwise unused (the decoupling check "
+                "is exact); perfbench sends one with every heat request"))
+        else:
+            p.add_argument("--f-axis", type=int, default=1, dest="f_axis")
+            p.add_argument("--g-axis", type=int, default=2, dest="g_axis")
+    if action in ("scan", "dalembert"):
+        p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: ``hyperlab``, its commands, their actions, and the
+    leaves ``_declare`` fills; flags follow the action."""
     parser = _Parser(
         prog="hyperlab",
         description="doubling algebras, Heyting algebras, abelian groups, "
                     "and singular differential-polynomial systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def leaf(parsers, name, help):
-        p = parsers.add_parser(name, help=help)
-        p.add_argument("--json", action="store_true", help="emit raw JSON")
-        return p
-
-    def actions(command, help, names):
-        """One parser per action of ``command``, each declaring only the
-        flags its handler reads; flags follow the action."""
-        parsers = sub.add_parser(command, help=help).add_subparsers(
-            dest="action", required=True)
-        return {name: leaf(parsers, name, None) for name in names}
-
-    def flag_or_input(p, flag, input_help, required=True, **kwargs):
-        group = p.add_mutually_exclusive_group(required=required)
-        group.add_argument(flag, **kwargs)
-        group.add_argument("--input", help=input_help)
-
-    p = leaf(sub, "table", "structure constants of a doubling level")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--compare", action="store_true",
-                   help="compare against the embedded reference table")
-    p.add_argument("--dense", action="store_true",
-                   help="emit the dense gamma array")
-
-    p = leaf(sub, "props", "identity battery")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive-basis", "random-sample"],
-                   default="exhaustive-basis")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = leaf(sub, "zerodiv", "two-term signed zero-divisor search")
-    p.add_argument("--level", type=int, required=True)
-
-    p = leaf(sub, "qalg", "tensor-product algebras")
-    p.add_argument("--base", default="real",
-                   help=f"one of {sorted(qa.BASE_ALGEBRAS)}")
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--op", choices=["tensor", "centre", "nucleus", "classic-limit"],
-                   default="tensor")
-    p.add_argument("--input", help="element file for classic-limit")
-
-    heyting = actions("heyting", "finite Heyting algebras", ["build", "laws", "quotient"])
-    for p in heyting.values():
-        flag_or_input(p, "--chain", "topology/poset/lattice JSON file", type=int,
-                      help="n-element chain")
-        p.add_argument("--direction", choices=["up", "down"], default="up",
-                       help="up-sets or down-sets of a poset file")
-    heyting["quotient"].add_argument("--filter", help="comma-separated generator indices")
-
-    abelian = actions("abelian", "finitely generated abelian groups", [
-        "snf", "decompose", "hom", "ext", "tensor", "homology", "sphere",
-        "extension-count",
-    ])
-    for name in ("snf", "decompose"):
-        flag_or_input(abelian[name], "--matrix", "matrix JSON file",
-                      help="JSON rows, e.g. '[[2,0],[0,3]]'")
-    for name in ("hom", "ext", "tensor"):
-        abelian[name].add_argument("--g", required=True, help="group, e.g. Z28 or Z^2+Z4")
-        abelian[name].add_argument("--h", required=True, help="group")
-    p = abelian["homology"]
-    p.add_argument("--order", type=int, required=True, help="cyclic group order")
-    p.add_argument("--degree", type=int, required=True, help="homology degree")
-    p = abelian["sphere"]
-    p.add_argument("--n", type=int, required=True, help="sphere dimension")
-    p.add_argument("--p", type=int, default=0, help="homology degree")
-    p = abelian["extension-count"]
-    p.add_argument("--base", required=True, help="group")
-    p.add_argument("--fiber", required=True, help="group")
-
-    pde = actions("pde", "differential-polynomial systems",
-                  ["jacobian", "minors", "scan", "heat", "dalembert"])
-    for name in ("jacobian", "minors", "scan"):
-        flag_or_input(pde[name], "--system", "system JSON file", required=False,
-                      help="builtin system (default r1)")
-    pde["minors"].add_argument("--size", type=int, default=2, help="minor size")
-    p = pde["scan"]
-    p.add_argument("--points", required=True, help="JSON file with an array of points")
-    p.add_argument("--minor-size", type=int, dest="minor_size",
-                   help="default: the number of equations")
-    for name in ("heat", "dalembert"):
-        pde[name].add_argument("--nodes", type=int, default=64)
-        pde[name].add_argument("--level", type=int, default=4)
-    p = pde["heat"]
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--dt", type=float, help="default: 1 / (2 nodes^2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE, help=(
-        "checked to be finite and >= 0, otherwise unused (the decoupling check is "
-        "exact); perfbench sends one with every heat request"))
-    p = pde["dalembert"]
-    p.add_argument("--f-axis", type=int, default=1, dest="f_axis")
-    p.add_argument("--g-axis", type=int, default=2, dest="g_axis")
-    for name in ("scan", "dalembert"):
-        pde[name].add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+    for command, (help, actions) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        if actions is None:
+            _declare(p, command, None)
+            continue
+        parsers = p.add_subparsers(dest="action", required=True)
+        for action in actions:
+            _declare(parsers.add_parser(action, help=None), command, action)
     return parser
 
 
@@ -451,14 +460,47 @@ _HANDLERS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use.  Parsing leaves it
-    unchanged: each call fills a fresh namespace, and every default is
-    immutable (a number, a string, False or None)."""
+    """The process's one tree, built on first use, for the argv that no leaf
+    parser owns (``_parse``)."""
     return build_parser()
+
+
+@functools.cache
+def _leaf(command: str, action: str | None) -> argparse.ArgumentParser:
+    """The process's one parser of a leaf, built on first use, as the tree
+    builds it: the same prog, such as "hyperlab pde dalembert", and flags.
+    Parsing leaves it unchanged: each call fills a fresh namespace, and
+    every default is immutable (a number, a string, False or None)."""
+    prog = f"hyperlab {command}" if action is None else f"hyperlab {command} {action}"
+    p = _Parser(prog=prog)
+    _declare(p, command, action)
+    return p
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace ``build_parser()`` gives ``argv``.  Where argv starts
+    with a command and, for heyting, abelian and pde, one of its actions,
+    the tree hands the rest to that leaf, into a fresh namespace, and adds
+    only ``command`` and ``action``; so the leaf's own parser reads it
+    alone.  Anything else goes to the tree: empty argv, --help, an unknown
+    command or action, or a flag before the action."""
+    if argv and argv[0] in _COMMANDS:
+        command = argv[0]
+        actions = _COMMANDS[command][1]
+        if actions is None:
+            return _leaf(command, None).parse_args(
+                argv[1:], argparse.Namespace(command=command))
+        if len(argv) > 1 and argv[1] in actions:
+            return _leaf(command, argv[1]).parse_args(
+                argv[2:], argparse.Namespace(command=command, action=argv[1]))
+    return _parser().parse_args(argv)
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _WORDS = {None: "null", True: "true", False: "false"}
+# the element types of a list that is one join of its reprs: exactly int
+# (not bool) or exactly str
+_INT, _STR = {int}, {str}
 
 
 def _float_text(value: float) -> str:
@@ -485,9 +527,10 @@ def _key_text(key) -> str:
 
 def _to_json(obj) -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, errors
-    included, without json's generators: each container is one join, and a
-    dict the payload holds in several places (zerodiv's elements) is written
-    once per depth.  Every dict met is the payload's, alive for the call, so
+    included, without json's generators: each container is one join (of
+    the elements' texts at once for a list of exact ints or exact strs), and
+    a dict the payload holds in several places (zerodiv's elements) is
+    written once per depth.  Every dict met is the payload's, alive for the call, so
     its id cannot be reused while the memo holds it."""
     memo = {}
 
@@ -513,12 +556,20 @@ def _to_json(obj) -> str:
         if not o:
             return "{}" if isinstance(o, dict) else "[]"
         inner = pad + "  "
+        sep = "," + inner
         if not isinstance(o, dict):
-            return "[" + inner + ("," + inner).join([encode(v, inner) for v in o]) + pad + "]"
+            first = type(o[0])
+            if first is int and set(map(type, o)) == _INT:
+                body = sep.join(map(int.__repr__, o))
+            elif first is str and set(map(type, o)) == _STR:
+                body = sep.join(map(_ESCAPE, o))
+            else:
+                body = sep.join([encode(v, inner) for v in o])
+            return "[" + inner + body + pad + "]"
         key = (id(o), len(pad))
         text = memo.get(key)
         if text is None:
-            text = memo[key] = "{" + inner + ("," + inner).join([
+            text = memo[key] = "{" + inner + sep.join([
                 _ESCAPE(_key_text(k)) + ": " + encode(v, inner)
                 for k, v in sorted(o.items())]) + pad + "}"
         return text
@@ -531,12 +582,13 @@ def _encode(code: int, payload: dict) -> CommandResult:
 
 
 def run(argv) -> CommandResult:
-    """Parse ``argv``, dispatch and encode the payload once; safe to call
+    """Parse ``argv`` with the one leaf parser it names (the whole tree only
+    where it names none), dispatch and encode the payload once; safe to call
     repeatedly.  Exit 2 answers a usage error, an InputError, or a reader's
     ValueError or OSError, the encoding's included (an integer longer than
     ``sys.get_int_max_str_digits()``); anything else is a fault and raises."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         result = _HANDLERS[args.command](args)
         return _encode(result.code, result.payload)
     except SystemExit as exc:

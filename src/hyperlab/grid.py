@@ -471,8 +471,10 @@ def separable_dalembert_check(
 def cos_sin_dalembert_check(level: int, nodes: int, f_axis: int, g_axis: int,
                             tolerance: float = DEFAULT_TOLERANCE) -> SeparableReport:
     """``separable_dalembert_check`` of cos t + sin t e_axis for the f and
-    g axes (real past 2^level - 1) and their derivatives at ``nodes`` points
-    of [0, 1].  Checks the inputs before any sample is built."""
+    g axes and their derivatives at ``nodes`` points of [0, 1].  Axis 0
+    gives sin t (its sine overwrites the real part) with derivative cos t,
+    and an axis past 2^level - 1 gives the real cos t.  Checks the inputs
+    before any sample is built."""
     _bounded(nodes, "nodes", 1, MAX_NODES["dalembert"])
     # LevelTooLarge beyond DEFAULT_MAX_LEVEL
     check_level(level)

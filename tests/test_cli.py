@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -1083,6 +1087,36 @@ def _resolve(argv, paths):
     return [paths.get(arg, arg) for arg in argv]
 
 
+def _captured(argv):
+    """``run(argv)`` and what it printed: (result, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = run(argv)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _answers(argv) -> tuple:
+    """(exit code, JSON text, stdout, stderr) of ``run(argv)``."""
+    result, out, err = _captured(argv)
+    return result.code, result.to_json(), out, err
+
+
+def _tree_answers(argv) -> tuple:
+    """``_answers(argv)`` with a fresh ``build_parser()`` reading argv, where
+    ``run`` reads it with a leaf parser when argv names one."""
+    with mock.patch.object(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv)):
+        return _answers(argv)
+
+
+def _leaf_of(argv):
+    """The (command, action) of the leaf parser that reads ``argv``, or None
+    where the tree reads it."""
+    actions = cli._COMMANDS[argv[0]][1] if argv and argv[0] in cli._COMMANDS else ()
+    if actions is None:
+        return argv[0], None
+    return (argv[0], argv[1]) if argv[1:2] and argv[1] in actions else None
+
+
 class TestRepeatedRuns:
     # one success per subcommand, an exit-1 witness, an unknown command,
     # --help, a usage error inside a subcommand, an InputError and a
@@ -1104,18 +1138,30 @@ class TestRepeatedRuns:
         ["heyting", "quotient", "--chain", "3", "--filter", "x"],
     ]
 
-    def test_one_parser_answers_every_order_alike(
-            self, monkeypatch, capsys, tmp_path):
-        paths = _write_inputs(tmp_path)
-        built = []
-        build = cli.build_parser
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Record each build of the tree and of a leaf parser from now on:
+        (tree builds, (command, action) of each leaf built)."""
+        built, leaves = [], []
+        build, leaf = cli.build_parser, cli._leaf.__wrapped__
 
         def counted():
             built.append(1)
             return build()
 
+        def counted_leaf(command, action):
+            leaves.append((command, action))
+            return leaf(command, action)
+
         monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_leaf", functools.cache(counted_leaf))
         cli._parser.cache_clear()
+        return built, leaves
+
+    def test_one_parser_answers_every_order_alike(
+            self, monkeypatch, capsys, tmp_path):
+        paths = _write_inputs(tmp_path)
+        built, leaves = self._count_builds(monkeypatch)
         answers = {}
         for order in (self.MIXED, self.MIXED[::-1], self.MIXED[1::2] + self.MIXED[::2]):
             for argv in order:
@@ -1123,7 +1169,9 @@ class TestRepeatedRuns:
                 out = capsys.readouterr()
                 answers.setdefault(tuple(argv), []).append(
                     (result.code, result.to_json(), out.out, out.err))
+        # the tree for no-such-command and --help only; one parser per leaf
         assert len(built) == 1
+        assert sorted(leaves) == sorted({_leaf_of(argv) for argv in self.MIXED} - {None})
         for argv, seen in answers.items():
             assert len(seen) == 3 and seen.count(seen[0]) == 3, argv
         codes = {argv: seen[0][0] for argv, seen in answers.items()}
@@ -1176,10 +1224,33 @@ class TestRepeatedRuns:
         assert cli._stock_system("r1") is cli._stock_system("r1")
         assert cli._base_algebra("mat2") is cli._base_algebra("mat2")
 
-    def test_cached_parser_parses_like_a_fresh_one(self):
-        for argv in self.MIXED[:8]:
-            assert vars(cli._parser().parse_args(argv)) == \
-                vars(cli.build_parser().parse_args(argv))
+    def test_requests_that_name_a_leaf_build_no_tree(self, monkeypatch, input_files):
+        built, leaves = self._count_builds(monkeypatch)
+        argvs = [*VALID.values(), *(argv for argv in self.MIXED if _leaf_of(argv))]
+        for argv in argvs + argvs[::-1]:
+            assert run(_resolve(argv, input_files)).code in (0, 1, 2)
+        assert built == []
+        assert sorted(leaves) == sorted(VALID)
+
+    # edges of the leaf route: help after the action, "--", "--flag=value",
+    # an abbreviated flag, a flag before the action, empty argv, a command
+    # without its action and an unknown action
+    EDGES = [
+        ["pde", "dalembert", "-h"], ["table", "--help"], ["abelian", "hom", "-h", "--g"],
+        ["table", "--", "--level", "2"], ["pde", "heat", "--nodes", "2", "--"],
+        ["zerodiv", "--level=2"], ["zerodiv", "--lev", "2"], ["pde", "heat", "--st", "2"],
+        ["abelian", "hom", "--g", "Z4", "--h"], ["abelian", "sphere", "--n=2", "--p", "x"],
+        ["heyting", "--chain", "3", "build"], ["pde", "--level", "2", "heat"], [],
+        ["pde"], ["pde", "-h"], ["pde", "frobnicate"], ["--help", "table"], ["table"],
+        ["qalg", "extra"], ["pde", "heat", "--level", "2", "--nodes", "2", "--json"],
+    ]
+
+    def test_cached_parser_parses_like_a_fresh_one(self, input_files):
+        # the cached leaf parsers answer as a fresh tree does: exit code,
+        # JSON text, stdout and stderr
+        for argv in [*VALID.values(), *self.MIXED, *self.EDGES]:
+            argv = _resolve(argv, input_files)
+            assert _answers(argv) == _tree_answers(argv), argv
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -1213,7 +1284,26 @@ def _shared(children):
         lambda drawn: [drawn[0], {"deeper": [drawn[0], drawn[1]]}, drawn[0]])
 
 
-_JSON = st.recursive(_SCALARS, lambda children: st.one_of(
+class _Int(int):
+    """An int subclass; json writes it with ``int.__repr__``."""
+
+    def __repr__(self):
+        return "not JSON"
+
+
+# lists of one kind of scalar, which the encoder writes as one join when the
+# kind is exactly int or exactly str; bools among ints, and int subclasses,
+# must not take that path
+_UNIFORM = st.one_of(
+    st.lists(st.integers(), min_size=1, max_size=6),
+    st.lists(st.integers(), min_size=1, max_size=6).map(tuple),
+    st.lists(st.text(max_size=4), min_size=1, max_size=6),
+    st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=6),
+    st.lists(st.integers().map(_Int), min_size=1, max_size=4),
+    st.lists(st.one_of(st.integers(), st.text(max_size=2)), min_size=1, max_size=4))
+
+
+_JSON = st.recursive(st.one_of(_SCALARS, _UNIFORM), lambda children: st.one_of(
     st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
     _dicts(children), _shared(children)), max_leaves=30)
 
@@ -1226,14 +1316,17 @@ class TestEncoder:
     @given(value=_JSON)
     @example(value=[[], {}, [[]], {"a": {}}, ((),), {"": [{}, ()]}])
     @example(value={1: True, True: 2, 2.5: [False, 0, 1]})
+    @example(value=[[1, True], [True, 1], [_Int(3), 4], ("a", "\u2028"), [10 ** 300, -1]])
     def test_equals_json_dumps(self, value):
         assert cli._to_json(value) == _dumps(value)
 
     @pytest.mark.parametrize("value", [
         {"a": object()}, [1, {2, 3}], Fraction(1, 2), {1: "a", "b": 2},
-        {None: 0, "a": 1}, {(1, 2): 3}, [10 ** 4999], {10 ** 4999: 0},
+        {None: 0, "a": 1}, {(1, 2): 3}, [10 ** 4999], [1, 2, 10 ** 4999],
+        [True, 10 ** 4999], {10 ** 4999: 0},
     ], ids=["object", "set", "Fraction", "int and str keys", "None and str keys",
-            "tuple key", "5,000-digit int", "5,000-digit key"])
+            "tuple key", "5,000-digit int", "5,000-digit int among ints",
+            "5,000-digit int after a bool", "5,000-digit key"])
     def test_refuses_like_json_dumps(self, value):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
@@ -1458,8 +1551,9 @@ class TestFuzz:
     @given(argv=_argvs())
     @_with_every_reader
     def test_run_answers_every_argv(self, argv, input_files):
+        argv = _resolve(argv, input_files)
         start = time.perf_counter()
-        result = run(_resolve(argv, input_files))
+        result, out, err = _captured(argv)
         elapsed = time.perf_counter() - start
         assert result.code in (0, 1, 2)
         json.loads(result.to_json())
@@ -1468,3 +1562,5 @@ class TestFuzz:
         if result.code == 2:
             assert "error" in result.payload
         assert elapsed < 5.0
+        # a leaf parser answers as the tree does
+        assert (result.code, result.to_json(), out, err) == _tree_answers(argv)

@@ -472,7 +472,8 @@ def sample_sets(draw, kinds=("exact", "float", "mixed")):
 
 
 def cli_samples(level, axis, nodes):
-    """The samples ``pde dalembert`` feeds the check: f = cos t + sin t e_axis."""
+    """The samples ``pde dalembert`` feeds the check: f = cos t + sin t e_axis,
+    and f = sin t on axis 0, where the sine overwrites the real part."""
     out = []
     for t in np.linspace(0.0, 1.0, nodes):
         for value in ((math.cos(t), math.sin(t)), (-math.sin(t), math.cos(t))):

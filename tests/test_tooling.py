@@ -59,6 +59,18 @@ def test_cli_import_leaves_sympy_out():
     assert out.strip() == "False"
 
 
+def test_a_leaf_request_builds_no_tree():
+    # run reads "table --level 0" with the table parser alone; the whole
+    # argparse tree is for argv that no leaf owns, so it is never built here
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from hyperlab import cli; "
+            "cli.build_parser = None; r = cli.run(['table', '--level', '0']); "
+            "print(r.code, cli._parser.cache_info().currsize, cli._leaf.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0", "1"]
+
+
 def numpy_imports(tree):
     """Line of each import of numpy in ``tree``, at any depth."""
     return [node.lineno for node in ast.walk(tree)
