@@ -33,6 +33,7 @@ from .exact import (
     SLAB_ENTRIES,
     VerificationError,
     certified_nullspace,
+    exact_value,
     integer_basis,
     parse_number,
 )
@@ -54,13 +55,17 @@ DEFAULT_NUCLEUS_CAP = 64
 # the centre reads the dense integer structure tensor: dim^3 int64 entries,
 # 16 MB at dim 128
 DEFAULT_CENTRE_CAP = 128
-# verify_embeddings does about cd_dim^2 * dim Fraction operations: 1.4 s for
-# mat2 (x) A_5 (2^17), 11 s for mat2 (x) A_6 (2^20)
+# verify_embeddings does about cd_dim^2 * dim coefficient operations, on ints
+# for the shipped bases: 0.3 s for real (x) A_6 (2^18), 0.1 s for mat2 (x) A_5
+# (2^17); mat2 (x) A_6 (2^20), which the cap refuses, took 0.4 s
 DEFAULT_EMBEDDING_CAP = 1 << 18
 
 
-def _frac_vec(values):
-    return [Fraction(v) for v in values]
+def _exact_vec(values):
+    """``exact.exact_value`` of each value; a list of plain ints is its own
+    answer, so it is copied without a call per entry."""
+    values = list(values)
+    return values if {*map(type, values)} <= {int} else list(map(exact_value, values))
 
 
 class StructureAlgebra:
@@ -74,11 +79,11 @@ class StructureAlgebra:
 
     def __init__(self, gamma, unit, name: str = "", classic_limit=None):
         self.dim = len(gamma)
-        gamma = [[_frac_vec(vec) for vec in row] for row in gamma]
-        self.unit = _frac_vec(unit)
+        gamma = [[_exact_vec(vec) for vec in row] for row in gamma]
+        self.unit = _exact_vec(unit)
         self.name = name or f"algebra(dim={self.dim})"
         self.classic_limit_functional = (
-            _frac_vec(classic_limit) if classic_limit is not None else None
+            _exact_vec(classic_limit) if classic_limit is not None else None
         )
         if not dimensions_agree(gamma, [self.unit]):
             raise InvalidAlgebra("gamma/unit dimensions are inconsistent")
@@ -93,11 +98,11 @@ class StructureAlgebra:
                 raise InvalidAlgebra("classic-limit functional must be 1 on the unit")
 
     def zero_vector(self):
-        return [Fraction(0)] * self.dim
+        return [0] * self.dim
 
     def basis_vector(self, i: int):
         vec = self.zero_vector()
-        vec[i] = Fraction(1)
+        vec[i] = 1
         return vec
 
     def unit_vector(self):
@@ -131,7 +136,7 @@ class StructureAlgebra:
         val[p, q, s] (val 0 pads).  int64 while an associator entry, at most
         2 * width * max|T|^2, stays below 2^62; Python ints beyond."""
         dim, terms = self.dim, [t for row in self.products for t in row]
-        scale = math.lcm(*(Fraction(g).denominator for t in terms for _, g in t))
+        scale = math.lcm(*(g.denominator for t in terms for _, g in t))
         width = max(map(len, terms)) or 1
         padded = [list(t) + [(0, 0)] * (width - len(t)) for t in terms]
         idx = np.array([[k for k, _ in t] for t in padded])
@@ -329,7 +334,7 @@ class TensorElement:
     coeffs: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.coeffs = _frac_vec(self.coeffs)
+        self.coeffs = _exact_vec(self.coeffs)
         if len(self.coeffs) != self.algebra.dim:
             raise AlgebraMismatch(
                 f"expected {self.algebra.dim} coefficients, got {len(self.coeffs)}"
@@ -388,6 +393,7 @@ def pure_tensor(algebra: TensorAlgebra, b_coeffs, cd: CDElement) -> TensorElemen
     """b (x) a for a base vector b and a doubling-algebra element a."""
     if cd.level != algebra.level:
         raise LevelMismatch("doubling level differs from the algebra")
+    b_coeffs = _exact_vec(b_coeffs)
     vec = algebra.zero_vector()
     for p, ca in enumerate(cd.coeffs):
         if ca == 0:
@@ -395,7 +401,7 @@ def pure_tensor(algebra: TensorAlgebra, b_coeffs, cd: CDElement) -> TensorElemen
         for i, cb in enumerate(b_coeffs):
             if cb == 0:
                 continue
-            vec[algebra.tensor_index(i, p)] += Fraction(cb) * ca
+            vec[algebra.tensor_index(i, p)] += cb * ca
     return TensorElement(algebra, vec)
 
 
@@ -460,7 +466,7 @@ def classic_limit(x: TensorElement):
     c_b = x.algebra.base.classic_limit_functional
     if c_b is None:
         raise NoFunctional(f"{x.algebra.base.name} has no classic-limit functional")
-    total = Fraction(0)
+    total = 0
     for i, cf in enumerate(c_b):
         if cf != 0:
             total += cf * x.coeffs[x.algebra.tensor_index(i, 0)]

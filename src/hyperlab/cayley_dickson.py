@@ -197,7 +197,9 @@ def structure_multiply(products, x, y, out):
 
     The one product kernel of every finite algebra.  It needs only +, *
     and != 0 of the coefficients, so polynomial entries work as well as
-    Fractions.
+    ints and Fractions; int operands and constants, which is how the
+    algebra layer stores integral values, give int sums and never build a
+    Fraction.
     """
     y_terms = [(q, cy) for q, cy in enumerate(y) if cy != 0]
     for p, cx in enumerate(x):

@@ -5,7 +5,9 @@ scalar (``is_scalar``) is exact, an ``int`` or ``fractions.Fraction``
 (arithmetic never rounds, comparisons are literal), or approximate, a
 ``float`` (comparisons take a caller-supplied tolerance).  Mixing the two
 families in one container is not supported.  Every number read from input
-goes through ``parse_number``.
+goes through ``parse_number``, and every exact value a container stores
+through ``exact_value``: an int when integral, so integer arithmetic never
+builds a Fraction, and a Fraction otherwise.
 
 ``rref`` is certified modular elimination: it reduces the matrix, rows
 scaled to integers, mod a prime p < 2^31 in int64, lifts each entry by
@@ -77,7 +79,21 @@ def parse_number(value) -> int | Fraction:
     except (ValueError, ZeroDivisionError):
         # only text gets here; Fraction's own message would echo all of it
         raise ValueError(f"{value[:40]!r} names no finite number") from None
-    return number.numerator if number.denominator == 1 else number
+    return exact_value(number)
+
+
+def exact_value(value) -> int | Fraction:
+    """The exact value to store for a scalar: an int when it is integral,
+    else its exact Fraction (a float's exact binary value).  A bool or a
+    non-scalar raises TypeError; a non-finite float raises as ``Fraction``
+    does."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        if not is_scalar(value):
+            raise TypeError(f"{value!r:.40} is not an int, Fraction or float")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def is_scalar(value) -> bool:

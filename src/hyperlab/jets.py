@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 
 from .cayley_dickson import AlgebraMismatch, CDElement, check_level, is_operator_invertible
@@ -383,7 +382,7 @@ def _fill_point(system: PDESystem, point: dict):
             f"point lives at level {level} but the system is pinned to "
             f"level {system.level}"
         )
-    one = CDElement.one(level) if level is not None else Fraction(1)
+    one = CDElement.one(level) if level is not None else 1
     env = {name: point.get(name, 0 * one) for name in system.coords.variables}
     if level is not None:
         env = {name: CDElement.basis(level, 0, value) if is_scalar(value) else value

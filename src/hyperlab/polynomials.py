@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import is_exact, parse_number
+from .exact import exact_value, is_exact, parse_number
 
 # the highest degree of a term read from JSON: evaluation multiplies once per
 # unit of degree, so this bounds the number of products, not their cost,
@@ -21,21 +21,24 @@ from .exact import is_exact, parse_number
 MAX_TERM_DEGREE = 100
 
 
-def _as_coeff(value) -> Fraction:
+def _as_coeff(value) -> int | Fraction:
     if not is_exact(value):
         raise TypeError(f"polynomial coefficients must be rational, got {value!r}")
-    return Fraction(value)
+    return exact_value(value)
 
 
 class Poly:
-    """Immutable polynomial: mapping from monomials to nonzero Fractions."""
+    """Immutable polynomial: mapping from monomials to nonzero exact
+    coefficients, stored as ``exact.exact_value`` gives them (ints when
+    integral, Fractions otherwise).  A float or bool coefficient raises
+    TypeError."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _as_coeff(coeff)
             if coeff != 0:
                 clean[tuple(sorted(mono))] = coeff
         object.__setattr__(self, "terms", clean)
@@ -48,7 +51,7 @@ class Poly:
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def coerce(cls, value) -> "Poly":
@@ -64,7 +67,7 @@ class Poly:
         other = Poly.coerce(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         return Poly(terms)
 
     __radd__ = __add__
@@ -91,7 +94,7 @@ class Poly:
                 for name, exp in m2:
                     powers[name] = powers.get(name, 0) + exp
                 mono = tuple(sorted(powers.items()))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly(terms)
 
     __rmul__ = __mul__
@@ -145,7 +148,7 @@ class Poly:
             else:
                 powers[name] = exp - 1
             new_mono = tuple(sorted(powers.items()))
-            terms[new_mono] = terms.get(new_mono, Fraction(0)) + coeff * exp
+            terms[new_mono] = terms.get(new_mono, 0) + coeff * exp
         return Poly(terms)
 
     def subs(self, assignment: dict) -> "Poly":
@@ -165,13 +168,13 @@ class Poly:
         """Evaluate with values from ``env``.
 
         Values may live in any algebra supporting ``+`` between themselves
-        and ``*`` by Fraction scalars.  Each monomial's factors multiply
+        and ``*`` by int and Fraction scalars.  Each monomial's factors multiply
         left-to-right following ``var_order`` (canonical sorted order when
         omitted); ``one`` supplies the multiplicative identity used for the
         constant term when the values are not plain numbers.
         """
         if one is None:
-            one = Fraction(1)
+            one = 1
         order = {name: i for i, name in enumerate(var_order)} if var_order else None
         total = None
         for mono, coeff in self.terms.items():
@@ -245,7 +248,7 @@ class Poly:
                 raise ValueError(f"a term of degree {sum(powers.values())} is over the "
                                  f"cap of {MAX_TERM_DEGREE}")
             mono = tuple(sorted(powers.items()))
-            terms[mono] = terms.get(mono, Fraction(0)) + parse_number(coeff)
+            terms[mono] = terms.get(mono, 0) + parse_number(coeff)
         return cls(terms)
 
 

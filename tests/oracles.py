@@ -12,7 +12,10 @@ products, one sample tuple at a time: independent of the batch forms and
 slabs of ``hyperlab.cayley_dickson.identity_battery``.  The d'Alembert
 residual of a separable solution from six ``CDElement`` products per node
 pair: independent of the batched products of
-``hyperlab.grid.separable_dalembert_check``.
+``hyperlab.grid.separable_dalembert_check``.  Polynomial sums, products,
+derivatives and values, structure-constant and tensor products, all in
+Fractions: independent of the int storage of ``hyperlab.polynomials`` and
+``hyperlab.algebras``.
 
 Also enumeration routes and symbolic expectations: homomorphism and Ext
 orders of cyclic groups by enumeration, H / mH from a presentation, every
@@ -29,7 +32,9 @@ through the implication, and the pairwise complement search.  And
 the laws.
 """
 
+import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -698,6 +703,87 @@ def table_loop_product(a, b):
                 continue
             out[p ^ q] += t.sign[p][q] * ca * cb
     return out
+
+
+# Fraction-only arithmetic for the algebra and polynomial layers, which
+# store integral coefficients as ints: every input becomes a Fraction and
+# no result is normalised, so these share no storage rule with the layers.
+
+def stored_exactly(values) -> bool:
+    """True when each value is an int if integral and a Fraction if not."""
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in values)
+
+
+def poly_terms(terms: dict) -> dict:
+    """A polynomial's {monomial: coefficient} terms as nonzero Fractions."""
+    return {mono: Fraction(c) for mono, c in terms.items() if c != 0}
+
+
+def _collect(pairs) -> dict:
+    out = {}
+    for mono, c in pairs:
+        out[mono] = out.get(mono, Fraction(0)) + c
+    return {mono: c for mono, c in out.items() if c != 0}
+
+
+def poly_add(f: dict, g: dict) -> dict:
+    return _collect([*f.items(), *g.items()])
+
+
+def poly_mul(f: dict, g: dict) -> dict:
+    def times(m1, m2):
+        powers = collections.Counter(dict(m1))
+        powers.update(dict(m2))
+        return tuple(sorted(powers.items()))
+
+    return _collect((times(m1, m2), c1 * c2)
+                    for m1, c1 in f.items() for m2, c2 in g.items())
+
+
+def poly_diff(f: dict, name: str) -> dict:
+    terms = []
+    for mono, c in f.items():
+        powers = dict(mono)
+        exp = powers.pop(name, 0)
+        if exp:
+            if exp > 1:
+                powers[name] = exp - 1
+            terms.append((tuple(sorted(powers.items())), c * exp))
+    return _collect(terms)
+
+
+def poly_evaluate(f: dict, env: dict) -> Fraction:
+    return sum((c * math.prod(Fraction(env[n]) ** e for n, e in mono)
+                for mono, c in f.items()), Fraction(0))
+
+
+def structure_product(gamma, x, y) -> list:
+    """x y from the dense structure constants gamma[p][q][k]."""
+    dim = len(gamma)
+    out = [Fraction(0)] * dim
+    for p, q, k in itertools.product(range(dim), repeat=3):
+        out[k] += Fraction(x[p]) * Fraction(y[q]) * Fraction(gamma[p][q][k])
+    return out
+
+
+def tensor_gamma(base_gamma, level: int) -> list:
+    """Dense structure constants of B (x) A_level on the basis b_i (x) e_p,
+    index p * dim(B) + i, with e_p e_q from the recursive product."""
+    nb, cd_dim = len(base_gamma), 1 << level
+    dim = nb * cd_dim
+    gamma = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for p, q in itertools.product(range(cd_dim), repeat=2):
+        epq = cd_multiply_recursive(CDElement.basis(level, p), CDElement.basis(level, q))
+        for i, j, k in itertools.product(range(nb), repeat=3):
+            for kc, s in enumerate(epq.coeffs):
+                gamma[p * nb + i][q * nb + j][kc * nb + k] += s * Fraction(base_gamma[i][j][k])
+    return gamma
+
+
+def pure_tensor_coeffs(b, a) -> list:
+    """The coefficients of b (x) a, index p * len(b) + i."""
+    return [Fraction(cb) * Fraction(ca) for ca in a for cb in b]
 
 
 def conjugated_from_level(r: int) -> ConjugatedAlgebra:

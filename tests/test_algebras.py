@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import exact
 from hyperlab.algebras import (
@@ -66,13 +68,14 @@ def multiply_via_regular_representation(x: TensorElement, y: TensorElement):
     return TensorElement(alg, [sum(r * v for r, v in zip(row, ry_unit)) for row in rx])
 
 
-def rescaled(algebra, scales):
-    """The algebra on the basis f_i = scales[i] e_i: its structure constants
-    scales[p] scales[q] / scales[k] gamma[p][q][k] are rational."""
+def rescaled_constants(algebra, scales):
+    """The structure constants and unit of the algebra on the basis
+    f_i = scales[i] e_i: scales[p] scales[q] / scales[k] gamma[p][q][k],
+    as Fractions."""
     d = [Fraction(x) for x in scales]
     gamma = [[[g * d[p] * d[q] / d[k] for k, g in enumerate(vec)]
               for q, vec in enumerate(row)] for p, row in enumerate(algebra.gamma)]
-    return StructureAlgebra(gamma, [u / d[k] for k, u in enumerate(algebra.unit)])
+    return gamma, [u / d[k] for k, u in enumerate(algebra.unit)]
 
 
 def rand_element(algebra, rng):
@@ -266,7 +269,7 @@ class TestCentreNucleus:
         (tensor_algebra(complex_algebra(), 2), [1, 2**40, 1, 3, 2**-40, 1, 5, 1]),
     ])
     def test_rational_structure_constants(self, algebra, scales):
-        alg = rescaled(algebra, scales)
+        alg = StructureAlgebra(*rescaled_constants(algebra, scales))
         assert alg.basis_associative() == algebra.associative
         assert centre(alg) == oracles.centre(alg)
         assert nucleus(alg) == oracles.nucleus(alg)
@@ -355,3 +358,63 @@ class TestEmbeddings:
         from hyperlab.exact import matrix_rank_exact
 
         assert matrix_rank_exact(products) == alg.dim
+
+
+# ints (some past 64 bits), integral Fractions and non-integral Fractions;
+# TensorElement also takes floats, at their exact binary values
+exact_scalars = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(max_denominator=12),
+)
+tensor_scalars = st.one_of(exact_scalars, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def vectors(scalars, n):
+    return st.lists(scalars, min_size=n, max_size=n)
+
+
+class TestExactStorage:
+    """Stored coefficients are ints exactly when integral, and products
+    equal Fraction-only arithmetic."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_structure_products_match_fraction_oracle(self, data):
+        base = BASE_ALGEBRAS[data.draw(st.sampled_from(sorted(BASE_ALGEBRAS)))]()
+        scales = data.draw(vectors(exact_scalars.filter(bool), base.dim))
+        gamma, unit = rescaled_constants(base, scales)
+        alg = StructureAlgebra(gamma, unit)
+        assert oracles.stored_exactly(
+            [*alg.unit, *(g for row in alg.products for terms in row for _, g in terms)])
+        elements = vectors(exact_scalars, alg.dim)
+        x, y = data.draw(elements), data.draw(elements)
+        assert alg.multiply(x, y) == oracles.structure_product(gamma, x, y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_tensor_products_match_fraction_oracle(self, data):
+        base = BASE_ALGEBRAS[data.draw(st.sampled_from(sorted(BASE_ALGEBRAS)))]()
+        level = data.draw(st.integers(0, 2))
+        alg = tensor_algebra(base, level)
+        elements = vectors(tensor_scalars, alg.dim)
+        x, y = data.draw(elements), data.draw(elements)
+        b = data.draw(vectors(tensor_scalars, base.dim))
+        a = data.draw(vectors(exact_scalars, alg.cd_dim))
+        tx, ty = TensorElement(alg, x), TensorElement(alg, y)
+        product, pure = qh_multiply(tx, ty), pure_tensor(alg, b, CDElement(level, a))
+        assert tx.coeffs == [Fraction(c) for c in x]
+        assert product.coeffs == oracles.structure_product(
+            oracles.tensor_gamma(base.gamma, level), x, y)
+        assert pure.coeffs == oracles.pure_tensor_coeffs(b, a)
+        for element in (tx, ty, product, pure):
+            assert oracles.stored_exactly(element.coeffs)
+
+    @pytest.mark.parametrize("build", [
+        lambda: StructureAlgebra([[[True]]], [True]),
+        lambda: TensorElement(tensor_algebra(real_algebra(), 0), [True]),
+        lambda: pure_tensor(tensor_algebra(real_algebra(), 0), [True], CDElement.one(0)),
+    ], ids=["StructureAlgebra", "TensorElement", "pure_tensor"])
+    def test_bool_coefficients_are_refused(self, build):
+        with pytest.raises(TypeError):
+            build()

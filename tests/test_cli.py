@@ -145,6 +145,15 @@ class TestQalg:
         assert result.code == 0
         assert all(result.payload["embeddings"].values())
 
+    def test_embeddings_at_the_cap(self):
+        # mat2 (x) A5, cd_dim^2 * dim = 2^17, the last mat2 level the cap lets
+        # through: about 0.1 s on int coefficients, 0.7 s on Fractions
+        start = time.perf_counter()
+        result = payload(["qalg", "--base", "mat2", "--level", "5", "--op", "tensor"])
+        assert time.perf_counter() - start < 0.35
+        assert result.code == 0
+        assert list(result.payload["embeddings"].values()) == [True] * 4
+
     def test_classic_limit_of_unit(self):
         result = payload(["qalg", "--base", "mat2", "--level", "1",
                           "--op", "classic-limit"])

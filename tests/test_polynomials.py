@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab.cayley_dickson import CDElement
 from hyperlab.polynomials import MAX_TERM_DEGREE, Poly, poly_matrix_determinant
@@ -154,3 +157,34 @@ def test_json_coefficients():
 def test_term_degree_cap_is_inclusive():
     data = [{"coeff": "1", "powers": {"x": MAX_TERM_DEGREE - 1, "y": 1}}]
     assert Poly.from_json_dict(data).degree() == MAX_TERM_DEGREE
+
+
+# ints (some past 64 bits), integral Fractions and non-integral Fractions
+exact_scalars = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(max_denominator=12),
+)
+monomials = st.dictionaries(st.sampled_from("xyz"), st.integers(1, 3), max_size=3).map(
+    lambda powers: tuple(sorted(powers.items())))
+terms = st.dictionaries(monomials, exact_scalars, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=terms, g=terms, env=st.fixed_dictionaries({n: exact_scalars for n in "xyz"}))
+def test_arithmetic_matches_fraction_oracle(f, g, env):
+    p, q = Poly(f), Poly(g)
+    F, G = oracles.poly_terms(f), oracles.poly_terms(g)
+    results = [(p, F), (p + q, oracles.poly_add(F, G)), (p * q, oracles.poly_mul(F, G)),
+               *((p.diff(n), oracles.poly_diff(F, n)) for n in "xyz")]
+    for poly, expected in results:
+        assert poly.terms == expected
+        assert oracles.stored_exactly(poly.terms.values())
+    assert p.evaluate(env) == oracles.poly_evaluate(F, env)
+
+
+@pytest.mark.parametrize("terms", [{(): True}, {(("x", 1),): 2.5}],
+                         ids=["bool", "float"])
+def test_inexact_coefficients_are_refused(terms):
+    with pytest.raises(TypeError):
+        Poly(terms)
