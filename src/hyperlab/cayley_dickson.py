@@ -261,9 +261,10 @@ def structure_multiply_rows(level: int, x, y):
 # elements
 # ---------------------------------------------------------------------------
 
-def _element(level: int, coeffs: list) -> "CDElement":
-    """Wrap coefficients that arithmetic built from already validated ones,
-    skipping the per-coefficient check of the public constructor."""
+def unchecked_element(level: int, coeffs: list) -> "CDElement":
+    """Wrap a list of 2^level scalars that the caller built itself, by
+    arithmetic on validated coefficients or as values it made, skipping the
+    per-coefficient check of the public constructor."""
     el = object.__new__(CDElement)
     el.level = level
     el.coeffs = coeffs
@@ -295,19 +296,22 @@ class CDElement:
 
     @classmethod
     def zero(cls, level: int) -> "CDElement":
-        return cls(level, [0] * (1 << level))
+        return unchecked_element(level, [0] * (1 << level))
 
     @classmethod
     def one(cls, level: int) -> "CDElement":
         coeffs = [0] * (1 << level)
         coeffs[0] = 1
-        return cls(level, coeffs)
+        return unchecked_element(level, coeffs)
 
     @classmethod
     def basis(cls, level: int, k: int, scale=1) -> "CDElement":
+        """scale e_k; the caller's ``scale`` is the one coefficient checked."""
         coeffs = [0] * (1 << level)
         coeffs[k] = scale
-        return cls(level, coeffs)
+        if not is_scalar(scale):
+            raise TypeError(f"unsupported coefficient {scale!r}")
+        return unchecked_element(level, coeffs)
 
     # -- structure -----------------------------------------------------------
 
@@ -328,34 +332,34 @@ class CDElement:
         if not isinstance(other, CDElement):
             return NotImplemented
         self._require_same_level(other)
-        return _element(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return unchecked_element(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, CDElement):
             return NotImplemented
         self._require_same_level(other)
-        return _element(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return unchecked_element(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return _element(self.level, [-a for a in self.coeffs])
+        return unchecked_element(self.level, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, CDElement):
             return cd_multiply(self, other)
         if is_scalar(other):
-            return _element(self.level, [a * other for a in self.coeffs])
+            return unchecked_element(self.level, [a * other for a in self.coeffs])
         return NotImplemented
 
     def __rmul__(self, other):
         if is_scalar(other):
-            return _element(self.level, [other * a for a in self.coeffs])
+            return unchecked_element(self.level, [other * a for a in self.coeffs])
         return NotImplemented
 
     def __truediv__(self, scalar):
         if is_scalar(scalar):
             if is_exact(scalar):
-                return _element(self.level, [Fraction(a) / scalar for a in self.coeffs])
-            return _element(self.level, [a / scalar for a in self.coeffs])
+                return unchecked_element(self.level, [Fraction(a) / scalar for a in self.coeffs])
+            return unchecked_element(self.level, [a / scalar for a in self.coeffs])
         return NotImplemented
 
     def __eq__(self, other):
@@ -436,9 +440,9 @@ def cd_multiply(a: CDElement, b: CDElement) -> CDElement:
     if level >= VECTOR_MIN_LEVEL and _int64_product_fits(a.coeffs, b.coeffs):
         # ab is the right-multiplication matrix of b applied to a
         right = table.operator(np.array(b.coeffs, dtype=np.int64), "right")
-        return _element(level, (right @ np.array(a.coeffs, dtype=np.int64)).tolist())
-    return _element(level, structure_multiply(table.products, a.coeffs, b.coeffs,
-                                              [0] * table.dim))
+        return unchecked_element(level, (right @ np.array(a.coeffs, dtype=np.int64)).tolist())
+    return unchecked_element(level, structure_multiply(table.products, a.coeffs, b.coeffs,
+                                                       [0] * table.dim))
 
 
 def _conj_vec(v):
@@ -478,12 +482,12 @@ def cd_multiply_recursive(a: CDElement, b: CDElement) -> CDElement:
     Independent of the table path; kept as a cross-implementation oracle.
     """
     a._require_same_level(b)
-    return _element(a.level, _mul_vec_recursive(a.coeffs, b.coeffs))
+    return unchecked_element(a.level, _mul_vec_recursive(a.coeffs, b.coeffs))
 
 
 def conjugate(a: CDElement) -> CDElement:
     """Fix e_0, negate every imaginary coefficient; an involution."""
-    return _element(a.level, _conj_vec(a.coeffs))
+    return unchecked_element(a.level, _conj_vec(a.coeffs))
 
 
 def trace(a: CDElement):
@@ -805,7 +809,8 @@ class _DenseBatch:
         return list(self._tuples(arity, stop)[:, start:stop])
 
     def witness(self, arity: int, pos: int) -> tuple:
-        return tuple(_element(self.r, row.tolist()) for row in self.drawn[arity][1][:, pos])
+        return tuple(unchecked_element(self.r, row.tolist())
+                     for row in self.drawn[arity][1][:, pos])
 
     def mul(self, a, b):
         if len(a) == 1:
@@ -900,7 +905,7 @@ def find_zero_divisors(r: int) -> list[tuple[CDElement, CDElement]]:
             coeffs = [0] * dim
             coeffs[i] = si
             coeffs[j] = sj
-            elements[key] = _element(r, coeffs)
+            elements[key] = unchecked_element(r, coeffs)
         return elements[key]
 
     pairs = []

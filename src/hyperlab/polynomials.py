@@ -171,21 +171,26 @@ class Poly:
         and ``*`` by int and Fraction scalars.  Each monomial's factors multiply
         left-to-right following ``var_order`` (canonical sorted order when
         omitted); ``one`` supplies the multiplicative identity used for the
-        constant term when the values are not plain numbers.
+        constant term when the values are not plain numbers.  An exact
+        number too large for a float that meets a float (a coefficient of
+        1e400 times 0.5) raises ValueError, not Python's OverflowError.
         """
         if one is None:
             one = 1
         order = {name: i for i, name in enumerate(var_order)} if var_order else None
         total = None
-        for mono, coeff in self.terms.items():
-            factors = sorted(mono, key=lambda p: order[p[0]]) if order else mono
-            value = None
-            for name, exp in factors:
-                v = env[name]
-                for _ in range(exp):
-                    value = v if value is None else value * v
-            term = coeff * one if value is None else coeff * value
-            total = term if total is None else total + term
+        try:
+            for mono, coeff in self.terms.items():
+                factors = sorted(mono, key=lambda p: order[p[0]]) if order else mono
+                value = None
+                for name, exp in factors:
+                    v = env[name]
+                    for _ in range(exp):
+                        value = v if value is None else value * v
+                term = coeff * one if value is None else coeff * value
+                total = term if total is None else total + term
+        except OverflowError as exc:
+            raise ValueError(f"evaluation leaves the float range: {exc}") from None
         if total is None:
             total = 0 * one
         return total

@@ -15,7 +15,10 @@ pair: independent of the batched products of
 ``hyperlab.grid.separable_dalembert_check``.  Polynomial sums, products,
 derivatives and values, structure-constant and tensor products, all in
 Fractions: independent of the int storage of ``hyperlab.polynomials`` and
-``hyperlab.algebras``.
+``hyperlab.algebras``.  The heat step as two ``np.roll`` gathers and an
+out-of-place update, and the decoupling verdict as one such evolution per
+component: independent of the ghost-row buffer and the batched run of
+``hyperlab.grid``.
 
 Also enumeration routes and symbolic expectations: homomorphism and Ext
 orders of cyclic groups by enumeration, H / mH from a presentation, every
@@ -37,6 +40,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from hyperlab.abelian import TRIVIAL, FGAbelianGroup, _cyclic_blocks, decompose
 from hyperlab.cayley_dickson import (
@@ -687,6 +692,38 @@ def dalembert_pair_loop(f_values, g_values, f_derivs, g_derivs, tolerance):
             if mag > tolerance:
                 witness = (i, j, r)
     return worst, witness
+
+
+def heat_roll_loop(values, dt, h, steps: int):
+    """``steps`` explicit Euler steps of u_t = u_xx along axis 0 of
+    ``values``, each u + (dt/h^2) (roll(u, -1) - 2 u + roll(u, 1)) out of
+    place, so each step's result takes the dtype numpy promotes it to."""
+    scale = dt / (h * h)
+    for _ in range(steps):
+        lap = np.roll(values, -1, axis=0) - 2 * values + np.roll(values, 1, axis=0)
+        values = values + scale * lap
+    return values
+
+
+def heat_decoupling_loop(values, dt, h, steps: int, evolved) -> bool:
+    """Does each component of the (nodes, dim) field ``values``, evolved
+    alone by ``heat_roll_loop``, equal that column of ``evolved`` bit for
+    bit?"""
+    return all(np.array_equal(heat_roll_loop(values[:, k:k + 1], dt, h, steps)[:, 0],
+                              evolved[:, k]) for k in range(values.shape[1]))
+
+
+def heat_payload(level: int, nodes: int, steps: int, dt=None, seed: int = 0) -> dict:
+    """The ``pde heat`` payload from the roll loop and one evolution per
+    component, for inputs ``heat_decoupling_check`` accepts."""
+    h = 1.0 / nodes
+    dt = dt if dt is not None else h * h / 2
+    values = np.random.default_rng(seed).standard_normal((nodes, 1 << level))
+    evolved = heat_roll_loop(values, dt, h, steps)
+    return {"nodes": nodes, "steps": steps, "dt": dt, "level": level,
+            "componentwise_decoupling": heat_decoupling_loop(values, dt, h, steps, evolved),
+            "mode_decay_factor": 1.0 - 4.0 * dt * np.sin(np.pi * h) ** 2 / h ** 2,
+            "final_mean": [float(m) for m in evolved.mean(axis=0)]}
 
 
 def table_loop_product(a, b):

@@ -887,6 +887,32 @@ class TestSerialization:
         assert calls == [(6, np.int64, "right")]
         assert product == cd_multiply_recursive(x, y)
 
+    def test_stock_constructors_check_only_the_callers_scale(self, monkeypatch):
+        from hyperlab import cayley_dickson as cd
+
+        checked = []
+        real = cd.is_scalar
+        monkeypatch.setattr(cd, "is_scalar", lambda c: checked.append(c) or real(c))
+        built = [CDElement.zero(3), CDElement.one(3), CDElement.basis(3, 5),
+                 CDElement.basis(3, -1, Fraction(1, 2)), CDElement.basis(2, 1, 0.5)]
+        assert checked == [1, Fraction(1, 2), 0.5]
+        monkeypatch.undo()
+        assert [(x.level, x.coeffs) for x in built] == [
+            (3, [0] * 8), (3, [1] + [0] * 7), (3, [0] * 5 + [1, 0, 0]),
+            (3, [0] * 7 + [Fraction(1, 2)]), (2, [0, 0.5, 0, 0])]
+        assert built == [CDElement(3, [0] * 8), CDElement(3, [1] + [0] * 7),
+                         *(CDElement(x.level, x.coeffs) for x in built[2:])]
+
+    @pytest.mark.parametrize("k, scale, error", [
+        (8, 1, IndexError), (-9, 1, IndexError), (1.0, 1, TypeError),
+        (1, True, TypeError), (1, "1", TypeError), (1, None, TypeError),
+        # a bad k raises before the scale is looked at
+        (8, "1", IndexError),
+    ])
+    def test_basis_rejects_bad_arguments(self, k, scale, error):
+        with pytest.raises(error):
+            CDElement.basis(3, k, scale)
+
     def test_constructor_rejects_bad_coefficients(self):
         with pytest.raises(TypeError):
             CDElement(1, [True, 0])

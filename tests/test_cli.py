@@ -541,6 +541,10 @@ class TestDispatch:
         ["pde", "scan", "--system", "r1", "--points",
          [{"u1_x": {"level": 1, "coeffs": ["0", True]}}]],
         ["qalg", "--op", "classic-limit", "--input", {"coeffs": [True]}],
+        # an exact coefficient past the float range times a float point value
+        ["pde", "scan", "--points", [{"u": 0.5}], "--input",
+         {"coordinates": {"independents": ["x"], "dependents": ["u"], "order": 1},
+          "equations": [[{"coeff": "1e400", "powers": {"u": 1}}]]}],
     ])
     def test_malformed_input_is_a_json_error(self, argv, tmp_path):
         result = payload(with_files(argv, tmp_path))
@@ -676,6 +680,29 @@ class TestDispatch:
         start = time.perf_counter()
         assert payload(argv).code == 0
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("point", [
+        {"u": 0.5},
+        # an element elsewhere makes u the float multiple 0.5 e0
+        {"u": 0.5, "x": {"level": 1, "coeffs": ["0", "0"]}},
+    ])
+    def test_scan_past_the_float_range_is_a_value_error(self, point, tmp_path):
+        # 10^400 * 0.5 has no float: the evaluation refuses it
+        system = {"coordinates": {"independents": ["x"], "dependents": ["u"], "order": 1},
+                  "equations": [[{"coeff": "1e400", "powers": {"u": 1}}]]}
+        result = payload(with_files(["pde", "scan", "--input", system,
+                                     "--points", [point]], tmp_path))
+        assert result.code == 2
+        assert result.payload["error"].startswith(
+            "ValueError: evaluation leaves the float range")
+
+    def test_heat_at_the_level_cap(self):
+        # one full evolution and one batched run of every component alone:
+        # 7.3 s when each component was evolved on its own
+        start = time.perf_counter()
+        result = payload(["pde", "heat", "--level", "8", "--nodes", "1024", "--steps", "1000"])
+        assert time.perf_counter() - start < 4.0
+        assert result.code == 0 and result.payload["componentwise_decoupling"] is True
 
     @pytest.mark.parametrize("points", [9, 14, 400, 2000])
     def test_oversized_poset_rejected_before_the_upsets(self, points, tmp_path):

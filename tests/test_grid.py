@@ -24,12 +24,51 @@ from hyperlab.grid import (
 )
 from hyperlab.jets import PDESystem, builtin_systems
 
-from oracles import dalembert_pair_loop, dalembert_pair_residuals, max_abs
+from oracles import (
+    dalembert_pair_loop,
+    dalembert_pair_residuals,
+    heat_decoupling_loop,
+    heat_payload,
+    heat_roll_loop,
+    max_abs,
+)
 
 
 @pytest.fixture(scope="module")
 def systems():
     return builtin_systems()
+
+
+@st.composite
+def heat_cases(draw):
+    """(values, h, dt, steps) on 1-40 nodes, with up to two more grid axes:
+    float64 fields with infinities and NaN, float32, int64 over its whole
+    range (so 2 u wraps), and Fraction objects with a Fraction spacing.  A
+    float spacing is a Python float or a numpy float64, whose scale
+    promotes a float32 or int64 field on the first step."""
+    kind = draw(st.sampled_from(["float64", "float32", "int64", "fraction"]))
+    small = kind == "fraction"
+    nodes = draw(st.integers(1, 20 if small else 40))
+    shape = (nodes, *draw(st.lists(st.integers(1, 3), max_size=1 if small else 2)),
+             draw(st.integers(1, 2 if small else 4)))
+    elements = {
+        "float64": st.floats(),
+        "float32": st.floats(width=32),
+        "int64": st.integers(-2 ** 63, 2 ** 63 - 1),
+        "fraction": st.fractions(-9, 9, max_denominator=9),
+    }[kind]
+    flat = draw(st.lists(elements, min_size=math.prod(shape), max_size=math.prod(shape)))
+    if small:
+        values = np.empty(len(flat), dtype=object)
+        values[:] = flat
+        h = Fraction(1, nodes)
+    else:
+        values = np.array(flat, dtype=kind)
+        h = draw(st.sampled_from([float, np.float64]))(1.0 / nodes)
+    dt = h * h / 2 * draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)]))
+    if not small:
+        dt = float(dt)
+    return values.reshape(shape), h, dt, draw(st.integers(0, 30))
 
 
 class TestHeatEvolve:
@@ -85,6 +124,42 @@ class TestHeatEvolve:
     def test_element_accessor(self):
         field = GridField(np.array([[1.0, 2.0], [3.0, 4.0]]), 0.5, level=1)
         assert field.element(1) == CDElement(1, [3.0, 4.0])
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=heat_cases())
+    def test_matches_the_roll_loop_bit_for_bit(self, case):
+        values, h, dt, steps = case
+        # infinities and NaN make numpy warn, which fails a test here
+        with np.errstate(all="ignore"):
+            got = heat_evolve(GridField(values, h), dt, steps).values
+            want = heat_roll_loop(values, dt, h, steps)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        if got.dtype == object:
+            assert [(type(x), x) for x in got.flat] == [(type(x), x) for x in want.flat]
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+            signed = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+
+    @pytest.mark.parametrize("dtype, spacing, result", [
+        (np.int64, 0.25, np.float64),
+        (np.float32, 0.25, np.float32),
+        # a float64 scale promotes the first step, and the rest follow it
+        (np.float32, np.float64(0.25), np.float64),
+        (np.int64, Fraction(1, 4), object),
+    ])
+    def test_result_dtype_is_the_out_of_place_one(self, dtype, spacing, result):
+        values = np.arange(12, dtype=dtype).reshape(4, 3) ** 2
+        before = values.copy()
+        evolved = heat_evolve(GridField(values, spacing), spacing * spacing / 4, 3).values
+        assert evolved.dtype == result
+        assert np.array_equal(evolved, heat_roll_loop(values, spacing * spacing / 4, spacing, 3))
+        # the steps run on a copy
+        assert np.array_equal(values, before) and values.dtype == dtype
+
+    def test_zero_steps_return_the_values(self):
+        field = GridField(np.ones((3, 2)), 0.5)
+        assert heat_evolve(field, 0.1, 0).values is field.values
 
 
 class TestResidual:
@@ -491,6 +566,34 @@ class TestActionChecks:
         assert out["componentwise_decoupling"] is True
         assert out["dt"] == 1 / 128
         assert (out["nodes"], out["steps"], out["level"], len(out["final_mean"])) == (8, 3, 2, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(level=st.integers(0, 3), nodes=st.integers(1, 40), steps=st.integers(0, 30),
+           seed=st.integers(0, 3), share=st.sampled_from([None, 1.0, 0.3, 1e-3]))
+    def test_heat_payload_matches_the_component_loop(self, level, nodes, steps, seed, share):
+        # the batched verdict and every payload value are those of one roll
+        # loop evolution of the field and one per component
+        h = 1.0 / nodes
+        dt = None if share is None else h * h / 2 * share
+        assert heat_decoupling_check(level, nodes, steps, dt, seed) == heat_payload(
+            level, nodes, steps, dt, seed)
+
+    @pytest.mark.parametrize("level, node, k", [(0, 0, 0), (2, 7, 3), (3, 4, 5)])
+    def test_decoupling_verdict_sees_one_changed_bit(self, level, node, k, monkeypatch):
+        # the check evolves the full field through the module's heat_evolve
+        # and compares it with its batched per-component run
+        real, seen = grid.heat_evolve, []
+
+        def nudged(field, dt, steps):
+            values = real(field, dt, steps).values.copy()
+            values[node, k] = np.nextafter(values[node, k], np.inf)
+            seen.append((field.values, dt, values))
+            return GridField(values, field.spacing, level=field.level)
+
+        monkeypatch.setattr(grid, "heat_evolve", nudged)
+        assert heat_decoupling_check(level, 8, 5, seed=2)["componentwise_decoupling"] is False
+        (values, dt, evolved), = seen
+        assert heat_decoupling_loop(values, dt, 1 / 8, 5, evolved) is False
 
     def test_heat_builds_no_table(self, monkeypatch):
         # heat multiplies nothing, so checking its level builds no sign table

@@ -85,6 +85,17 @@ def test_constant_term_uses_one():
     assert p.evaluate({}, one=one) == 5 * one
 
 
+@pytest.mark.parametrize("coeff, value", [
+    (10 ** 400, 0.5),
+    (Fraction(10 ** 400, 3), 0.5),
+    (10 ** 400, CDElement(1, [0.5, 0])),
+])
+def test_evaluation_past_the_float_range_is_a_value_error(coeff, value):
+    p = coeff * Poly.variable("x")
+    with pytest.raises(ValueError, match="evaluation leaves the float range"):
+        p.evaluate({"x": value}, one=CDElement.one(1) if isinstance(value, CDElement) else None)
+
+
 def test_determinant_two_by_two():
     a, b, c, d = (Poly.variable(n) for n in "abcd")
     det = poly_matrix_determinant([[a, b], [c, d]])
