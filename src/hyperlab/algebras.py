@@ -30,8 +30,8 @@ from .cayley_dickson import (
 )
 from .exact import (
     INT64_PRODUCT_BOUND,
-    SLAB_ENTRIES,
     VerificationError,
+    blocks,
     certified_nullspace,
     exact_value,
     integer_basis,
@@ -168,8 +168,8 @@ class StructureAlgebra:
         """True when (b_p b_q) b_r == b_p (b_q b_r) for every basis triple:
         associator slabs per first index p, stopping at the first nonzero."""
         r = np.arange(self.dim)
-        return not any(self.associators(p, q[:, None], r).any()
-                       for p in range(self.dim) for q in _slab_blocks(self.dim))
+        return not any(self.associators(p, r[q, None], r).any()
+                       for p in range(self.dim) for q in blocks(self.dim, self.dim ** 2))
 
     def to_json_dict(self) -> dict:
         return {
@@ -409,13 +409,6 @@ def pure_tensor(algebra: TensorAlgebra, b_coeffs, cd: CDElement) -> TensorElemen
 # centre, nucleus, classic limit, embeddings
 # ---------------------------------------------------------------------------
 
-def _slab_blocks(dim: int) -> list:
-    """0..dim-1 in consecutive index blocks that keep a dim x block x dim
-    slab within ``exact.SLAB_ENTRIES`` entries."""
-    size = max(1, SLAB_ENTRIES // dim ** 2)
-    return [np.arange(dim)[i:i + size] for i in range(0, dim, size)]
-
-
 def centre(algebra) -> list:
     """Basis of {x : xb = bx for every b}, the nullspace of all commutator
     operators, one dim x dim slab per basis element b; each returned vector
@@ -439,9 +432,9 @@ def nucleus(algebra) -> list:
 
     The 3 dim^3 constraint rows come as slabs, per b and placement of the
     unknown, over every output coordinate and a block of c
-    (``_slab_blocks``), so memory stays bounded by dim^3 entries although
-    there are 3 dim^4 coefficients.  Refuses dimensions above
-    ``DEFAULT_NUCLEUS_CAP`` before reading any table.
+    (``exact.blocks``, dim^2 entries per c), so memory stays bounded by
+    dim^3 entries although there are 3 dim^4 coefficients.  Refuses
+    dimensions above ``DEFAULT_NUCLEUS_CAP`` before reading any table.
     """
     dim = algebra.dim
     if dim > DEFAULT_NUCLEUS_CAP:
@@ -451,8 +444,8 @@ def nucleus(algebra) -> list:
 
     def slabs():
         for b in range(dim):
-            for c in _slab_blocks(dim):
-                c = c[None, :]
+            for block in blocks(dim, dim ** 2):
+                c = unknown[block].T
                 # [n, (c, output coordinate)]
                 yield assoc(unknown, b, c).reshape(dim, -1)
                 yield assoc(b, unknown, c).reshape(dim, -1)

@@ -25,8 +25,8 @@ from .exact import (
     CERTIFICATE_PRIME,
     DEFAULT_TOLERANCE,
     INT64_PRODUCT_BOUND,
-    SLAB_ENTRIES,
     VerificationError,
+    blocks,
     integer_vector,
     is_exact,
     is_scalar,
@@ -230,7 +230,7 @@ def structure_multiply_rows(level: int, x, y):
     nearest, so adding +0.0 changes it nowhere, and 0 * inf, which would be
     NaN, never forms.  For the same reason only the p with x_p nonzero in
     some row take part, so sparse rows cost little.  Rows run in blocks
-    whose terms hold at most ``SLAB_ENTRIES`` entries.
+    (``exact.blocks``) whose terms hold at most ``exact.SLAB_ENTRIES``.
     """
     cols, signs = _table(level)._gather
     x = np.asarray(x, dtype=float)
@@ -242,16 +242,15 @@ def structure_multiply_rows(level: int, x, y):
     cols = cols[active]
     sign = signs["right"].T[active]
     out = np.zeros((rows, dim))
-    block = max(1, SLAB_ENTRIES // max(1, len(active) * dim))
     # overflow and inf - inf are quiet in Python float arithmetic too
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, rows, block):
-            xb = x[lo:lo + block]
-            yk = y[lo:lo + block].take(cols, axis=-1)
+        for block in blocks(rows, len(active) * dim):
+            xb = x[block]
+            yk = y[block].take(cols, axis=-1)
             both = (xb != 0)[:, :, None] & (yk != 0)
             yk *= sign
             terms = np.multiply(xb[:, :, None], yk, out=np.zeros_like(yk), where=both)
-            acc = out[lo:lo + block]
+            acc = out[block]
             for i in range(len(active)):
                 acc += terms[:, i]
     return out

@@ -297,6 +297,15 @@ def nullspace(matrix, ncols: int | None = None):
 SLAB_ENTRIES = 1 << 20
 
 
+def blocks(count: int, entries: int, budget: int | None = None) -> list:
+    """Consecutive slices of 0..count-1 of max(1, budget // entries) items
+    each, the one block size of every blocked array check: ``entries``
+    per item keep a block within ``budget`` entries, or to one item.  The
+    budget is ``SLAB_ENTRIES`` as it reads at the call unless given."""
+    size = max(1, (SLAB_ENTRIES if budget is None else budget) // max(1, entries))
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
 def certified_nullspace(slabs, dim: int) -> list:
     """``nullspace`` of every constraint row, the columns of the integer
     (dim, rows) arrays that ``slabs`` yields, as Fraction vectors.

@@ -40,7 +40,7 @@ from .cayley_dickson import (
     structure_multiply_rows,
     unchecked_element,
 )
-from .exact import DEFAULT_TOLERANCE, SLAB_ENTRIES, integer_vector, rref
+from .exact import DEFAULT_TOLERANCE, blocks, integer_vector, rref
 from .jets import PDESystem
 
 
@@ -318,14 +318,13 @@ def _float_commute_associate(values, tolerance: float) -> bool:
 
     The products run as whole arrays: the commutators of one block of
     first arguments at once, then for each a the associators of one block
-    of b with every c.  Blocks hold as many samples as keep each array
-    near ``SLAB_ENTRIES`` entries, so small inputs make one block.  Stops
-    at the first failing array.
+    of b with every c.  Blocks (``exact.blocks``) hold as many samples as
+    keep each array near ``exact.SLAB_ENTRIES`` entries, so small inputs
+    make one block.  Stops at the first failing array.
     """
     table = structure_constants(values[0].level)
     v = np.array([x.coeffs for x in values], dtype=float)
     m, dim = v.shape
-    block = max(1, SLAB_ENTRIES // (dim * max(m, dim)))
 
     def times_samples(mats, out=None):
         # [(k, b), c] = (mats[b] @ c)_k for every sample c, as one 2-d
@@ -337,15 +336,15 @@ def _float_commute_associate(values, tolerance: float) -> bool:
         np.abs(deviation, out=deviation)
         return bool(deviation.max() <= tolerance)
 
-    blocks = [v[lo:lo + block] for lo in range(0, m, block)]
+    slabs = [v[block] for block in blocks(m, dim * max(m, dim))]
     # overflow and inf - inf are quiet in Python float arithmetic too
     with np.errstate(over="ignore", invalid="ignore"):
-        for va in blocks:
+        for va in slabs:
             # [(k, a), b] = (ab)_k - (ba)_k
             if not within(times_samples(table.operator(va))
                           - times_samples(table.operator(va, "right"))):
                 return False
-        for vb in blocks:
+        for vb in slabs:
             n = len(vb)
             # [j, (b, c)] = (bc)_j, so that one matrix product gives a(bc)
             bc = times_samples(table.operator(vb)).reshape(dim, n * m)
@@ -429,7 +428,7 @@ def _batched_residual_norms(level: int, f_values, g_values, f_derivs, g_derivs):
     """The norms of R at every node pair, in row-major order, from two
     ``structure_multiply_rows`` calls per block of f rows, [f g, f' g,
     f g', f' g'] and then [u u_xy, u_x u_y]; a block's products hold at
-    most ``SLAB_ENTRIES`` entries.
+    most ``exact.SLAB_ENTRIES`` entries (``exact.blocks``).
 
     Every step repeats a float operation of the per-pair loop, so the
     norms are bit for bit those of ``_pair_residuals``: a coefficient that
@@ -440,10 +439,9 @@ def _batched_residual_norms(level: int, f_values, g_values, f_derivs, g_derivs):
     f, fp, g, gp = (np.array([x.coeffs for x in values], dtype=float)
                     for values in (f_values, f_derivs, g_values, g_derivs))
     n2, dim = g.shape
-    step = max(1, SLAB_ENTRIES // (4 * n2 * dim))
     sums = []
-    for lo in range(0, len(f), step):
-        fb, fpb = f[lo:lo + step], fp[lo:lo + step]
+    for block in blocks(len(f), 4 * n2 * dim):
+        fb, fpb = f[block], fp[block]
         shape = (4, len(fb), n2, dim)
         left = np.broadcast_to(np.stack([fb, fpb, fb, fpb])[:, :, None], shape)
         right = np.broadcast_to(np.stack([g, g, gp, gp])[:, None], shape)

@@ -12,7 +12,7 @@ is built.
 Every law is checked on all pairs and all triples, as whole-table numpy
 comparisons on int32 copies of the tables: a law in two variables is one
 n x n comparison, and a law in three runs one (k, n, n) comparison of all
-(a, b, c) per block of k = max(1, _BUDGET // n^2) first arguments a, so no
+(a, b, c) per block of k first arguments a (``exact.blocks``), so no
 array holds more than max(_BUDGET, n^2) entries.  Only the construction
 check of algebras of at most LOOP_MAX elements stays a plain loop, which
 finishes before numpy's per-call cost is paid back.  When a check fails,
@@ -35,6 +35,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .exact import blocks
 
 MAX_POINTS = 16
 MAX_LATTICE = 256
@@ -101,6 +103,8 @@ class FiniteTopology:
         # the element labels join the point names
         if not all(isinstance(p, str) for p in self.points):
             raise InvalidTopology("point names must be strings")
+        if len(set(self.points)) < len(self.points):
+            raise InvalidTopology("point names must be distinct")
         full = (1 << len(self.points)) - 1
         opens = set(self.opens)
         # the opens are the elements of the Heyting algebra, so the lattice
@@ -173,6 +177,8 @@ class FinitePoset:
 
     def __post_init__(self):
         n = len(self.elements)
+        if len(set(self.elements)) < n:
+            raise InvalidPoset("element names must be distinct")
         if len(self.le) != n or any(len(row) != n for row in self.le):
             raise InvalidPoset("order matrix shape mismatch")
         for i in range(n):
@@ -230,9 +236,10 @@ class FinitePoset:
 # the algebra
 # ---------------------------------------------------------------------------
 
-def _check_index_table(name: str, table, n: int) -> None:
-    """Reject anything but an n x n table of integer indices in 0..n-1
-    (numpy would wrap a negative index silently)."""
+def _check_index_table(name: str, table, n: int) -> np.ndarray:
+    """An n x n table of integer indices in 0..n-1 as an int32 array (the
+    slab gathers at n = 256 ran twice as fast as on int64); anything else
+    is refused, as numpy would wrap a negative index silently."""
     if (not isinstance(table, (list, tuple)) or len(table) != n
             or any(not isinstance(row, (list, tuple)) or len(row) != n
                    for row in table)):
@@ -242,8 +249,9 @@ def _check_index_table(name: str, table, n: int) -> None:
         kinds.update(map(type, row))
     if any(kind is bool or not issubclass(kind, int) for kind in kinds):
         raise InvalidLattice(f"{name} entries must be integers")
-    if not all(0 <= min(row) and max(row) < n for row in table):
+    if min(map(min, table)) < 0 or max(map(max, table)) >= n:
         raise InvalidLattice(f"{name} entries must lie in 0..{n - 1}")
+    return np.array(table, dtype=np.int32)
 
 
 def _table_size(meet) -> int:
@@ -262,20 +270,6 @@ _PAIR_LAWS = ("idempotence fails", "bounds are not extreme",
 _TRIPLE_LAWS = ("meet not associative", "join not associative",
                 "meet does not distribute over join",
                 "join does not distribute over meet", "residuation law fails")
-
-
-def _blocks(n: int) -> list:
-    """Slices of k = max(1, _BUDGET // n^2) consecutive first arguments,
-    so that a three-variable law on one block is a (k, n, n) array of at
-    most max(_BUDGET, n^2) entries."""
-    k = max(1, _BUDGET // (n * n))
-    return [slice(start, start + k) for start in range(0, n, k)]
-
-
-def _int32_tables(*tables):
-    """Fresh int32 arrays of index tables (at n = 256 the slab gathers ran
-    about twice as fast on 4-byte entries as on 8-byte ones)."""
-    return tuple(np.array(t, dtype=np.int32) for t in tables)
 
 
 def check_laws_by_loops(meet, join, impl, bottom: int, top: int) -> None:
@@ -328,8 +322,9 @@ def _raise_first_failure(laws, messages) -> None:
 
 def check_laws_by_slabs(meet, join, impl, bottom: int, top: int) -> None:
     """The same laws as whole-table comparisons: the pair laws at once, the
-    triple laws on one [a, b, c] array per block of first arguments a."""
-    meet, join, impl = _int32_tables(meet, join, impl)
+    triple laws on one [a, b, c] array per block of first arguments a, on
+    the tables as given (int32 arrays from ``HeytingAlgebra``)."""
+    meet, join, impl = map(np.asarray, (meet, join, impl))
     n = len(meet)
     idx = np.arange(n)
     leq = meet == idx[:, None]  # leq[a, b]: a <= b
@@ -346,7 +341,7 @@ def check_laws_by_slabs(meet, join, impl, bottom: int, top: int) -> None:
     # is a 512 KiB copy per call, which made the blocks slower than the
     # per-a slabs, so the two index tables are cast once
     meet_ix, join_ix = meet.astype(np.intp), join.astype(np.intp)
-    for block in _blocks(n):
+    for block in blocks(n, n * n, _BUDGET):
         ma, ja = meet[block], join[block]
         _raise_first_failure((
             meet[ma] != np.take(ma, meet_ix, axis=1),
@@ -373,8 +368,8 @@ class HeytingAlgebra:
 
     def __init__(self, meet, join, impl, bottom: int, top: int, labels=None):
         self.n = _table_size(meet)
-        for name, table in (("meet", meet), ("join", join), ("impl", impl)):
-            _check_index_table(name, table, self.n)
+        tables = [_check_index_table(name, table, self.n)
+                  for name, table in (("meet", meet), ("join", join), ("impl", impl))]
         for name, value in (("bottom", bottom), ("top", top)):
             if isinstance(value, bool) or not isinstance(value, int) \
                     or not 0 <= value < self.n:
@@ -388,8 +383,10 @@ class HeytingAlgebra:
         self.bottom = bottom
         self.top = top
         self.labels = list(labels) if labels is not None else [str(i) for i in range(self.n)]
-        check = check_laws_by_loops if self.n <= LOOP_MAX else check_laws_by_slabs
-        check(self.meet, self.join, self.impl, bottom, top)
+        if self.n <= LOOP_MAX:
+            check_laws_by_loops(self.meet, self.join, self.impl, bottom, top)
+        else:
+            check_laws_by_slabs(*tables, bottom, top)
 
     # order and negation ----------------------------------------------------
 
@@ -441,7 +438,7 @@ def heyting_from_topology(topology: FiniteTopology) -> HeytingAlgebra:
     index[masks] = np.arange(len(opens))  # element index of each open mask
     column = masks[:, None]
     impl = np.empty((len(opens), len(opens)), dtype=np.int64)
-    for block in _blocks(len(opens)):
+    for block in blocks(len(opens), len(opens) ** 2, _BUDGET):
         # [a, o, b]: o lies in (~a | b)
         inside = column & (masks[block, None] & ~masks)[:, None] == 0
         impl[block] = index[np.bitwise_or.reduce(np.where(inside, column, 0), axis=1)]
@@ -503,10 +500,8 @@ def heyting_from_lattice(meet, join) -> HeytingAlgebra:
     lattices this happens exactly when the lattice is not distributive.
     """
     n = _table_size(meet)
-    _check_index_table("meet", meet, n)
-    _check_index_table("join", join, n)
-    meet_arr = np.array(meet, dtype=np.int64)
-    join_arr = np.array(join, dtype=np.int64)
+    meet_arr = _check_index_table("meet", meet, n)
+    join_arr = _check_index_table("join", join, n)
     idx = np.arange(n)
     leq = meet_arr == idx[:, None]  # leq[x, y]: x <= y
     bottoms = np.flatnonzero(leq.all(axis=1))
@@ -606,7 +601,7 @@ def _intuitionistic_axioms(h: HeytingAlgebra, meet, join, impl) -> dict:
     # array to cast per law and block instead of two
     impl_ix = impl.astype(np.intp)
     entails_at = entails.ravel()
-    for block in _blocks(h.n):
+    for block in blocks(h.n, h.n ** 2, _BUDGET):
         ix = impl[block]
         rows = ix * h.n  # the flat row of each x -> y
         if results["distribution_of_implication"]:
@@ -659,7 +654,7 @@ def law_report(h: HeytingAlgebra) -> LawReport:
     one comparison over the whole table of pairs, or of the pairs of
     regular elements; the two axioms in three variables run one array per
     block of first variables."""
-    meet, join, impl = _int32_tables(h.meet, h.join, h.impl)
+    meet, join, impl = (np.array(t, dtype=np.int32) for t in (h.meet, h.join, h.impl))
     idx = np.arange(h.n)
     neg = impl[:, h.bottom]
     nn = neg[neg]

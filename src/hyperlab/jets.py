@@ -50,7 +50,8 @@ class JetCoordinateSystem:
     (u_xx, u_xy, u_yy) versus full ordered tensors (u_xx, u_xy, u_yx,
     u_yy); the ordering is total and serialized with every artifact.
     ``variables`` is derived from the other fields, and more than
-    MAX_JET_VARIABLES of them are refused before any name is built.
+    MAX_JET_VARIABLES of them are refused before any name is built, as is
+    a name that repeats an earlier one (dependents ("u", "u_x") at order 1).
     """
 
     independents: tuple
@@ -73,7 +74,11 @@ class JetCoordinateSystem:
         if count > MAX_JET_VARIABLES:
             raise InvalidSystem(
                 f"{count} jet variables exceed the cap of {MAX_JET_VARIABLES}")
-        object.__setattr__(self, "variables", self._build_variables())
+        variables = self._build_variables()
+        if len(set(variables)) < len(variables):
+            repeated = next(v for i, v in enumerate(variables) if v in variables[:i])
+            raise InvalidSystem(f"jet variable {repeated!r} is repeated")
+        object.__setattr__(self, "variables", variables)
 
     def _build_variables(self) -> tuple:
         names = list(self.independents) + list(self.dependents)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import exact
+from hyperlab import algebras, exact
 from hyperlab.algebras import (
     BASE_ALGEBRAS,
     DEFAULT_CENTRE_CAP,
@@ -260,6 +260,26 @@ class TestCentreNucleus:
         alg = tensor_algebra(BASE_ALGEBRAS[base_name](), level)
         assert centre(alg) == oracles.centre(alg)
         assert nucleus(alg) == oracles.nucleus(alg)
+
+    @pytest.mark.parametrize("base_name", list(BASE_ALGEBRAS))
+    @pytest.mark.parametrize("level", range(1, 4))
+    def test_blocks_of_one_item_match_the_default_budget(self, base_name, level,
+                                                          monkeypatch):
+        # one c per nucleus slab and one q per associator array: 3 dim^2
+        # slabs instead of 3 dim, and the same answers
+        alg = tensor_algebra(BASE_ALGEBRAS[base_name](), level)
+        expected = nucleus(alg), alg.basis_associative()
+        counted = []
+
+        def count_slabs(slabs, dim):
+            slabs = list(slabs)
+            counted.append(len(slabs))
+            return exact.certified_nullspace(slabs, dim)
+
+        monkeypatch.setattr(algebras, "certified_nullspace", count_slabs)
+        monkeypatch.setattr(exact, "SLAB_ENTRIES", 1)
+        assert (nucleus(alg), alg.basis_associative()) == expected
+        assert counted == [3 * alg.dim ** 2]
 
     @pytest.mark.parametrize("algebra, scales", [
         (tensor_algebra(real_algebra(), 3), [1, 2, "1/3", 5, "-1/7", 2, 3, "1/2"]),

@@ -39,7 +39,7 @@ from hyperlab.cayley_dickson import (
     structure_multiply_rows,
     trace,
 )
-from hyperlab import cayley_dickson
+from hyperlab import cayley_dickson, exact
 from hyperlab.cayley_dickson import _DenseBatch, _int64_product_fits, _MonomialBatch
 from hyperlab.exact import CERTIFICATE_PRIME, VerificationError, matrix_rank_mod_p
 
@@ -160,7 +160,7 @@ class TestMultiplication:
             assert list(map(repr, cd_multiply(a, b).coeffs)) == list(map(repr, expected))
 
     @pytest.mark.parametrize("level", range(0, 7))
-    @pytest.mark.parametrize("slab", [1, cayley_dickson.SLAB_ENTRIES])
+    @pytest.mark.parametrize("slab", [1, exact.SLAB_ENTRIES])
     def test_row_products_bit_identical_to_the_table_loop(self, level, slab, monkeypatch):
         # every coefficient as the loop leaves it, as a float: +0.0 where
         # no term arrives and the loop keeps the int 0; rows of zeros,
@@ -176,7 +176,7 @@ class TestMultiplication:
 
         pairs = [[[draw(density) for _ in range(dim)] for _ in range(2)]
                  for density in (0.0, 0.2, 0.5, 0.8, 1.0) for _ in range(4)]
-        monkeypatch.setattr(cayley_dickson, "SLAB_ENTRIES", slab)
+        monkeypatch.setattr(exact, "SLAB_ENTRIES", slab)
         values = structure_multiply_rows(level, [x for x, _ in pairs], [y for _, y in pairs])
         for (x, y), row in zip(pairs, values.tolist()):
             expected = oracles.table_loop_product(CDElement(level, x), CDElement(level, y))

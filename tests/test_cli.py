@@ -506,6 +506,10 @@ class TestDispatch:
         ["heyting", "build", "--input", {"points": ["a"], "opens": [5]}],
         ["heyting", "build", "--input", {"points": ["a"], "opens": [[["a"]]]}],
         ["heyting", "build", "--input", {"points": 5, "opens": []}],
+        # repeated names: four elements labelled {}, {a}, {a}, {a,a}, and
+        # a topology refused for the wrong reason
+        ["heyting", "build", "--input", {"elements": ["a", "a"], "le": []}],
+        ["heyting", "build", "--input", {"points": ["a", "a"], "opens": [[], ["a"]]}],
         # --chain 0 is an empty chain, not a missing --chain
         ["heyting", "build", "--chain", "0"],
         # --chain and --input exclude each other, --chain 0 included
@@ -536,6 +540,10 @@ class TestDispatch:
          {"coordinates": {**COORDS, "symmetric": "no"}, "equations": []}],
         ["pde", "jacobian", "--input",
          {"coordinates": {**COORDS, "independents": "xy"}, "equations": []}],
+        # jet variables x, x, x_x: the Jacobian had two columns named x
+        ["pde", "jacobian", "--input",
+         {"coordinates": {**COORDS, "independents": ["x"], "dependents": ["x"]},
+          "equations": []}],
         # JSON booleans are no numbers: true used to count as 1
         ["pde", "scan", "--system", "r1", "--points", [{"u1_x": True}]],
         ["pde", "scan", "--system", "r1", "--points",

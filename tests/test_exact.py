@@ -315,3 +315,19 @@ class TestParseNumber:
 ])
 def test_is_scalar(value, scalar):
     assert is_scalar(value) is scalar
+
+
+class TestBlocks:
+    @given(st.integers(0, 70), st.integers(0, 50), st.integers(0, 200))
+    def test_consecutive_blocks_of_the_budget(self, count, entries, budget):
+        slices = exact.blocks(count, entries, budget)
+        size = max(1, budget // max(1, entries))
+        assert [list(range(count))[s] for s in slices] == \
+            [list(range(lo, min(lo + size, count))) for lo in range(0, count, size)]
+
+    def test_default_budget_is_read_at_the_call(self, monkeypatch):
+        assert exact.blocks(5, 1) == [slice(0, exact.SLAB_ENTRIES)]
+        monkeypatch.setattr(exact, "SLAB_ENTRIES", 2)
+        assert exact.blocks(5, 1) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+        assert exact.blocks(5, 3) == [slice(k, k + 1) for k in range(5)]
+        assert exact.blocks(5, 1, 5) == [slice(0, 5)]

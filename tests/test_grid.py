@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import cayley_dickson, grid
+from hyperlab import cayley_dickson, exact, grid
 from hyperlab.cayley_dickson import CDElement, LevelTooLarge
 from hyperlab.grid import (
     GridField,
@@ -358,14 +358,15 @@ def assert_loop_report(report, samples, tolerance):
 
 @contextmanager
 def slab_entries(entries):
-    """Set ``SLAB_ENTRIES`` of grid and of the row kernel; hypothesis
-    tests cannot take the function-scoped monkeypatch."""
-    saved = grid.SLAB_ENTRIES
-    grid.SLAB_ENTRIES = cayley_dickson.SLAB_ENTRIES = entries
+    """Set ``exact.SLAB_ENTRIES``, the budget of grid's blocks and of the
+    row kernel's; hypothesis tests cannot take the function-scoped
+    monkeypatch."""
+    saved = exact.SLAB_ENTRIES
+    exact.SLAB_ENTRIES = entries
     try:
         yield
     finally:
-        grid.SLAB_ENTRIES = cayley_dickson.SLAB_ENTRIES = saved
+        exact.SLAB_ENTRIES = saved
 
 
 def counted_element_products(monkeypatch):
@@ -406,14 +407,14 @@ class TestBatchedResidual:
     @given(float_dalembert_samples(), st.sampled_from([0, 1e-9, 0.5]), st.booleans())
     def test_equals_the_pair_loop(self, samples, tolerance, one_row_blocks):
         # one node pair per block of rows, and one product row per block
-        with slab_entries(1 if one_row_blocks else grid.SLAB_ENTRIES):
+        with slab_entries(1 if one_row_blocks else exact.SLAB_ENTRIES):
             report = separable_dalembert_check(*samples, tolerance=tolerance)
         assert_loop_report(report, samples, tolerance)
 
     @settings(max_examples=200, deadline=None)
     @given(float_dalembert_samples(), st.booleans())
     def test_every_norm_equals_the_pair_loop(self, samples, one_row_blocks):
-        with slab_entries(1 if one_row_blocks else grid.SLAB_ENTRIES):
+        with slab_entries(1 if one_row_blocks else exact.SLAB_ENTRIES):
             norms = grid._batched_residual_norms(samples[0][0].level, *samples)
         assert list(map(repr, norms)) == \
             [repr(mag) for *_, mag in dalembert_pair_residuals(*samples)]
@@ -651,11 +652,11 @@ class TestCommutativeSubalgebra:
             assert grid._values_commute_associate(values, 1e-9) == \
                 commute_associate_oracle(values, 1e-9)
 
-    @pytest.mark.parametrize("slab_entries", [1, grid.SLAB_ENTRIES])
+    @pytest.mark.parametrize("slab_entries", [1, exact.SLAB_ENTRIES])
     def test_offending_samples_in_the_last_block(self, slab_entries, monkeypatch):
         # with one-row blocks only the last two rows hold the noncommuting
         # pair, and only the last holds the zero divisor's associator
-        monkeypatch.setattr(grid, "SLAB_ENTRIES", slab_entries)
+        monkeypatch.setattr(exact, "SLAB_ENTRIES", slab_entries)
         one = CDElement.one(4)
         a = CDElement.basis(4, 3) + CDElement.basis(4, 10)
         b = CDElement.basis(4, 6) - CDElement.basis(4, 15)

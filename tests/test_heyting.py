@@ -333,6 +333,13 @@ class TestTopologyConstruction:
         with pytest.raises(InvalidTopology):
             FiniteTopology(("a", "b", "c"), (0, 0b001, 0b010, 0b111))
 
+    def test_repeated_point_names_rejected(self):
+        # they were refused as "opens must contain the empty and full sets"
+        with pytest.raises(InvalidTopology, match="point names must be distinct"):
+            FiniteTopology.from_json_dict({"points": ["a", "a"], "opens": [[], ["a"]]})
+        with pytest.raises(InvalidTopology, match="point names must be distinct"):
+            FiniteTopology(("a", "a"), (0, 0b11))
+
     def test_interior_vs_brute_force_on_all_small_topologies(self):
         # construction-formula implication == greatest-element implication,
         # exhaustively over every topology on up to 4 points
@@ -408,6 +415,13 @@ class TestChainAndPoset:
         with pytest.raises(InvalidPoset):
             FinitePoset(("a", "b"),
                         ((True, True), (True, True)))  # a <= b <= a, a != b
+
+    def test_repeated_element_names_rejected(self):
+        # they built a four-element algebra labelled {}, {a}, {a}, {a,a}
+        with pytest.raises(InvalidPoset, match="element names must be distinct"):
+            FinitePoset.from_json_dict({"elements": ["a", "a"], "le": []})
+        with pytest.raises(InvalidPoset, match="element names must be distinct"):
+            FinitePoset(("a", "b", "a"), ((True,) * 3,) * 3)
 
 
 class TestLatticeConstruction:

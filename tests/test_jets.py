@@ -94,6 +94,19 @@ class TestCoordinates:
         with pytest.raises(InvalidSystem, match="order"):
             JetCoordinateSystem(("x",), ("u",), order)
 
+    @pytest.mark.parametrize("independents, dependents, order, symmetric, repeated", [
+        (("x",), ("x",), 1, True, "x"),
+        (("x",), ("u", "u_x"), 1, True, "u_x"),
+        (("x", "x"), ("u",), 0, True, "x"),
+        # u_xx is the order-1 derivative by "xx" and the order-2 one by "x"
+        (("x", "xx"), ("u",), 2, True, "u_xx"),
+        (("x", "y"), ("u", "u_x"), 2, False, "u_x"),
+    ])
+    def test_repeated_variable_names(self, independents, dependents, order,
+                                     symmetric, repeated):
+        with pytest.raises(InvalidSystem, match=f"jet variable '{repeated}' is repeated"):
+            JetCoordinateSystem(independents, dependents, order, symmetric)
+
     def test_minor_cap(self):
         # 2 x 317 entries: C(317, 2) = 50,086 minors of two products each
         row = [Poly.constant(1)] * 317
