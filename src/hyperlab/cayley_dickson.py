@@ -45,6 +45,12 @@ DENSE_MAX_LEVEL = 7
 # cd_multiply runs int products as int64 matvecs from this level on; below
 # it structure_multiply is faster than numpy's per-call overhead
 VECTOR_MIN_LEVEL = 4
+# ... and only when the operands' nonzero counts multiply to more than
+# dim^2 / GATHER_TERM_RATIO: the gather costs about dim^2 steps in numpy,
+# structure_multiply one Python step per pair of nonzero terms, and the two
+# took the same time near that count at levels 5 to 8 (at level 8, 1024
+# pairs: 0.14 ms either way; a dense pair 0.19 ms against 12 ms)
+GATHER_TERM_RATIO = 64
 
 
 class LevelMismatch(ValueError):
@@ -425,23 +431,28 @@ def _int64_product_fits(x, y) -> bool:
 def cd_multiply(a: CDElement, b: CDElement) -> CDElement:
     """Product at the common level: e_p e_q = sign[p][q] * e_{p XOR q}.
 
-    From level ``VECTOR_MIN_LEVEL`` on, when both operands hold only ints and
-    dim * max|a| * max|b| < 2^62 (``INT64_PRODUCT_BOUND``), the product is one
-    int64 gather-and-matvec (``MultiplicationTable.operator``), exact
+    From level ``VECTOR_MIN_LEVEL`` on, when the operands' nonzero counts
+    multiply to more than dim^2 / ``GATHER_TERM_RATIO``, both hold only ints
+    and dim * max|a| * max|b| < 2^62 (``INT64_PRODUCT_BOUND``), the product
+    is one int64 gather-and-matvec (``MultiplicationTable.operator``), exact
     because no partial sum can overflow.  Everything else, at any level,
     runs ``structure_multiply`` on the table's ``products``: a +-1 sign
     commutes exactly with an IEEE product and terms add in (p, q) order, so
-    floats are bit-identical to the sign-table loop.
+    floats are bit-identical to the sign-table loop.  Either route gives
+    the same ints.
     """
     a._require_same_level(b)
     level = a.level
     table = _table(level)
-    if level >= VECTOR_MIN_LEVEL and _int64_product_fits(a.coeffs, b.coeffs):
+    dim = table.dim
+    if (level >= VECTOR_MIN_LEVEL and GATHER_TERM_RATIO * (dim - a.coeffs.count(0))
+            * (dim - b.coeffs.count(0)) > dim * dim
+            and _int64_product_fits(a.coeffs, b.coeffs)):
         # ab is the right-multiplication matrix of b applied to a
         right = table.operator(np.array(b.coeffs, dtype=np.int64), "right")
         return unchecked_element(level, (right @ np.array(a.coeffs, dtype=np.int64)).tolist())
     return unchecked_element(level, structure_multiply(table.products, a.coeffs, b.coeffs,
-                                                       [0] * table.dim))
+                                                       [0] * dim))
 
 
 def _conj_vec(v):
@@ -611,10 +622,11 @@ class IdentityVerdict:
     witness: tuple | None
     checked: int
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, dicts) -> dict:
+        """``dicts`` maps id(element) to the dict of each witness element."""
         out = {"identity": self.name, "passed": self.passed, "checked": self.checked}
         if self.witness is not None:
-            out["witness"] = [w.to_json_dict() for w in self.witness]
+            out["witness"] = [dicts[id(w)] for w in self.witness]
         return out
 
 
@@ -634,10 +646,14 @@ class PropertyReport:
         return all(v.passed for v in self.verdicts.values())
 
     def to_json_dict(self) -> dict:
+        # identities that fail on the same tuple share its elements, so the
+        # payload shares their dicts and ``cli._to_json`` writes each once
+        elements = {id(x): x for v in self.verdicts.values() for x in v.witness or ()}
+        dicts = {key: x.to_json_dict() for key, x in elements.items()}
         return {
             "level": self.level,
             **self.mode.describe(),
-            "identities": [v.to_json_dict() for v in self.verdicts.values()],
+            "identities": [v.to_json_dict(dicts) for v in self.verdicts.values()],
         }
 
 
@@ -758,13 +774,51 @@ class _MonomialBatch:
         return np.ones_like(a[1])
 
 
+class _SampleStream:
+    """The values that successive ``randint(-SAMPLE_BOUND, SAMPLE_BOUND)``
+    calls on one ``random.Random(seed)`` return, read in bulk.
+
+    CPython's randint(lo, hi) is lo + _randbelow(hi - lo + 1), and
+    _randbelow(n) takes the top n.bit_length() bits of one 32-bit Mersenne
+    Twister word, taking the next word while those bits reach n.
+    ``getrandbits(32 * w)`` is the next w words, the first in the lowest
+    bits, so one call and one array shift give w draws, the rejected
+    values dropped.  Accepted values beyond those asked for wait for the
+    next ``take``."""
+
+    span = 2 * SAMPLE_BOUND + 1
+    bits = span.bit_length()
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.pending = np.empty(0, dtype=np.int64)
+
+    def take(self, n: int) -> np.ndarray:
+        values = self.pending
+        while len(values) < n:
+            # enough words for the expected rejections, and a few more
+            words = ((n - len(values)) << self.bits) // self.span + 16
+            raw = self.rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            top = np.frombuffer(raw, dtype="<u4") >> (32 - self.bits)
+            values = np.concatenate(
+                [values, top[top < self.span].astype(np.int64) - SAMPLE_BOUND])
+        self.pending = values[n:]
+        return values[:n]
+
+
 class _DenseBatch:
     """Random-sample mode: samples as (N, dim) int64 coefficient rows, with
-    (ab)_k = sum_q left[k][q] a_{k^q} b_q, the left operators of a
-    (``MultiplicationTable.operator``) applied to b.  Slabs start near
-    N dim^2 = 2^10 and stop growing at N dim^2 = 2^14: beyond that the
-    batched gather misses the cache and is slower than one matvec per
-    sample, which a slab of one sample uses."""
+    ab = L_a b = R_b a for the left and right operators of
+    ``MultiplicationTable.operator``.  Slabs start near N dim^2 = 2^10 and
+    stop growing at N dim^2 = 2^14: beyond that the batched gather misses
+    the cache and is slower than one matvec per sample, which a slab of one
+    sample uses.
+
+    Within one slab each operator is built once and reused by every
+    product it serves (``mul``), into buffers the batch keeps for all
+    slabs and grows to the largest slab formed: a fresh level-8 operator
+    is 512 KiB, and freeing and mapping one per product faults its pages
+    in again each time."""
 
     entry = SAMPLE_BOUND
 
@@ -775,8 +829,14 @@ class _DenseBatch:
         self.cap = max(1, (1 << 14) >> (2 * r))
         self.mode = mode
         self.probe = zero_divisor_probe(r)
-        # arity -> (generator, (arity, total, dim) tuple array, tuples drawn)
+        # arity -> (_SampleStream, (arity, total, dim) tuple array, tuples drawn)
         self.drawn = {}
+        # (arity, pos) -> witness tuple, one per position for every identity
+        self.witnesses = {}
+        self.buffers = []
+        # for the slab being checked, id(x) -> x for its samples and
+        # (id(x), side) -> (x, operator); each entry keeps x, and so its id
+        self.samples, self.operators = {}, {}
 
     def total(self, arity: int) -> int:
         return self.mode.count + (arity == 2 and self.probe is not None)
@@ -794,27 +854,57 @@ class _DenseBatch:
             head = total - self.mode.count
             if head:
                 tuples[:, 0] = [x.coeffs for x in self.probe]
-            self.drawn[arity] = (random.Random(self.mode.seed * 7919 + arity), tuples, head)
-        rng, tuples, drawn = self.drawn[arity]
+            self.drawn[arity] = (_SampleStream(self.mode.seed * 7919 + arity), tuples, head)
+        stream, tuples, drawn = self.drawn[arity]
         if stop > drawn:
-            new = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
-                   for _ in range((stop - drawn) * arity * dim)]
-            tuples[:, drawn:stop] = np.array(new, dtype=np.int64).reshape(
+            tuples[:, drawn:stop] = stream.take((stop - drawn) * arity * dim).reshape(
                 stop - drawn, arity, dim).transpose(1, 0, 2)
-            self.drawn[arity] = (rng, tuples, stop)
+            self.drawn[arity] = (stream, tuples, stop)
         return tuples
 
     def slab(self, arity: int, start: int, stop: int):
-        return list(self._tuples(arity, stop)[:, start:stop])
+        operands = list(self._tuples(arity, stop)[:, start:stop])
+        self.samples = {id(x): x for x in operands}
+        self.operators = {}
+        return operands
 
     def witness(self, arity: int, pos: int) -> tuple:
-        return tuple(unchecked_element(self.r, row.tolist())
-                     for row in self.drawn[arity][1][:, pos])
+        if (arity, pos) not in self.witnesses:
+            self.witnesses[arity, pos] = tuple(unchecked_element(self.r, row.tolist())
+                                               for row in self.drawn[arity][1][:, pos])
+        return self.witnesses[arity, pos]
+
+    def _operator(self, key, x):
+        """Build the slab's operator of x on the side ``key[1]`` into the
+        next kept buffer."""
+        slot, (n, dim) = len(self.operators), x.shape
+        if slot < len(self.buffers) and len(self.buffers[slot]) >= n:
+            out = self.buffers[slot][:n]
+        else:
+            # a new slot, or a larger slab than the slot has seen
+            out = np.empty((n, dim, dim), dtype=np.int64)
+            self.buffers[slot:slot + 1] = [out]
+        cols, signs = self.table._gather
+        x.take(cols, axis=-1, out=out, mode="clip")
+        out *= signs[key[1]]
+        self.operators[key] = (x, out)
+        return out
 
     def mul(self, a, b):
-        if len(a) == 1:
-            return (self.table.operator(a[0]) @ b[0])[None]
-        return (self.table.operator(a) @ b[:, :, None])[:, :, 0]
+        """ab as L_a b when L_a is built or a is a sample, as R_b a when
+        R_b is built or b is a sample, else as L_a b, so each operator is
+        built once per slab.  ``_power_associative`` then builds R_z for
+        every z^k z and L_z ... L_{z^4}: 5 operators for 15 products.
+        Every value is an exact int, so the route moves none."""
+        ops, key, x, y = self.operators, (id(a), "left"), a, b
+        if key not in ops and id(a) not in self.samples:
+            right = (id(b), "right")
+            if right in ops or id(b) in self.samples:
+                key, x, y = right, b, a
+        op = ops[key][1] if key in ops else self._operator(key, x)
+        if len(y) == 1:
+            return (op[0] @ y[0])[None]
+        return (op @ y[:, :, None])[:, :, 0]
 
     @staticmethod
     def eq(a, b):

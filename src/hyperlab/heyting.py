@@ -10,7 +10,8 @@ ints, and algebras at 256 elements; both caps are checked before any table
 is built.
 
 Every law is checked on all pairs and all triples, as whole-table numpy
-comparisons on int32 copies of the tables: a law in two variables is one
+comparisons on the int32 copies of the tables that construction builds
+once (``HeytingAlgebra.arrays``): a law in two variables is one
 n x n comparison, and a law in three runs one (k, n, n) comparison of all
 (a, b, c) per block of k first arguments a (``exact.blocks``), so no
 array holds more than max(_BUDGET, n^2) entries.  Only the construction
@@ -100,9 +101,11 @@ class FiniteTopology:
     def __post_init__(self):
         if len(self.points) > MAX_POINTS:
             raise InvalidTopology(f"at most {MAX_POINTS} points supported")
-        # the element labels join the point names
+        # the element labels join the point names, as "{a,b}"
         if not all(isinstance(p, str) for p in self.points):
             raise InvalidTopology("point names must be strings")
+        if any(c in p for p in self.points for c in ",{}"):
+            raise InvalidTopology("point names must not hold ',', '{' or '}'")
         if len(set(self.points)) < len(self.points):
             raise InvalidTopology("point names must be distinct")
         full = (1 << len(self.points)) - 1
@@ -380,6 +383,11 @@ class HeytingAlgebra:
         self.meet = [list(row) for row in meet]
         self.join = [list(row) for row in join]
         self.impl = [list(row) for row in impl]
+        # the int32 meet, join and impl tables that the slab laws and
+        # ``law_report`` read, kept read-only beside the lists
+        for table in tables:
+            table.flags.writeable = False
+        self.arrays = tuple(tables)
         self.bottom = bottom
         self.top = top
         self.labels = list(labels) if labels is not None else [str(i) for i in range(self.n)]
@@ -654,7 +662,7 @@ def law_report(h: HeytingAlgebra) -> LawReport:
     one comparison over the whole table of pairs, or of the pairs of
     regular elements; the two axioms in three variables run one array per
     block of first variables."""
-    meet, join, impl = (np.array(t, dtype=np.int32) for t in (h.meet, h.join, h.impl))
+    meet, join, impl = h.arrays
     idx = np.arange(h.n)
     neg = impl[:, h.bottom]
     nn = neg[neg]

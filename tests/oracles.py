@@ -539,6 +539,7 @@ class UncheckedTables:
 
     def __init__(self, meet, join, impl, bottom, top):
         self.meet, self.join, self.impl = meet, join, impl
+        self.arrays = tuple(np.array(t, dtype=np.int32) for t in (meet, join, impl))
         self.bottom, self.top = bottom, top
         self.n = len(meet)
         self.labels = [str(i) for i in range(self.n)]

@@ -40,7 +40,13 @@ from hyperlab.cayley_dickson import (
     trace,
 )
 from hyperlab import cayley_dickson, exact
-from hyperlab.cayley_dickson import _DenseBatch, _int64_product_fits, _MonomialBatch
+from hyperlab.cayley_dickson import (
+    _DenseBatch,
+    _int64_product_fits,
+    _MonomialBatch,
+    _power_associative,
+    _SampleStream,
+)
 from hyperlab.exact import CERTIFICATE_PRIME, VerificationError, matrix_rank_mod_p
 
 
@@ -131,6 +137,25 @@ class TestMultiplication:
             assert _int64_product_fits(a.coeffs, b.coeffs) == vectorised
             assert cd_multiply(a, b) == cd_multiply_recursive(a, b)
 
+    @pytest.mark.parametrize("level, nonzeros, gathered", [
+        (4, 2, False), (4, 3, True), (6, 8, False), (6, 9, True),
+        (8, 32, False), (8, 33, True), (8, 256, True)])
+    def test_int_products_route_by_nonzero_counts(self, monkeypatch, level, nonzeros,
+                                                  gathered):
+        # the gather once nonzeros^2 exceeds dim^2 / GATHER_TERM_RATIO
+        assert cayley_dickson.GATHER_TERM_RATIO == 64
+        calls = []
+        kernel = cayley_dickson.structure_multiply
+        monkeypatch.setattr(cayley_dickson, "structure_multiply",
+                            lambda *args: calls.append(1) or kernel(*args))
+        rng = random.Random(level * nonzeros)
+        a, b = (CDElement(level, [0] * (1 << level)) for _ in range(2))
+        for x in (a, b):
+            for k in rng.sample(range(1 << level), nonzeros):
+                x.coeffs[k] = rng.choice([-3, -2, -1, 1, 2, 3])
+        assert cd_multiply(a, b) == cd_multiply_recursive(a, b)
+        assert calls == ([] if gathered else [1])
+
     def test_int64_bound_is_strict(self):
         # dim * max|a| * max|b| equal to 2^62 stays on Python ints
         assert INT64_PRODUCT_BOUND == 2 ** 62
@@ -215,9 +240,10 @@ class TestMultiplication:
 
     def test_products_above_the_level_cap(self):
         # the cap guards the level-taking functions, not elements built
-        # directly: level 9 runs the int64 gather and the kernel
+        # directly: level 9 runs the int64 gather and the kernel (about 128
+        # nonzeros each, enough for the gather)
         rng = random.Random(9)
-        ints = [CDElement(9, [rng.randint(-3, 3) if rng.random() < 0.1 else 0
+        ints = [CDElement(9, [rng.randint(-3, 3) if rng.random() < 0.3 else 0
                               for _ in range(512)]) for _ in range(2)]
         fracs = [CDElement(9, [Fraction(c, 3) if c else 0 for c in x.coeffs])
                  for x in ints]
@@ -547,6 +573,93 @@ class TestBatteryMatchesLoopOracle:
         identity_battery(2, RandomSample(count=1, seed=0))
 
 
+def _randint_loop(seed, n):
+    rng = random.Random(seed)
+    return [rng.randint(-3, 3) for _ in range(n)]
+
+
+def _first_rejection(seed):
+    """The number of values the randint loop returns before it reads its
+    first rejected 32-bit word (top three bits 7)."""
+    rng, accepted = random.Random(seed), 0
+    while rng.getrandbits(32) >> 29 != 7:
+        accepted += 1
+    return accepted
+
+
+class TestSampleStream:
+    """The bulk reader against one ``randint(-3, 3)`` call per value."""
+
+    SPLITS = [1, 7, 100, 3, 5000]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 64 + 3, 10 ** 30, -1, -987654321,
+                                      5 * 7919 + 1, 5 * 7919 + 2, 31 * 7919 + 3])
+    def test_uneven_splits_read_the_randint_stream(self, seed):
+        stream = _SampleStream(seed)
+        values = np.concatenate([stream.take(n) for n in self.SPLITS])
+        assert values.dtype == np.int64
+        assert values.tolist() == _randint_loop(seed, sum(self.SPLITS))
+
+    @pytest.mark.parametrize("seed", [0, 7, -3])
+    def test_a_split_next_to_a_rejected_word(self, seed):
+        # a split ends where the loop next reads a rejected word, and the
+        # following one starts after it; ``k + 1`` ends a split right
+        # after that rejection
+        k = _first_rejection(seed)
+        for splits in ([k, 50], [k + 1, 50], [1] * (k + 2)):
+            stream = _SampleStream(seed)
+            values = np.concatenate([stream.take(n) for n in splits])
+            assert values.tolist() == _randint_loop(seed, sum(splits))
+
+    def test_every_value_of_a_long_run(self):
+        stream = _SampleStream(11)
+        for _ in range(40):
+            stream.take(3)
+        assert stream.take(20_000).tolist() == _randint_loop(11, 20_120)[120:]
+
+
+class TestDenseBatchOperators:
+    def test_powers_build_five_operators(self):
+        batch = _DenseBatch(4, RandomSample(count=6, seed=0))
+        (z,) = batch.slab(1, 0, 4)
+        assert _power_associative(batch, z).all()
+        assert sorted(side for _, side in batch.operators) == ["left"] * 4 + ["right"]
+
+    def test_buffers_are_kept_across_slabs(self):
+        # a level-8 slab holds one sample; the second slab writes its
+        # operators into the first slab's buffers
+        batch = _DenseBatch(8, RandomSample(count=2, seed=4))
+        _power_associative(batch, *batch.slab(1, 0, 1))
+        buffers = list(batch.buffers)
+        assert len(buffers) == 5
+        _power_associative(batch, *batch.slab(1, 1, 2))
+        assert all(x is y for x, y in zip(batch.buffers, buffers, strict=True))
+
+    def test_products_match_cd_multiply(self):
+        batch = _DenseBatch(3, RandomSample(count=8, seed=2))
+        a, b, c = batch.slab(3, 0, 8)
+        rows = {"ab": batch.mul(a, b), "(ab)c": batch.mul(batch.mul(a, b), c),
+                "a(bc)": batch.mul(a, batch.mul(b, c)), "bb": batch.mul(b, b)}
+        for n in range(8):
+            x, y, w = (CDElement(3, v[n].tolist()) for v in (a, b, c))
+            assert rows["ab"][n].tolist() == (x * y).coeffs
+            assert rows["(ab)c"][n].tolist() == ((x * y) * w).coeffs
+            assert rows["a(bc)"][n].tolist() == (x * (y * w)).coeffs
+            assert rows["bb"][n].tolist() == (y * y).coeffs
+
+
+class TestSharedWitnesses:
+    @pytest.mark.parametrize("r", [4, 6, 8])
+    def test_failures_on_one_tuple_share_its_dicts(self, r):
+        report = identity_battery(r, RandomSample(count=1, seed=5))
+        witnesses = [v["witness"] for v in report.to_json_dict()["identities"]
+                     if "witness" in v]
+        dicts = [d for w in witnesses for d in w]
+        assert len(witnesses) == 7
+        assert (len(dicts), len({id(d) for d in dicts})) == (18, 5)
+        assert _same_json(report, oracles.identity_battery(r, RandomSample(count=1, seed=5)))
+
+
 class TestHurwitz:
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_norm_multiplicative_up_to_octonions(self, r):
@@ -872,9 +985,10 @@ class TestSerialization:
     def test_loaded_integer_point_takes_the_int64_path(self, monkeypatch):
         from hyperlab import cayley_dickson as cd
 
-        data = (e(6, 3) + e(6, 10)).to_json_dict()
-        x = CDElement.from_json_dict(data)
-        y = CDElement.from_json_dict((e(6, 6) - e(6, 15) + e(6, 0, 2)).to_json_dict())
+        # text integers, nonzero in 51 and 55 of the 64 coefficients: dense
+        # enough for the gather (sparse operands take structure_multiply)
+        x = CDElement.from_json_dict({"level": 6, "coeffs": [str(k % 5 - 2) for k in range(64)]})
+        y = CDElement.from_json_dict({"level": 6, "coeffs": [str(2 - k % 7) for k in range(64)]})
         real = cd.MultiplicationTable.operator
         calls = []
 

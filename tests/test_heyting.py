@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -512,6 +513,17 @@ class TestLawReport:
             rep = law_report(heyting_from_topology(topology))
             assert rep.all_mandatory_pass()
             assert rep.seven_agree
+
+    def test_reads_the_tables_construction_built(self, monkeypatch):
+        # law_report converts no table again: it reads the algebra's
+        # read-only int32 arrays, equal to its lists
+        h = heyting_from_poset_upsets(antichain(4))
+        for array, table in zip(h.arrays, (h.meet, h.join, h.impl), strict=True):
+            assert array.dtype == np.int32 and not array.flags.writeable
+            assert array.tolist() == table
+        expected = json.dumps(law_report(h).to_json_dict())
+        h.meet, h.join, h.impl = None, None, None
+        assert json.dumps(law_report(h).to_json_dict()) == expected
 
     def test_negation_fixed_point_diagnostic(self):
         assert law_report(heyting_from_chain(3)).negation_fixed_points == []
