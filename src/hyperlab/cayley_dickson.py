@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -657,69 +657,83 @@ class PropertyReport:
         }
 
 
-# Each identity takes a batch form (``_MonomialBatch`` or ``_DenseBatch``)
-# and one batch per operand, and returns one bool per sample.  ``degree`` is
-# the largest number of sample entries multiplied into one coefficient
-# (a norm squares its argument), which bounds every int64 value formed.
+# Each identity is stated once, as equations between words over its
+# operands 0, 1, ...: a word is an operand index or a pair (x, y) for the
+# product xy, and a side ("N", w, ...) is the product of its words' norms.
 
-def _associative(m, a, b, c):
-    return m.eq(m.mul(m.mul(a, b), c), m.mul(a, m.mul(b, c)))
-
-
-def _left_alternative(m, a, b):
-    return m.eq(m.mul(m.mul(a, a), b), m.mul(a, m.mul(a, b)))
+def _power(k):
+    """z^k as the word z^(k-1) z."""
+    return 0 if k == 1 else (_power(k - 1), 0)
 
 
-def _right_alternative(m, a, b):
-    return m.eq(m.mul(m.mul(a, b), b), m.mul(a, m.mul(b, b)))
-
-
-def _flexible(m, a, b):
-    return m.eq(m.mul(a, m.mul(b, a)), m.mul(m.mul(a, b), a))
-
-
-def _moufang_a(m, a, x, y):
-    return m.eq(m.mul(a, m.mul(x, m.mul(a, y))), m.mul(m.mul(m.mul(a, x), a), y))
-
-
-def _moufang_b(m, a, x, y):
-    return m.eq(m.mul(m.mul(m.mul(x, a), y), a), m.mul(x, m.mul(m.mul(a, y), a)))
-
-
-def _moufang_c(m, a, x, y):
-    return m.eq(m.mul(m.mul(a, x), m.mul(y, a)), m.mul(m.mul(a, m.mul(x, y)), a))
-
-
-def _power_associative(m, z):
-    """z^n z^(total-n) == z^total for 1 <= n < total - 1 and total <= 6,
-    with z^k built as z^(k-1) z: n = total - 1 is that product itself, so it
-    holds by construction and is not formed again."""
-    powers = [None, z]
-    for _ in range(5):
-        powers.append(m.mul(powers[-1], z))
-    ok = True
-    for total in range(3, 7):
-        for n in range(1, total - 1):
-            ok = ok & m.eq(m.mul(powers[n], powers[total - n]), powers[total])
-    return ok
-
-
-def _norm_multiplicative(m, a, b):
-    return m.norm(m.mul(a, b)) == m.norm(a) * m.norm(b)
-
-
-_IDENTITIES = [
-    # (name, arity, degree, check)
-    ("associative", 3, 3, _associative),
-    ("left_alternative", 2, 3, _left_alternative),
-    ("right_alternative", 2, 3, _right_alternative),
-    ("flexible", 2, 3, _flexible),
-    ("moufang_a", 3, 4, _moufang_a),
-    ("moufang_b", 3, 4, _moufang_b),
-    ("moufang_c", 3, 4, _moufang_c),
-    ("power_associative", 1, 6, _power_associative),
-    ("norm_multiplicative", 2, 4, _norm_multiplicative),
+_EQUATIONS = [
+    ("associative", [(((0, 1), 2), (0, (1, 2)))]),
+    ("left_alternative", [(((0, 0), 1), (0, (0, 1)))]),
+    ("right_alternative", [(((0, 1), 1), (0, (1, 1)))]),
+    ("flexible", [((0, (1, 0)), ((0, 1), 0))]),
+    ("moufang_a", [((0, (1, (0, 2))), (((0, 1), 0), 2))]),
+    ("moufang_b", [((((1, 0), 2), 0), (1, ((0, 2), 0)))]),
+    ("moufang_c", [(((0, 1), (2, 0)), ((0, (1, 2)), 0))]),
+    # z^n z^(t-n) == z^t for 1 <= n < t - 1 and t <= 6: n = t - 1 is the
+    # word z^t itself, so it holds by construction and is not checked
+    ("power_associative", [((_power(n), _power(t - n)), _power(t))
+                           for t in range(3, 7) for n in range(1, t - 1)]),
+    ("norm_multiplicative", [(("N", (0, 1)), ("N", 0, 1))]),
 ]
+
+
+def _compile(equations):
+    """(arity, steps, checks, degree) of one identity.  Slots 0..arity-1
+    hold the operands; step (i, j, done) appends the product of slots i
+    and j, each distinct word formed once and its factors first, then
+    frees the slots in ``done``, read by no later step or check.  A check
+    pairs two sides, each a slot or, for a norm side, its words' slots.
+    The degree, the most sample entries multiplied into one value (a norm
+    doubles its words'), bounds every int64 value."""
+    def leaves(word):
+        return [word] if type(word) is int else leaves(word[0]) + leaves(word[1])
+
+    # each side as (norm, its words)
+    sides = [(True, side[1:]) if type(side) is tuple and side[0] == "N" else (False, (side,))
+             for equation in equations for side in equation]
+    arity = 1 + max(k for _, words in sides for w in words for k in leaves(w))
+    slots, steps = {k: k for k in range(arity)}, []
+
+    def form(word):
+        if word not in slots:
+            i, j = form(word[0]), form(word[1])
+            slots[word] = arity + len(steps)
+            steps.append((i, j))
+        return slots[word]
+
+    formed = [tuple(map(form, words)) if norm else form(words[0]) for norm, words in sides]
+    degree = max(sum(len(leaves(w)) for w in words) << norm for norm, words in sides)
+    compared = {k for f in formed for k in (f if type(f) is tuple else (f,))}
+    last = {k: n for n, step in enumerate(steps) for k in step}
+    steps = [(i, j, tuple(k for k in {i, j} if k >= arity and k not in compared and last[k] == n))
+             for n, (i, j) in enumerate(steps)]
+    return arity, steps, list(zip(formed[::2], formed[1::2])), degree
+
+
+# (name, arity, steps, checks, degree), compiled once
+_IDENTITIES = [(name, *_compile(equations)) for name, equations in _EQUATIONS]
+
+
+def _holds(batch, steps, checks, operands):
+    """One bool per tuple of the slab: whether all checks of one identity hold."""
+    values = list(operands)
+    for i, j, done in steps:
+        values.append(batch.mul(values[i], values[j], i))
+        for k in done:
+            values[k] = None
+    ok = True
+    for lhs, rhs in checks:
+        if type(lhs) is int:
+            ok = ok & batch.eq(values[lhs], values[rhs])
+        else:
+            ok = ok & (reduce(np.multiply, [batch.norm(values[k]) for k in lhs])
+                       == reduce(np.multiply, [batch.norm(values[k]) for k in rhs]))
+    return ok
 
 
 def zero_divisor_probe(level: int) -> tuple[CDElement, CDElement] | None:
@@ -761,7 +775,7 @@ class _MonomialBatch:
     def witness(self, arity: int, pos: int) -> tuple:
         return tuple(CDElement.basis(self.r, k) for k in self._indices(pos, arity))
 
-    def mul(self, a, b):
+    def mul(self, a, b, slot):
         (ia, sa), (ib, sb) = a, b
         return ia ^ ib, sa * sb * self.signs[ia, ib]
 
@@ -808,17 +822,16 @@ class _SampleStream:
 
 class _DenseBatch:
     """Random-sample mode: samples as (N, dim) int64 coefficient rows, with
-    ab = L_a b = R_b a for the left and right operators of
-    ``MultiplicationTable.operator``.  Slabs start near N dim^2 = 2^10 and
-    stop growing at N dim^2 = 2^14: beyond that the batched gather misses
-    the cache and is slower than one matvec per sample, which a slab of one
-    sample uses.
+    ab = L_a b for the left operator of ``MultiplicationTable.operator``.
+    Slabs start near N dim^2 = 2^10 and stop growing at N dim^2 = 2^14:
+    beyond that the batched gather misses the cache and is slower than one
+    matvec per sample, which a slab of one sample uses.
 
-    Within one slab each operator is built once and reused by every
-    product it serves (``mul``), into buffers the batch keeps for all
-    slabs and grows to the largest slab formed: a fresh level-8 operator
-    is 512 KiB, and freeing and mapping one per product faults its pages
-    in again each time."""
+    Within one slab the operator of each left factor is built once and
+    reused by every product it serves (``mul``), into buffers the batch
+    keeps for all slabs and grows to the largest slab formed: a fresh
+    level-8 operator is 512 KiB, and freeing and mapping one per product
+    faults its pages in again each time."""
 
     entry = SAMPLE_BOUND
 
@@ -834,9 +847,8 @@ class _DenseBatch:
         # (arity, pos) -> witness tuple, one per position for every identity
         self.witnesses = {}
         self.buffers = []
-        # for the slab being checked, id(x) -> x for its samples and
-        # (id(x), side) -> (x, operator); each entry keeps x, and so its id
-        self.samples, self.operators = {}, {}
+        # for the slab being checked, the slot of each left factor -> L_x
+        self.operators = {}
 
     def total(self, arity: int) -> int:
         return self.mode.count + (arity == 2 and self.probe is not None)
@@ -863,10 +875,8 @@ class _DenseBatch:
         return tuples
 
     def slab(self, arity: int, start: int, stop: int):
-        operands = list(self._tuples(arity, stop)[:, start:stop])
-        self.samples = {id(x): x for x in operands}
         self.operators = {}
-        return operands
+        return list(self._tuples(arity, stop)[:, start:stop])
 
     def witness(self, arity: int, pos: int) -> tuple:
         if (arity, pos) not in self.witnesses:
@@ -874,37 +884,24 @@ class _DenseBatch:
                                                for row in self.drawn[arity][1][:, pos])
         return self.witnesses[arity, pos]
 
-    def _operator(self, key, x):
-        """Build the slab's operator of x on the side ``key[1]`` into the
-        next kept buffer."""
-        slot, (n, dim) = len(self.operators), x.shape
-        if slot < len(self.buffers) and len(self.buffers[slot]) >= n:
-            out = self.buffers[slot][:n]
-        else:
-            # a new slot, or a larger slab than the slot has seen
-            out = np.empty((n, dim, dim), dtype=np.int64)
-            self.buffers[slot:slot + 1] = [out]
-        cols, signs = self.table._gather
-        x.take(cols, axis=-1, out=out, mode="clip")
-        out *= signs[key[1]]
-        self.operators[key] = (x, out)
-        return out
-
-    def mul(self, a, b):
-        """ab as L_a b when L_a is built or a is a sample, as R_b a when
-        R_b is built or b is a sample, else as L_a b, so each operator is
-        built once per slab.  ``_power_associative`` then builds R_z for
-        every z^k z and L_z ... L_{z^4}: 5 operators for 15 products.
-        Every value is an exact int, so the route moves none."""
-        ops, key, x, y = self.operators, (id(a), "left"), a, b
-        if key not in ops and id(a) not in self.samples:
-            right = (id(b), "right")
-            if right in ops or id(b) in self.samples:
-                key, x, y = right, b, a
-        op = ops[key][1] if key in ops else self._operator(key, x)
-        if len(y) == 1:
-            return (op[0] @ y[0])[None]
-        return (op @ y[:, :, None])[:, :, 0]
+    def mul(self, a, b, slot):
+        """ab as L_a b, where ``slot`` names a's value in the slab: L_a is
+        built once per slab, into the kept buffer of the slab's next
+        operator.  ``power_associative`` builds L_z ... L_{z^5}: 5
+        operators for 15 products."""
+        op = self.operators.get(slot)
+        if op is None:
+            k, (n, dim) = len(self.operators), a.shape
+            if k == len(self.buffers) or len(self.buffers[k]) < n:
+                # a new buffer, or a larger slab than the buffer has seen
+                self.buffers[k:k + 1] = [np.empty((n, dim, dim), dtype=np.int64)]
+            op = self.operators[slot] = self.buffers[k][:n]
+            cols, signs = self.table._gather
+            a.take(cols, axis=-1, out=op, mode="clip")
+            op *= signs["left"]
+        if len(b) == 1:
+            return (op[0] @ b[0])[None]
+        return (op @ b[:, :, None])[:, :, 0]
 
     @staticmethod
     def eq(a, b):
@@ -922,33 +919,35 @@ def identity_battery(
     """Verdicts for the standard identity ladder at level r.
 
     Each identity is checked on whole slabs of sample tuples at once, one
-    array product per ``*``, in one of two batch forms: signed basis units
-    as (index, sign) arrays in exhaustive mode (``_MonomialBatch``), and
-    (N, dim) integer rows in random-sample mode (``_DenseBatch``).  Slabs
-    double in size up to a cap, and random tuples are drawn only up to the
-    end of the slab being checked.  The witness is the first failing tuple
-    in loop order: ``itertools.product`` order over the basis, or the
-    seeded sample order with the canonical zero-divisor pair probed first
-    for two-operand identities, so failing identities report a stable
-    witness that re-checks against ``CDElement`` arithmetic.  ``checked``
-    counts the tuples up to and including it.
+    array product per distinct product of its words (``_IDENTITIES``), in
+    one of two batch forms: signed basis units as (index, sign) arrays in
+    exhaustive mode (``_MonomialBatch``), and (N, dim) integer rows in
+    random-sample mode (``_DenseBatch``).  Slabs double in size up to a
+    cap, and random tuples are drawn only up to the end of the slab being
+    checked.  The witness is the first failing tuple in loop order:
+    ``itertools.product`` order over the basis, or the seeded sample order
+    with the canonical zero-divisor pair probed first for two-operand
+    identities, so failing identities report a stable witness that
+    re-checks against ``CDElement`` arithmetic.  ``checked`` counts the
+    tuples up to and including it.
 
     Every value is exact in int64: entries are at most ``entry`` in size
-    (1 for basis units, 3 for samples), so an identity of degree D forms
-    no value beyond entry^D * dim^(D-1), which must lie below
-    ``INT64_PRODUCT_BOUND`` (``VerificationError`` otherwise).
+    (1 for basis units, 3 for samples), so an identity of degree D (read
+    off its words by ``_compile``) forms no value beyond
+    entry^D * dim^(D-1), which must lie below ``INT64_PRODUCT_BOUND``
+    (``VerificationError`` otherwise).
     """
     check_level(r)
     batch = _MonomialBatch(r) if isinstance(mode, ExhaustiveBasis) else _DenseBatch(r, mode)
     verdicts = {}
-    for name, arity, degree, check in _IDENTITIES:
+    for name, arity, steps, checks, degree in _IDENTITIES:
         if batch.entry ** degree << (r * (degree - 1)) >= INT64_PRODUCT_BOUND:
             raise VerificationError(f"{name} may overflow int64 at level {r}")
         total = batch.total(arity)
         start, size, witness = 0, batch.first, None
         while start < total and witness is None:
             stop = min(total, start + size)
-            ok = check(batch, *batch.slab(arity, start, stop))
+            ok = _holds(batch, steps, checks, batch.slab(arity, start, stop))
             if not ok.all():
                 start += int(ok.argmin())
                 witness = batch.witness(arity, start)

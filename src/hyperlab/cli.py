@@ -108,10 +108,15 @@ def _cmd_table(args) -> CommandResult:
 
 
 def _cmd_props(args) -> CommandResult:
-    if args.mode == "exhaustive-basis":
-        mode = ExhaustiveBasis()
+    # --count and --seed are read only in random-sample mode, and take
+    # RandomSample's defaults when omitted
+    given = {k: v for k in ("count", "seed") if (v := getattr(args, k)) is not None}
+    if args.mode == "random-sample":
+        mode = RandomSample(**given)
+    elif given:
+        raise InputError(f"only --mode random-sample reads --{' and --'.join(given)}")
     else:
-        mode = RandomSample(count=args.count, seed=args.seed)
+        mode = ExhaustiveBasis()
     report = identity_battery(args.level, mode)
     return CommandResult(0, report.to_json_dict())
 
@@ -368,8 +373,8 @@ def _declare(p, command, action):
     elif command == "props":
         p.add_argument("--mode", choices=["exhaustive-basis", "random-sample"],
                        default="exhaustive-basis")
-        p.add_argument("--count", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--count", type=int, help="random-sample mode only (default 200)")
+        p.add_argument("--seed", type=int, help="random-sample mode only (default 0)")
     elif command == "qalg":
         p.add_argument("--base", default="real",
                        help=f"one of {sorted(qa.BASE_ALGEBRAS)}")

@@ -41,10 +41,11 @@ from hyperlab.cayley_dickson import (
 )
 from hyperlab import cayley_dickson, exact
 from hyperlab.cayley_dickson import (
+    _IDENTITIES,
     _DenseBatch,
+    _holds,
     _int64_product_fits,
     _MonomialBatch,
-    _power_associative,
     _SampleStream,
 )
 from hyperlab.exact import CERTIFICATE_PRIME, VerificationError, matrix_rank_mod_p
@@ -471,6 +472,20 @@ class TestIdentityBattery:
                      "power_associative", "norm_multiplicative"):
             assert report.passed(name), name
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_level4_exhaustive(self):
+        # a basis check proves only multilinear identities: exhaustive mode
+        # passes the alternative laws and the norm law on the sedenions,
+        # which random-sample mode refutes at the first sample
+        verdicts = {name: v.passed for name, v in identity_battery(4).verdicts.items()}
+        # raised, not asserted: python -O strips an assert, and the strict
+        # marker would then fail the test
+        if verdicts != {"associative": False, "left_alternative": False,
+                        "right_alternative": False, "flexible": True, "moufang_a": False,
+                        "moufang_b": False, "moufang_c": False, "power_associative": True,
+                        "norm_multiplicative": False}:
+            raise AssertionError(verdicts)
+
     def test_level4_random(self):
         report = identity_battery(4, RandomSample(count=300, seed=1))
         assert report.passed("flexible")
@@ -618,28 +633,62 @@ class TestSampleStream:
         assert stream.take(20_000).tolist() == _randint_loop(11, 20_120)[120:]
 
 
+def _compiled(name):
+    """(steps, checks) of one identity of the compiled table."""
+    (steps, checks), = [(s, c) for n, _, s, c, _ in _IDENTITIES if n == name]
+    return steps, checks
+
+
+class TestCompiledIdentities:
+    def test_arity_degree_and_products_per_tuple(self):
+        assert {name: (arity, degree, len(steps))
+                for name, arity, steps, _, degree in _IDENTITIES} == {
+            "associative": (3, 3, 4), "left_alternative": (2, 3, 4),
+            "right_alternative": (2, 3, 4), "flexible": (2, 3, 4),
+            "moufang_a": (3, 4, 6), "moufang_b": (3, 4, 6), "moufang_c": (3, 4, 6),
+            "power_associative": (1, 6, 15), "norm_multiplicative": (2, 4, 1)}
+
+    def test_steps_free_what_no_later_step_or_check_reads(self):
+        # slots 0-2 hold a, b, c; ab (3) and bc (5) are freed once read,
+        # and (ab)c (4) and a(bc) (6) are compared
+        assert _compiled("associative") == (
+            [(0, 1, ()), (3, 2, (3,)), (1, 2, ()), (0, 5, (5,))], [(4, 6)])
+        # a norm side compiles to its words' slots
+        assert _compiled("norm_multiplicative") == ([(0, 1, ())], [((2,), (0, 1))])
+
+
 class TestDenseBatchOperators:
     def test_powers_build_five_operators(self):
+        # every product is L_a b: power associativity builds L_z ... L_{z^5}
         batch = _DenseBatch(4, RandomSample(count=6, seed=0))
         (z,) = batch.slab(1, 0, 4)
-        assert _power_associative(batch, z).all()
-        assert sorted(side for _, side in batch.operators) == ["left"] * 4 + ["right"]
+        assert _holds(batch, *_compiled("power_associative"), [z]).all()
+        assert len(batch.operators) == 5
+        for n in range(4):
+            power = zn = CDElement(4, z[n].tolist())
+            for slot in sorted(batch.operators):
+                assert batch.operators[slot][n].tolist() == \
+                    batch.table.operator(np.array(power.coeffs)).tolist()
+                power = power * zn
 
     def test_buffers_are_kept_across_slabs(self):
         # a level-8 slab holds one sample; the second slab writes its
         # operators into the first slab's buffers
         batch = _DenseBatch(8, RandomSample(count=2, seed=4))
-        _power_associative(batch, *batch.slab(1, 0, 1))
+        _holds(batch, *_compiled("power_associative"), batch.slab(1, 0, 1))
         buffers = list(batch.buffers)
         assert len(buffers) == 5
-        _power_associative(batch, *batch.slab(1, 1, 2))
+        _holds(batch, *_compiled("power_associative"), batch.slab(1, 1, 2))
         assert all(x is y for x, y in zip(batch.buffers, buffers, strict=True))
 
     def test_products_match_cd_multiply(self):
+        # slots 0, 1, 2 hold a, b, c and 3 holds ab: L_a serves ab and a(bc)
         batch = _DenseBatch(3, RandomSample(count=8, seed=2))
         a, b, c = batch.slab(3, 0, 8)
-        rows = {"ab": batch.mul(a, b), "(ab)c": batch.mul(batch.mul(a, b), c),
-                "a(bc)": batch.mul(a, batch.mul(b, c)), "bb": batch.mul(b, b)}
+        ab = batch.mul(a, b, 0)
+        rows = {"ab": ab, "(ab)c": batch.mul(ab, c, 3),
+                "a(bc)": batch.mul(a, batch.mul(b, c, 1), 0), "bb": batch.mul(b, b, 1)}
+        assert len(batch.operators) == 3
         for n in range(8):
             x, y, w = (CDElement(3, v[n].tolist()) for v in (a, b, c))
             assert rows["ab"][n].tolist() == (x * y).coeffs

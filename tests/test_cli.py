@@ -135,6 +135,19 @@ class TestProps:
                      "--count", "50", "--seed", "5"])
         assert a.payload == b.payload
 
+    @pytest.mark.parametrize("flags", [["--count", "-5"], ["--seed", "3"],
+                                       ["--count", "5", "--seed", "1"]])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "exhaustive-basis"]])
+    def test_sample_flags_need_random_sample_mode(self, mode, flags):
+        result = payload(["props", "--level", "2", *mode, *flags])
+        assert result.code == 2
+        assert "random-sample" in result.payload["error"]
+
+    def test_omitted_sample_flags_take_the_defaults(self):
+        result = payload(["props", "--level", "2", "--mode", "random-sample"])
+        assert result.code == 0
+        assert (result.payload["count"], result.payload["seed"]) == (200, 0)
+
 
 class TestZerodiv:
     def test_level4_contains_canonical_pair(self):
