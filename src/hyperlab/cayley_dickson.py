@@ -42,6 +42,12 @@ DEFAULT_MAX_LEVEL = 8
 # 219 MB, with 1.5 GB of peak memory to encode it, at level 8
 DENSE_MAX_LEVEL = 7
 
+# find_zero_divisors lists 208,320 pairs at level 6 (5.6-6.2 s, 1,384 MiB
+# peak memory for 412 MiB of JSON), 1,874,880 at level 7 and 15,873,984 at
+# level 8, which do not fit in 8 GB (level 7 ran out of a 2 GiB address
+# space after 52 s)
+ZERODIV_MAX_LEVEL = 6
+
 # cd_multiply runs int products as int64 matvecs from this level on; below
 # it structure_multiply is faster than numpy's per-call overhead
 VECTOR_MIN_LEVEL = 4
@@ -128,12 +134,15 @@ class MultiplicationTable:
         cols = j[:, None] ^ j
         return cols, {"left": self.signs[cols, j], "right": self.signs[j, cols]}
 
-    def operator(self, coeffs, side: str = "left"):
+    def operator(self, coeffs, side: str = "left", out=None):
         """Matrices of x -> a x ("left") or x -> x a ("right") for the
-        coefficient array ``coeffs`` (any leading axes and dtype): entry
-        [..., k, j] is a_{k^j} times the side's sign, one XOR gather."""
+        coefficient array ``coeffs`` (int64, float64 or object, any leading
+        axes): entry [..., k, j] is a_{k^j} times the side's sign, one XOR
+        gather, written into ``out`` (and returned) when given."""
         cols, signs = self._gather
-        return coeffs.take(cols, axis=-1) * signs[side]
+        # the indices are in range, so "clip" only skips the bounds check
+        out = coeffs.take(cols, axis=-1, out=out, mode="clip")
+        return np.multiply(out, signs[side], out=out)
 
     def dense_gamma(self):
         """gamma[p][q][k], the e_k coefficient of e_p e_q, as nested lists;
@@ -420,37 +429,32 @@ class CDElement:
 # products
 # ---------------------------------------------------------------------------
 
-def _int64_product_fits(x, y) -> bool:
-    """Both vectors hold only ints and dim * max|x| * max|y| < 2^62, computed
-    exactly with Python ints: then no partial sum of the product overflows."""
-    if {*map(type, x), *map(type, y)} != {int}:
-        return False
-    return len(x) * max(map(abs, x)) * max(map(abs, y)) < INT64_PRODUCT_BOUND
-
-
 def cd_multiply(a: CDElement, b: CDElement) -> CDElement:
     """Product at the common level: e_p e_q = sign[p][q] * e_{p XOR q}.
 
     From level ``VECTOR_MIN_LEVEL`` on, when the operands' nonzero counts
-    multiply to more than dim^2 / ``GATHER_TERM_RATIO``, both hold only ints
-    and dim * max|a| * max|b| < 2^62 (``INT64_PRODUCT_BOUND``), the product
-    is one int64 gather-and-matvec (``MultiplicationTable.operator``), exact
-    because no partial sum can overflow.  Everything else, at any level,
-    runs ``structure_multiply`` on the table's ``products``: a +-1 sign
-    commutes exactly with an IEEE product and terms add in (p, q) order, so
-    floats are bit-identical to the sign-table loop.  Either route gives
-    the same ints.
+    multiply to more than dim^2 / ``GATHER_TERM_RATIO``, both read into
+    numpy arrays, int64 exactly when every coefficient is an int that
+    fits; when both are and dim * max|a| * max|b| < 2^62
+    (``INT64_PRODUCT_BOUND``), the product is one int64 gather-and-matvec
+    (``MultiplicationTable.operator``), exact because no partial sum can
+    overflow.  Everything else, at any level, runs ``structure_multiply``
+    on the table's ``products``: a +-1 sign commutes exactly with an IEEE
+    product and terms add in (p, q) order, so floats are bit-identical to
+    the sign-table loop.  Either route gives the same ints.
     """
     a._require_same_level(b)
     level = a.level
     table = _table(level)
     dim = table.dim
     if (level >= VECTOR_MIN_LEVEL and GATHER_TERM_RATIO * (dim - a.coeffs.count(0))
-            * (dim - b.coeffs.count(0)) > dim * dim
-            and _int64_product_fits(a.coeffs, b.coeffs)):
-        # ab is the right-multiplication matrix of b applied to a
-        right = table.operator(np.array(b.coeffs, dtype=np.int64), "right")
-        return unchecked_element(level, (right @ np.array(a.coeffs, dtype=np.int64)).tolist())
+            * (dim - b.coeffs.count(0)) > dim * dim):
+        x, y = np.array(a.coeffs), np.array(b.coeffs)
+        # the bound as Python ints: abs of the int64 -2^63 stays negative
+        if (x.dtype == y.dtype == np.int64 and dim * max(-int(x.min()), int(x.max()))
+                * max(-int(y.min()), int(y.max())) < INT64_PRODUCT_BOUND):
+            # ab is the right-multiplication matrix of b applied to a
+            return unchecked_element(level, (table.operator(y, "right") @ x).tolist())
     return unchecked_element(level, structure_multiply(table.products, a.coeffs, b.coeffs,
                                                        [0] * dim))
 
@@ -746,46 +750,44 @@ def zero_divisor_probe(level: int) -> tuple[CDElement, CDElement] | None:
 
 
 class _MonomialBatch:
-    """Exhaustive mode: signed basis units s e_i as (index, sign) int64
-    arrays, so a product is one XOR and one sign lookup,
-    (s e_i)(t e_j) = s t sign[i][j] e_{i^j}, and every norm is 1.  Tuples
-    are numbered in ``itertools.product`` order over the basis; slabs run
-    from 2^10 to 2^16 tuples."""
+    """Exhaustive mode: a signed basis unit s e_i as one int64, i plus 2^r
+    when s = -1, so a product is two XORs and one lookup of the sign bit,
+    (s e_i)(t e_j) = s t sign[i][j] e_{i^j}, equality is ==, and every
+    norm is 1.  Tuples are numbered in ``itertools.product`` order over
+    the basis; slabs run from 2^10 to 2^16 tuples."""
 
     entry = 1
     first, cap = 1 << 10, 1 << 16
 
     def __init__(self, r: int):
         self.r = r
-        self.signs = _table(r).signs
+        self.mask = (1 << r) - 1
+        # 2^r where sign[i][j] = -1, in the smallest dtype that holds 2^r
+        self.flips = (_table(r).signs < 0).astype(np.min_scalar_type(1 << r)) << r
 
     def total(self, arity: int) -> int:
         return 1 << (self.r * arity)
 
     def _indices(self, t, arity: int):
         """Basis indices of the tuple numbered t (an int or an array)."""
-        mask = (1 << self.r) - 1
-        return [(t >> (self.r * (arity - 1 - j))) & mask for j in range(arity)]
+        return [(t >> (self.r * (arity - 1 - j))) & self.mask for j in range(arity)]
 
     def slab(self, arity: int, start: int, stop: int):
-        t = np.arange(start, stop)
-        ones = np.ones_like(t)
-        return [(idx, ones) for idx in self._indices(t, arity)]
+        return self._indices(np.arange(start, stop), arity)
 
     def witness(self, arity: int, pos: int) -> tuple:
         return tuple(CDElement.basis(self.r, k) for k in self._indices(pos, arity))
 
     def mul(self, a, b, slot):
-        (ia, sa), (ib, sb) = a, b
-        return ia ^ ib, sa * sb * self.signs[ia, ib]
+        return a ^ b ^ self.flips[a & self.mask, b & self.mask]
 
     @staticmethod
     def eq(a, b):
-        return (a[0] == b[0]) & (a[1] == b[1])
+        return a == b
 
     @staticmethod
     def norm(a):
-        return np.ones_like(a[1])
+        return np.ones_like(a)
 
 
 class _SampleStream:
@@ -895,10 +897,7 @@ class _DenseBatch:
             if k == len(self.buffers) or len(self.buffers[k]) < n:
                 # a new buffer, or a larger slab than the buffer has seen
                 self.buffers[k:k + 1] = [np.empty((n, dim, dim), dtype=np.int64)]
-            op = self.operators[slot] = self.buffers[k][:n]
-            cols, signs = self.table._gather
-            a.take(cols, axis=-1, out=op, mode="clip")
-            op *= signs["left"]
+            op = self.operators[slot] = self.table.operator(a, out=self.buffers[k][:n])
         if len(b) == 1:
             return (op[0] @ b[0])[None]
         return (op @ b[:, :, None])[:, :, 0]
@@ -981,9 +980,14 @@ def find_zero_divisors(r: int) -> list[tuple[CDElement, CDElement]]:
     that is when AB == CD and t_l = -s_i s_j t_k AB: one t_l per t_k.  At
     level 4 the pairs use de Marrais's "42 assessors", 42 distinct index
     pairs (arXiv math/0011260; see also Moreno, arXiv q-alg/9710013).
-    Pairs share their element objects.
+    Pairs share their element objects.  Levels above ``ZERODIV_MAX_LEVEL``
+    raise ``LevelTooLarge`` before anything is built.
     """
-    sgn = structure_constants(r).sign
+    check_level(r)
+    if r > ZERODIV_MAX_LEVEL:
+        raise LevelTooLarge(f"zero-divisor search capped at level {ZERODIV_MAX_LEVEL}, "
+                            f"got {r}")
+    sgn = _table(r).sign
     dim = 1 << r
     elements = {}
 

@@ -146,6 +146,8 @@ def _base_algebra(name: str) -> qa.StructureAlgebra:
 
 
 def _cmd_qalg(args) -> CommandResult:
+    if args.input is not None and args.op != "classic-limit":
+        raise InputError("only --op classic-limit reads --input")
     base = _base_algebra(args.base)
     algebra = qa.tensor_algebra(base, args.level)
     payload = {
@@ -180,14 +182,17 @@ def _cmd_qalg(args) -> CommandResult:
 
 
 def _heyting_from_args(args) -> hey.HeytingAlgebra:
-    if args.chain is not None:
+    data = None if args.chain is not None else _load_json(args.input, dict)
+    is_poset = data is not None and "opens" not in data and "le" in data
+    if args.direction is not None and not is_poset:
+        raise InputError("only a poset file reads --direction")
+    if data is None:
         return hey.heyting_from_chain(args.chain)
-    data = _load_json(args.input, dict)
     if "opens" in data:
         return hey.heyting_from_topology(hey.FiniteTopology.from_json_dict(data))
-    if "le" in data:
+    if is_poset:
         poset = hey.FinitePoset.from_json_dict(data)
-        return hey.heyting_from_poset_upsets(poset, args.direction)
+        return hey.heyting_from_poset_upsets(poset, args.direction or "up")
     if "meet" in data and "impl" in data:
         return hey.HeytingAlgebra.from_json_dict(data)
     if "meet" in data:
@@ -385,8 +390,8 @@ def _declare(p, command, action):
     elif command == "heyting":
         _flag_or_input(p, "--chain", "topology/poset/lattice JSON file", type=int,
                        help="n-element chain")
-        p.add_argument("--direction", choices=["up", "down"], default="up",
-                       help="up-sets or down-sets of a poset file")
+        p.add_argument("--direction", choices=["up", "down"],
+                       help="up-sets or down-sets of a poset file (default up)")
         if action == "quotient":
             p.add_argument("--filter", help="comma-separated generator indices")
     elif command == "abelian":

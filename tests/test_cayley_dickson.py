@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hyperlab.cayley_dickson import (
     INT64_PRODUCT_BOUND,
     VECTOR_MIN_LEVEL,
+    ZERODIV_MAX_LEVEL,
     CDElement,
     ConjugatedAlgebra,
     ExhaustiveBasis,
@@ -44,7 +45,6 @@ from hyperlab.cayley_dickson import (
     _IDENTITIES,
     _DenseBatch,
     _holds,
-    _int64_product_fits,
     _MonomialBatch,
     _SampleStream,
 )
@@ -53,6 +53,16 @@ from hyperlab.exact import CERTIFICATE_PRIME, VerificationError, matrix_rank_mod
 
 def e(r, k, scale=1):
     return CDElement.basis(r, k, scale)
+
+
+def python_int_products(monkeypatch):
+    """A list that gains one entry per ``cd_multiply`` that takes
+    ``structure_multiply`` rather than the int64 gather."""
+    calls = []
+    kernel = cayley_dickson.structure_multiply
+    monkeypatch.setattr(cayley_dickson, "structure_multiply",
+                        lambda *args: calls.append(1) or kernel(*args))
+    return calls
 
 
 def rational_element(r, rng):
@@ -127,16 +137,19 @@ class TestMultiplication:
 
     @pytest.mark.parametrize("magnitude, vectorised", [(2 ** 20, True),
                                                         (2 ** 40, False)])
-    def test_int64_bound_both_sides(self, magnitude, vectorised):
+    def test_int64_bound_both_sides(self, monkeypatch, magnitude, vectorised):
         # level 6: 64 * (2^20)^2 = 2^46 takes int64, 64 * (2^40)^2 = 2^86
         # would overflow it and must stay on Python ints
         assert VECTOR_MIN_LEVEL <= 6
+        calls = python_int_products(monkeypatch)
         rng = random.Random(magnitude)
         for _ in range(6):
             a, b = (CDElement(6, [magnitude] + [rng.randint(-magnitude, magnitude)
                                                 for _ in range(63)]) for _ in range(2))
-            assert _int64_product_fits(a.coeffs, b.coeffs) == vectorised
-            assert cd_multiply(a, b) == cd_multiply_recursive(a, b)
+            product = cd_multiply(a, b)
+            assert calls == ([] if vectorised else [1])
+            assert product == cd_multiply_recursive(a, b)
+            calls.clear()
 
     @pytest.mark.parametrize("level, nonzeros, gathered", [
         (4, 2, False), (4, 3, True), (6, 8, False), (6, 9, True),
@@ -145,10 +158,7 @@ class TestMultiplication:
                                                   gathered):
         # the gather once nonzeros^2 exceeds dim^2 / GATHER_TERM_RATIO
         assert cayley_dickson.GATHER_TERM_RATIO == 64
-        calls = []
-        kernel = cayley_dickson.structure_multiply
-        monkeypatch.setattr(cayley_dickson, "structure_multiply",
-                            lambda *args: calls.append(1) or kernel(*args))
+        calls = python_int_products(monkeypatch)
         rng = random.Random(level * nonzeros)
         a, b = (CDElement(level, [0] * (1 << level)) for _ in range(2))
         for x in (a, b):
@@ -157,15 +167,26 @@ class TestMultiplication:
         assert cd_multiply(a, b) == cd_multiply_recursive(a, b)
         assert calls == ([] if gathered else [1])
 
-    def test_int64_bound_is_strict(self):
-        # dim * max|a| * max|b| equal to 2^62 stays on Python ints
+    def test_int64_bound_is_strict(self, monkeypatch):
+        # dim * max|a| * max|b| at level 6: 64 * (2^28 - 1) * 2^28 takes the
+        # gather and exactly 2^62 stays on Python ints, as do operands that
+        # numpy does not read as int64 and a -2^63 coefficient, whose abs
+        # in int64 is negative
         assert INT64_PRODUCT_BOUND == 2 ** 62
-        below = [2 ** 28 - 1] * 64
-        at = [-(2 ** 28)] * 64
-        assert _int64_product_fits(below, at)
-        assert not _int64_product_fits(at, at)
-        assert not _int64_product_fits([1.0] * 64, [1] * 64)
-        assert not _int64_product_fits([Fraction(1)] * 64, [1] * 64)
+        below, at = [2 ** 28 - 1] * 64, [-(2 ** 28)] * 64
+        ones = [1] * 64
+        calls = python_int_products(monkeypatch)
+        for x, y, gathered in [
+                (below, at, True), (at, below, True), (at, at, False),
+                ([1.0] * 64, ones, False), (ones[1:] + [1.0], ones, False),
+                ([Fraction(1)] * 64, ones, False), (ones, [Fraction(1, 2)] * 64, False),
+                ([2 ** 63] * 64, ones, False), ([-1] + [2 ** 63] * 63, ones, False),
+                ([-2 ** 63] + ones[1:], ones, False), (ones, [-2 ** 63] + ones[1:], False)]:
+            a, b = CDElement(6, x), CDElement(6, y)
+            product = cd_multiply(a, b)
+            assert calls == ([] if gathered else [1]), (x[:2], y[:2])
+            assert product == cd_multiply_recursive(a, b)
+            calls.clear()
 
     @pytest.mark.parametrize("level", range(0, 8))
     def test_float_products_bit_identical_to_table_loop(self, level):
@@ -448,6 +469,29 @@ class TestStructureConstants:
                     expected[p ^ q] = (q + 1) * t.sign[p][q]
                 assert cd_multiply_recursive(e(r, p), x).coeffs == expected
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, object])
+    def test_operator_writes_into_out(self, dtype, side):
+        # two rows of level-4 coefficients: small ints, floats with signed
+        # zeros, and Fractions
+        rng = random.Random(str(dtype))
+        values = {np.int64: [-3, 0, 2, 7], np.float64: [-0.0, 0.0, 1.5, -2.25, 1e308],
+                  object: [Fraction(-1, 3), Fraction(0), Fraction(5, 2)]}[dtype]
+        coeffs = np.array([[rng.choice(values) for _ in range(16)] for _ in range(2)],
+                          dtype=dtype)
+        table = structure_constants(4)
+        fresh = table.operator(coeffs, side)
+        out = np.empty((2, 16, 16), dtype=dtype)
+        assert table.operator(coeffs, side, out=out) is out
+        assert out.dtype == fresh.dtype
+        assert list(map(repr, out.ravel().tolist())) == list(map(repr, fresh.ravel().tolist()))
+        # column j is a e_j ("left") or e_j a ("right")
+        for row, matrix in zip(coeffs.tolist(), out):
+            a = CDElement(4, row)
+            for j in range(16):
+                pair = (a, e(4, j)) if side == "left" else (e(4, j), a)
+                assert matrix[:, j].tolist() == cd_multiply_recursive(*pair).coeffs
+
     def test_dense_gamma_sparsity(self):
         t = structure_constants(2)
         gamma = t.dense_gamma()
@@ -697,6 +741,29 @@ class TestDenseBatchOperators:
             assert rows["bb"][n].tolist() == (y * y).coeffs
 
 
+class TestMonomialBatch:
+    @pytest.mark.parametrize("r", range(9))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_products_decode_to_the_recursive_product(self, r, data):
+        # s e_i is i, plus 2^r when s = -1; a level-8 recursive product
+        # takes about 0.08 s, so each draw holds a few pairs
+        dim = 1 << r
+        unit = st.tuples(st.integers(0, dim - 1), st.sampled_from([1, -1]))
+        pairs = data.draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=3))
+        a, b = (np.array([i + (dim if s < 0 else 0) for i, s in side], dtype=np.int64)
+                for side in zip(*pairs))
+        batch = _MonomialBatch(r)
+        products = batch.mul(a, b, 0)
+        assert products.dtype == np.int64
+        for ((i, s), (j, t)), p in zip(pairs, products.tolist(), strict=True):
+            assert p >> r in (0, 1)
+            assert e(r, p & (dim - 1), -1 if p >> r else 1) == \
+                cd_multiply_recursive(e(r, i, s), e(r, j, t))
+        assert batch.eq(products, products).all()
+        assert not batch.eq(products, products ^ dim).any()
+
+
 class TestSharedWitnesses:
     @pytest.mark.parametrize("r", [4, 6, 8])
     def test_failures_on_one_tuple_share_its_dicts(self, r):
@@ -783,6 +850,17 @@ class TestZeroDivisors:
 
     def test_deterministic_order(self):
         assert find_zero_divisors(4) == find_zero_divisors(4)
+
+    def test_levels_above_the_cap_are_refused(self, monkeypatch):
+        # level 6 lists 208,320 pairs in about 6 s, level 7 1,874,880
+        assert ZERODIV_MAX_LEVEL == 6
+        for level in (7, 8):
+            with pytest.raises(LevelTooLarge, match="zero-divisor search capped at level 6"):
+                find_zero_divisors(level)
+        monkeypatch.setattr(cayley_dickson, "ZERODIV_MAX_LEVEL", 4)
+        assert len(find_zero_divisors(4)) == 1344
+        with pytest.raises(LevelTooLarge, match="capped at level 4, got 5"):
+            find_zero_divisors(5)
 
 
 class TestCayleyExtension:

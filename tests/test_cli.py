@@ -168,6 +168,16 @@ class TestZerodiv:
         result = payload(["zerodiv", "--level", "3"])
         assert result.payload["count"] == 0
 
+    @pytest.mark.parametrize("level", [7, 8])
+    def test_levels_above_the_search_cap_are_refused(self, level):
+        # 1,874,880 and 15,873,984 pairs: refused before the search starts
+        start = time.perf_counter()
+        result = payload(["zerodiv", "--level", str(level)])
+        assert time.perf_counter() - start < 1.0
+        assert result.code == 2
+        assert result.payload == {
+            "error": f"LevelTooLarge: zero-divisor search capped at level 6, got {level}"}
+
 
 class TestQalg:
     def test_centre_of_quaternions(self):
@@ -218,6 +228,14 @@ class TestQalg:
         assert answers == {0} and built == [1]
         cli._base_algebra.cache_clear()
 
+    @pytest.mark.parametrize("op", [[], ["--op", "tensor"], ["--op", "centre"],
+                                    ["--op", "nucleus"]])
+    def test_input_needs_classic_limit(self, op, tmp_path):
+        # refused before the file is read: it need not exist
+        result = payload(["qalg", *op, "--input", str(tmp_path / "missing.json")])
+        assert result.code == 2
+        assert result.payload == {"error": "only --op classic-limit reads --input"}
+
     def test_centre_cap(self):
         # mat2 (x) A5 (dim 128) is the largest centre; A6 (dim 256) is refused
         # before any table is built
@@ -265,6 +283,28 @@ class TestHeyting:
     def test_missing_source(self):
         result = payload(["heyting", "build"])
         assert result.code == 2
+
+    @pytest.mark.parametrize("source", [
+        ["--chain", "3"],
+        ["--input", {"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}],
+        ["--input", {"meet": pentagon_lattice()[0], "join": pentagon_lattice()[1]}],
+        ["--input", heyting.heyting_from_chain(2).to_json_dict()],
+        # a topology file that also holds "le" is read as a topology
+        ["--input", {"points": ["a"], "opens": [[], ["a"]], "le": []}]])
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_direction_needs_a_poset_file(self, source, direction, tmp_path):
+        for action in ("build", "laws", "quotient"):
+            argv = with_files(["heyting", action, *source, "--direction", direction], tmp_path)
+            result = payload(argv)
+            assert result.code == 2
+            assert result.payload == {"error": "only a poset file reads --direction"}
+
+    def test_poset_direction_defaults_to_up(self, tmp_path):
+        poset = {"elements": ["a", "b", "c"], "le": [["a", "b"], ["a", "c"]]}
+        answers = [payload(with_files(["heyting", "build", "--input", poset, *flag],
+                                      tmp_path)).to_json()
+                   for flag in ([], ["--direction", "up"], ["--direction", "down"])]
+        assert answers[0] == answers[1] != answers[2]
 
     @pytest.mark.parametrize("name", ["a,b", "{a}", "b}", "{", ","])
     @pytest.mark.parametrize("kind", ["topology", "poset"])
@@ -977,7 +1017,7 @@ _READERS = [
            {**_LATTICE, "impl": [[1, 1], [0, 1]], "top": 1}, heyting.InvalidLattice),
       ]],
     pytest.param(lambda doc, path: cli._heyting_from_args(
-                     argparse.Namespace(chain=None, input=path, direction="up")),
+                     argparse.Namespace(chain=None, input=path, direction=None)),
                  {"meet": _LATTICE["meet"]}, ["heyting", "build", "--input", "FILE"],
                  heyting.InvalidLattice, id="lattice without join"),
     pytest.param(lambda doc, path: jets.scan_points(jets.builtin_systems()["r1"], doc),
